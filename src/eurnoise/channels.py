@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eurnoise.linalg import DomainError, IDENTITY_2, PAULI, tensor_product
-from eurnoise.states import BellDiagonalState, bd_to_density, is_valid
+from eurnoise.states import BellDiagonalState, is_valid, x_state_density
 
 
 class ChannelError(RuntimeError):
@@ -97,46 +97,41 @@ def apply_local_A(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
-    """Closed-form flip-channel action on the correlation triple: the axis
+def flip_factors(axis: int, eta) -> np.ndarray:
+    """Factors (..., 3) by which a flip channel scales (T1, T2, T3): the axis
     coefficient is kept, the other two scale by (1 - 2 eta)."""
+    f = np.repeat(1.0 - 2.0 * np.asarray(eta, dtype=float)[..., None], 3, axis=-1)
+    f[..., axis - 1] = 1.0
+    return f
+
+
+def amplitude_damped_xstate(c, gamma_t) -> tuple[np.ndarray, np.ndarray]:
+    """(r, T) of Bell-diagonal correlations c (shape (..., 3)) after amplitude
+    damping at Gamma*t: r = e^{-Gt} - 1, T = (e^{-Gt/2} c1, e^{-Gt/2} c2, e^{-Gt} c3)."""
+    gt = np.asarray(gamma_t, dtype=float)
+    e, eh = np.exp(-gt), np.exp(-gt / 2.0)
+    return e - 1.0, np.asarray(c, dtype=float) * np.stack([eh, eh, e], axis=-1)
+
+
+def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
+    """Closed-form flip-channel action on the correlation triple."""
     if axis not in (1, 2, 3):
         raise DomainError(f"flip axis must be 1, 2, or 3, got {axis}")
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"flip probability {eta} outside [0, 1]")
     if not is_valid(s):
         raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    factor = 1.0 - 2.0 * eta
-    cs = [s.c1, s.c2, s.c3]
-    for m in range(3):
-        if m != axis - 1:
-            cs[m] *= factor
-    return BellDiagonalState(*cs)
+    return BellDiagonalState(*(np.array(s.as_tuple()) * flip_factors(axis, eta)).tolist())
 
 
 def evolve_bd_amplitude(s: BellDiagonalState, gamma_t: float) -> np.ndarray:
-    """Closed-form amplitude-damped state: an X-type 4x4 density with
-    v_pm = e^{-Gt}(1 pm c3)/2 and w_pm = e^{-Gt/2}(c1 pm c2)/2."""
+    """Closed-form amplitude-damped state: the X-type 4x4 density of
+    ``amplitude_damped_xstate``."""
     if not is_valid(s):
         raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
     if gamma_t < 0:
         raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
-    e = np.exp(-gamma_t)
-    eh = np.exp(-gamma_t / 2.0)
-    vp = e * (1.0 + s.c3) / 2.0
-    vm = e * (1.0 - s.c3) / 2.0
-    wm = eh * (s.c1 - s.c2) / 2.0
-    wp = eh * (s.c1 + s.c2) / 2.0
-    rho = np.array(
-        [
-            [vp, 0.0, 0.0, wm],
-            [0.0, vm, wp, 0.0],
-            [0.0, wp, 1.0 - vp, 0.0],
-            [wm, 0.0, 0.0, 1.0 - vm],
-        ],
-        dtype=complex,
-    )
-    return rho / 2.0
+    return x_state_density(*amplitude_damped_xstate(s.as_tuple(), gamma_t))
 
 
 @dataclass(frozen=True)
@@ -159,6 +154,14 @@ class ChannelSpec:
         if self.kind == "pd":
             return make_phase_damping(t)
         return make_amplitude_damping(t)
+
+    def evolve(self, s: BellDiagonalState, t) -> tuple[np.ndarray, np.ndarray]:
+        """(r, T) of the initial state s at each sweep variable in the array t."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "ad":
+            return amplitude_damped_xstate(s.as_tuple(), t)
+        axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
+        return np.zeros_like(t), np.array(s.as_tuple()) * flip_factors(axis, eta)
 
     def fixed(self) -> KrausChannel:
         if self.strength is None:

@@ -47,29 +47,32 @@ def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def binary_entropy(p: float) -> float:
-    """H_bin(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0."""
-    if p < -1e-12 or p > 1 + 1e-12:
-        raise DomainError(f"binary entropy argument {p} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    h = 0.0
-    if p > 0.0:
-        h -= p * np.log2(p)
-    if p < 1.0:
-        h -= (1.0 - p) * np.log2(1.0 - p)
-    return float(h)
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy in bits of a probability vector; zero terms skipped."""
+def binary_entropy(p):
+    """H_bin(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0; elementwise,
+    and a float for scalar p."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12):
-        raise DomainError(f"negative probability in {p}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise DomainError(f"probabilities sum to {p.sum()}, not 1")
+    bad = p[~((p >= -1e-12) & (p <= 1 + 1e-12))]
+    if bad.size:
+        raise DomainError(f"binary entropy argument {bad.flat[0]} outside [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    return shannon_entropy(np.stack([p, 1.0 - p], axis=-1))
+
+
+def shannon_entropy(p):
+    """Shannon entropy in bits over the last axis, with 0 log 0 = 0; a float
+    for a single probability vector."""
+    p = np.asarray(p, dtype=float)
+    bad = p[~((p >= -1e-12) & (p < np.inf))]
+    if bad.size:
+        raise DomainError(f"probability {bad.flat[0]} is negative or not finite")
+    total = p.sum(axis=-1)
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
     p = np.clip(p, 0.0, None)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    # + 0.0 turns the -0.0 of a pure distribution into +0.0
+    h = -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1) + 0.0
+    return float(h) if h.ndim == 0 else h
 
 
 def _eigvals_2x2(m: np.ndarray) -> np.ndarray:

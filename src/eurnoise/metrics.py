@@ -1,7 +1,8 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
-Each quantity has a general density-matrix route and, where one exists, a
-Bell-diagonal closed form; the test suite crosses the two everywhere.
+Every quantity has a closed form over arrays of X states (``xstate_*``), the
+runtime route. The general density-matrix routes (pinching, Jacobi, Wootters,
+the brute-force minimizer) are the oracles the test suite crosses them against.
 """
 
 from __future__ import annotations
@@ -15,18 +16,13 @@ from eurnoise.linalg import (
     IDENTITY_2,
     PAULI,
     binary_entropy,
-    hermitian_eigenvalues,
     partial_trace,
     shannon_entropy,
     tensor_product,
     von_neumann_entropy,
 )
-from eurnoise.states import (
-    BellDiagonalState,
-    bell_eigenvalues,
-    density_to_correlations,
-    is_valid,
-)
+from eurnoise.states import BellDiagonalState, density_to_correlations, is_valid
+from eurnoise.channels import amplitude_damped_xstate
 
 
 class WitnessNotValidError(RuntimeError):
@@ -102,24 +98,10 @@ def uncertainty_U(rho: np.ndarray, pair: ObservablePair) -> float:
     )
 
 
-def uncertainty_U_bd(s: BellDiagonalState, pair: ObservablePair) -> float:
-    """Closed form for Bell-diagonal states:
-    H_bin((1+c_j)/2) + H_bin((1+c_k)/2)."""
-    return binary_entropy((1.0 + s[pair.q.index]) / 2.0) + binary_entropy(
-        (1.0 + s[pair.r.index]) / 2.0
-    )
-
-
 def lower_bound_Ub(rho: np.ndarray, pair: ObservablePair) -> float:
     """log2(1/c) + S(A|B), the uncertainty lower bound."""
     c = complementarity(pair)
     return float(np.log2(1.0 / c)) + conditional_entropy(rho)
-
-
-def lower_bound_Ub_bd(s: BellDiagonalState) -> float:
-    """Closed form for Bell-diagonal states with Pauli pairs: the joint
-    entropy over the Bell-basis spectrum."""
-    return shannon_entropy(np.clip(bell_eigenvalues(s).as_array(), 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -227,7 +209,13 @@ def minimal_missing_info_bruteforce(
     thetas = np.linspace(0.0, np.pi, n_theta)
     xis = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
     tg, xg = np.meshgrid(thetas, xis, indexing="ij")
-    vals = _avg_conditional_entropy(rho_t, _measurement_kets(tg, xg))
+    # blocks of 16 theta rows keep the per-basis temporaries to a few MB
+    vals = np.concatenate(
+        [
+            _avg_conditional_entropy(rho_t, _measurement_kets(tg[i : i + 16], xg[i : i + 16]))
+            for i in range(0, n_theta, 16)
+        ]
+    )
     # ties within rounding noise break toward the smallest (theta, xi)
     flat = int(np.flatnonzero(vals.ravel() <= vals.min() + 1e-12)[0])
     ti, xi_i = divmod(flat, n_xi)
@@ -266,46 +254,6 @@ def _ternary(f, center: float, halfwidth: float, fbest: float):
     return center, fbest
 
 
-def minimal_missing_info_bd(s: BellDiagonalState) -> float:
-    """Closed form for Bell-diagonal states: H_bin((1 + C_max)/2)."""
-    if not is_valid(s):
-        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    c_max = max(abs(s.c1), abs(s.c2), abs(s.c3))
-    return binary_entropy((1.0 + c_max) / 2.0)
-
-
-@dataclass(frozen=True)
-class MinimalInfoAD:
-    m: float
-    m_x: float | None
-    m_z: float | None
-    used_fallback: bool
-
-
-def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
-    """Closed-form minimal missing information for an amplitude-damped
-    Bell-diagonal state: M = min{M_x, M_z}.
-
-    Valid for |c1| >= |c2|; otherwise falls back to the brute-force
-    minimizer and flags the result.
-    """
-    from eurnoise.channels import evolve_bd_amplitude
-
-    if gamma_t < 0:
-        raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
-    if abs(s0.c1) < abs(s0.c2):
-        m, _ = minimal_missing_info_bruteforce(evolve_bd_amplitude(s0, gamma_t))
-        return MinimalInfoAD(m, None, None, True)
-    e = np.exp(-gamma_t)
-    u = np.sqrt(max(e * (s0.c1 ** 2 + 2.0 * np.cosh(gamma_t) - 2.0), 0.0))
-    u = min(u, 1.0)
-    vp = (1.0 + s0.c3) * e / 2.0
-    vm = (1.0 - s0.c3) * e / 2.0
-    m_x = binary_entropy((1.0 + u) / 2.0)
-    m_z = (binary_entropy(vp) + binary_entropy(vm)) / 2.0
-    return MinimalInfoAD(min(m_x, m_z), m_x, m_z, False)
-
-
 def discord(rho: np.ndarray, grid: tuple[int, int] = (181, 361)) -> float:
     """D = -S(A|B) + M; Bell-diagonal inputs use the closed-form M, anything
     else the brute-force minimizer."""
@@ -315,10 +263,6 @@ def discord(rho: np.ndarray, grid: tuple[int, int] = (181, 361)) -> float:
     else:
         m, _ = minimal_missing_info_bruteforce(rho, grid)
     return -conditional_entropy(rho) + m
-
-
-def discord_bd(s: BellDiagonalState) -> float:
-    return -(lower_bound_Ub_bd(s) - 1.0) + minimal_missing_info_bd(s)
 
 
 def witness_discord_from_U(
@@ -354,3 +298,96 @@ def witness_discord_from_U(
         (1.0 + abs(s0[noise_axis])) / 2.0
     )
     return const - u
+
+
+# ---- closed forms over the X-state family ----------------------------------
+# rho = (1/4)(I + r sigma_3 x I + sum_j T_j sigma_j x sigma_j): Bell-diagonal
+# states (r = 0) and their flip, phase- and amplitude-damped images. r has
+# shape (...), t = (T1, T2, T3) shape (..., 3). rho_B = I/2, so each quantity
+# is a Shannon entropy of explicit arrays (Luo, PRA 77, 042303 (2008); Ali,
+# Rau and Alber, PRA 81, 042105 (2010)).
+
+
+def _xstate_conditional_entropy(r, t, index: int):
+    """S(sigma_index|B): H{(1 +- r +- T3)/4} - 1 for sigma_3, else
+    H_bin((1 + T_index)/2)."""
+    t = np.asarray(t, dtype=float)
+    if index != 3:
+        return binary_entropy((1.0 + t[..., index - 1]) / 2.0)
+    t3 = t[..., 2]
+    p = np.stack([1 + r + t3, 1 + r - t3, 1 - r - t3, 1 - r + t3], axis=-1)
+    return shannon_entropy(p / 4) - 1.0
+
+
+def xstate_uncertainty_U(r, t, pair: ObservablePair):
+    q, k = pair.q.index, pair.r.index
+    return _xstate_conditional_entropy(r, t, q) + _xstate_conditional_entropy(r, t, k)
+
+
+def xstate_lower_bound_Ub(r, t):
+    """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2)."""
+    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
+    ev = np.stack([1 + t3 + rad_m, 1 + t3 - rad_m, 1 - t3 + rad_p, 1 - t3 - rad_p], axis=-1)
+    return shannon_entropy(ev / 4)
+
+
+def xstate_concurrence(r, t):
+    """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))."""
+    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    r2 = np.square(r)
+    a = np.abs(t1 + t2) - np.sqrt(np.maximum((1 + t3) ** 2 - r2, 0.0))
+    b = np.abs(t1 - t2) - np.sqrt(np.maximum((1 - t3) ** 2 - r2, 0.0))
+    return np.maximum(np.maximum(a, b) / 2, 0.0)
+
+
+def xstate_minimal_missing_info(r, t):
+    """(M, M_x, M_z) with M = min(M_x, M_z), the better of an x (or y) and a z
+    measurement on B. The larger of T1^2 and T2^2 covers |c1| < |c2| through
+    the S x S symmetry that swaps them."""
+    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
+    m_x = binary_entropy((1.0 + u) / 2.0)
+    m_z = (binary_entropy((1 + r + t3) / 2) + binary_entropy((1 + r - t3) / 2)) / 2
+    return np.minimum(m_x, m_z), m_x, m_z
+
+
+# ---- Bell-diagonal and amplitude-damped entry points on the core -----------
+
+
+def uncertainty_U_bd(s: BellDiagonalState, pair: ObservablePair) -> float:
+    """H_bin((1+c_j)/2) + H_bin((1+c_k)/2)."""
+    return float(xstate_uncertainty_U(0.0, s.as_tuple(), pair))
+
+
+def lower_bound_Ub_bd(s: BellDiagonalState) -> float:
+    """Joint entropy over the Bell-basis spectrum."""
+    return float(xstate_lower_bound_Ub(0.0, s.as_tuple()))
+
+
+def minimal_missing_info_bd(s: BellDiagonalState) -> float:
+    """H_bin((1 + C_max)/2)."""
+    if not is_valid(s):
+        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
+    return float(xstate_minimal_missing_info(0.0, s.as_tuple())[0])
+
+
+def discord_bd(s: BellDiagonalState) -> float:
+    return minimal_missing_info_bd(s) - (lower_bound_Ub_bd(s) - 1.0)
+
+
+@dataclass(frozen=True)
+class MinimalInfoAD:
+    m: float
+    m_x: float | None
+    m_z: float | None
+    used_fallback: bool
+
+
+def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
+    """Closed-form minimal missing information for an amplitude-damped
+    Bell-diagonal state: M = min{M_x, M_z}, over the whole tetrahedron."""
+    if gamma_t < 0:
+        raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
+    r, t = amplitude_damped_xstate(s0.as_tuple(), gamma_t)
+    return MinimalInfoAD(*(float(x) for x in xstate_minimal_missing_info(r, t)), False)

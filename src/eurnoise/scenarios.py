@@ -8,30 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import DomainError
-from eurnoise.states import (
-    BellDiagonalState,
-    bd_to_density,
-    is_valid,
-    random_bd_states,
-)
-from eurnoise.channels import (
-    ChannelSpec,
-    evolve_bd_amplitude,
-    evolve_bd_flip,
-    pd_equivalent_eta,
-)
+from eurnoise.states import BellDiagonalState, is_valid, random_bd_states
+from eurnoise.channels import ChannelSpec, amplitude_damped_xstate, flip_factors, pd_equivalent_eta
 from eurnoise.metrics import (
     ObservablePair,
-    pauli_pair,
-    concurrence,
-    conditional_entropy,
-    discord_bd,
-    lower_bound_Ub,
     lower_bound_Ub_bd,
-    minimal_missing_info_ad,
-    minimal_missing_info_bd,
-    uncertainty_U,
-    uncertainty_U_bd,
+    xstate_concurrence,
+    xstate_lower_bound_Ub,
+    xstate_minimal_missing_info,
+    xstate_uncertainty_U,
 )
 
 ALL_COLUMNS = ("U", "Ub", "D", "E", "M")
@@ -51,8 +36,10 @@ class SweepConfig:
     def __post_init__(self):
         if not is_valid(self.initial):
             raise DomainError(f"initial state {self.initial} is not valid")
-        if not self.t_start < self.t_end:
-            raise DomainError("t_start must be < t_end")
+        if not 0 <= self.t_start < self.t_end < np.inf:
+            raise DomainError(f"need 0 <= t_start < t_end < inf, got {self.t_start}, {self.t_end}")
+        if self.channel.kind == "flip" and self.t_end > 1:
+            raise DomainError(f"flip probability t_end = {self.t_end} exceeds 1")
         if self.n_points < 2:
             raise DomainError("n_points must be >= 2")
         if self.spacing not in ("linear", "log"):
@@ -82,48 +69,16 @@ class SweepRecord:
         return {"U": self.u, "Ub": self.u_b, "D": self.d, "E": self.e, "M": self.m}[name]
 
 
-def _record_bd(t: float, s: BellDiagonalState, pair: ObservablePair) -> SweepRecord:
-    return SweepRecord(
-        t=t,
-        u=uncertainty_U_bd(s, pair),
-        u_b=lower_bound_Ub_bd(s),
-        d=discord_bd(s),
-        e=concurrence(bd_to_density(s)),
-        m=minimal_missing_info_bd(s),
-    )
-
-
-def _record_ad(t: float, s0: BellDiagonalState, pair: ObservablePair) -> SweepRecord:
-    rho = evolve_bd_amplitude(s0, t)
-    m = minimal_missing_info_ad(s0, t).m
-    return SweepRecord(
-        t=t,
-        u=uncertainty_U(rho, pair),
-        u_b=lower_bound_Ub(rho, pair),
-        d=-conditional_entropy(rho) + m,
-        e=concurrence(rho),
-        m=m,
-    )
-
-
 def run_time_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evolve the initial state along the grid and bundle the metrics.
-
-    The grid variable is Gamma*t for the damping channels and the flip
-    probability eta for the flip channels.
-    """
-    records = []
-    for t in cfg.grid():
-        t = float(t)
-        if cfg.channel.kind == "flip":
-            s = evolve_bd_flip(cfg.initial, cfg.channel.axis, t)
-            records.append(_record_bd(t, s, cfg.pair))
-        elif cfg.channel.kind == "pd":
-            s = evolve_bd_flip(cfg.initial, 3, pd_equivalent_eta(t))
-            records.append(_record_bd(t, s, cfg.pair))
-        else:
-            records.append(_record_ad(t, cfg.initial, cfg.pair))
-    return records
+    """Evolve the initial state along the grid (Gamma*t for the damping
+    channels, eta for the flips) and evaluate every column over the whole
+    grid at once. The channel only picks the (r, T) map."""
+    t = cfg.grid()
+    r, corr = cfg.channel.evolve(cfg.initial, t)
+    u, u_b = xstate_uncertainty_U(r, corr, cfg.pair), xstate_lower_bound_Ub(r, corr)
+    m = xstate_minimal_missing_info(r, corr)[0]
+    columns = (t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
+    return list(map(SweepRecord, *(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -137,19 +92,16 @@ LONGTIME_GAMMA_T = 50.0
 BOUNDARY_BAND = 1e-9
 
 
-def classify_longtime_ad(
-    s: BellDiagonalState, pair: ObservablePair | None = None
-) -> ClassificationResult:
+def classify_longtime_ad(s: BellDiagonalState) -> ClassificationResult:
     """Does the uncertainty lower bound decrease or increase in the
     long-time amplitude-damping limit?
 
     The limit value is evaluated on the actually-evolved state at
     Gamma*t = 50 rather than assumed.
     """
-    if pair is None:
-        pair = pauli_pair(1, 3)
     u_b0 = lower_bound_Ub_bd(s)
-    u_b_limit = lower_bound_Ub(evolve_bd_amplitude(s, LONGTIME_GAMMA_T), pair)
+    r, t = amplitude_damped_xstate(s.as_tuple(), LONGTIME_GAMMA_T)
+    u_b_limit = float(xstate_lower_bound_Ub(r, t))
     if u_b0 > u_b_limit + BOUNDARY_BAND:
         verdict = "Decrease"
     elif u_b0 < u_b_limit - BOUNDARY_BAND:
@@ -161,20 +113,20 @@ def classify_longtime_ad(
 
 def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiagonalState]:
     """Grid the measured-axes square and close each point with the SPMC
-    value on the unmeasured axis; only tetrahedron-valid points are kept."""
+    value on the unmeasured axis. Every cell lies in the tetrahedron: its
+    Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4."""
     if resolution < 2:
         raise DomainError("resolution must be >= 2")
     j, k = pair.q.index, pair.r.index
     i = ({1, 2, 3} - {j, k}).pop()
     axis_vals = np.linspace(-1.0, 1.0, resolution)
-    out = []
-    for cj in axis_vals:
-        for ck in axis_vals:
-            cs = {j: float(cj), k: float(ck), i: float(-cj * ck)}
-            s = BellDiagonalState(cs[1], cs[2], cs[3])
-            if is_valid(s):
-                out.append(s)
-    return out
+    vals = axis_vals.tolist()  # shared by the states of each row and column
+    c = {
+        j: [v for v in vals for _ in vals],
+        k: vals * resolution,
+        i: (-np.outer(axis_vals, axis_vals)).ravel().tolist(),
+    }
+    return list(map(BellDiagonalState, c[1], c[2], c[3]))
 
 
 @dataclass(frozen=True)
@@ -210,31 +162,30 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
         raise DomainError("n_trials must be >= 1")
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_trials, rng)
-    n_checks = 0
-    violations = []
-    for s in states:
-        s0_ub = lower_bound_Ub_bd(s)
-        moves = [("flip", ax, eta) for ax in (1, 2, 3) for eta in FLIP_ETA_GRID]
-        moves += [("pd", 3, pd_equivalent_eta(gt)) for gt in PD_GAMMA_T_GRID]
-        for kind, ax, eta in moves:
-            s1 = evolve_bd_flip(s, ax, eta)
-            ub1 = lower_bound_Ub_bd(s1)
-            # for Bell-diagonal states S(rho) and U_b coincide; check both
-            # against the pre-noise values
-            n_checks += 1
-            if ub1 < s0_ub - 1e-9:
-                violations.append((s, kind, ax, eta, s0_ub, ub1))
+    moves = [("flip", ax, eta) for ax in (1, 2, 3) for eta in FLIP_ETA_GRID]
+    moves += [("pd", 3, pd_equivalent_eta(gt)) for gt in PD_GAMMA_T_GRID]
+    factors = np.array([flip_factors(ax, eta) for _, ax, eta in moves])
+    candidates = states + [BellDiagonalState(-0.5, 0.4, 0.8)]
+    c = np.array([s.as_tuple() for s in candidates])
+    ub0 = xstate_lower_bound_Ub(0.0, c)
+    # for Bell-diagonal states S(rho) and U_b coincide; check both against
+    # the pre-noise values
+    ub1 = xstate_lower_bound_Ub(0.0, c[:-1, None, :] * factors)
+    violations = [
+        (states[n], *moves[k], float(ub0[n]), float(ub1[n, k]))
+        for n, k in zip(*np.nonzero(ub1 < ub0[:-1, None] - 1e-9))
+    ]
 
+    ub_ad = xstate_lower_bound_Ub(*amplitude_damped_xstate(c, AD_PROBE_GAMMA_T))
+    drops = np.flatnonzero(ub_ad < ub0 - 1e-9)
     counter_state = counter_gt = counter_drop = None
-    for s in states + [BellDiagonalState(-0.5, 0.4, 0.8)]:
-        ub0 = lower_bound_Ub_bd(s)
-        ub1 = lower_bound_Ub(evolve_bd_amplitude(s, AD_PROBE_GAMMA_T), pauli_pair(1, 3))
-        if ub1 < ub0 - 1e-9:
-            counter_state, counter_gt, counter_drop = s, AD_PROBE_GAMMA_T, (ub0, ub1)
-            break
+    if drops.size:
+        n = drops[0]
+        counter_state, counter_gt = candidates[n], AD_PROBE_GAMMA_T
+        counter_drop = (float(ub0[n]), float(ub_ad[n]))
     return UnitalCheckReport(
         n_trials=n_trials,
-        n_checks=n_checks,
+        n_checks=ub1.size,
         n_violations=len(violations),
         violations=tuple(violations),
         counterexample_state=counter_state,

@@ -13,8 +13,6 @@ import numpy as np
 
 from eurnoise.linalg import (
     DomainError,
-    IDENTITY_2,
-    IDENTITY_4,
     PAULI,
     is_hermitian,
     hermitian_eigenvalues,
@@ -78,14 +76,21 @@ def is_valid(s: BellDiagonalState) -> bool:
     return bool(np.min(spec.as_array()) >= -TETRAHEDRON_TOL)
 
 
+def x_state_density(r: float, t) -> np.ndarray:
+    """4x4 density (1/4)(I + r sigma_3 x I + sum_j T_j sigma_j x sigma_j) of
+    the X-state family with rho_B = I/2; t = (T1, T2, T3)."""
+    t1, t2, t3 = t
+    rho = np.diag([1 + r + t3, 1 + r - t3, 1 - r - t3, 1 - r + t3]).astype(complex)
+    rho[0, 3] = rho[3, 0] = t1 - t2
+    rho[1, 2] = rho[2, 1] = t1 + t2
+    return rho / 4
+
+
 def bd_to_density(s: BellDiagonalState) -> np.ndarray:
     """4x4 density matrix (1/4)(I + sum_j c_j sigma_j x sigma_j)."""
     if not is_valid(s):
         raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    rho = IDENTITY_4.copy()
-    for j in (1, 2, 3):
-        rho += s[j] * tensor_product(PAULI[j], PAULI[j])
-    return rho / 4
+    return x_state_density(0.0, s.as_tuple())
 
 
 def density_to_correlations(rho: np.ndarray) -> tuple[float, float, float, bool]:

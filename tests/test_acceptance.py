@@ -139,6 +139,15 @@ def test_criterion_5_closed_form_m():
             assert not res.used_fallback
             m_bf, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(s, gt), COARSE)
             assert abs(m_bf - res.m) <= 1e-4
+        # |c1| < |c2|: covered through the S x S symmetry, no fallback
+        swapped = [s for s in random_bd_states(600, rng) if abs(s.c1) < abs(s.c2)][:200]
+        assert len(swapped) == 200
+        for s in swapped:
+            gt = float(rng.uniform(0.0, 5.0))
+            res = M.minimal_missing_info_ad(s, gt)
+            assert not res.used_fallback
+            m_bf, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(s, gt), COARSE)
+            assert abs(m_bf - res.m) <= 1e-4
 
 
 def test_criterion_6_unital_monotonicity():

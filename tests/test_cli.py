@@ -109,3 +109,24 @@ def test_subprocess_determinism(tmp_path):
     run_cli("fig3", "--out", str(a))
     run_cli("fig3", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_infinite_t_max_is_one_error_line():
+    code, out, err = run_cli(
+        "sweep", "--state", "bd:-0.5,0.4,0.8", "--channel", "pd", "--pair", "1,3",
+        "--t-max", "inf", "--points", "5",
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_flip_range_error_names_value():
+    code, out, err = run_cli(
+        "sweep", "--state", "bd:-0.5,0.4,0.8", "--channel", "flip:3", "--pair", "1,3",
+        "--t-max", "1.5", "--points", "201",
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "1.5" in err and "[" not in err

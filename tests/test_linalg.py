@@ -61,6 +61,40 @@ class TestShannonEntropy:
             L.shannon_entropy([1.2, -0.2])
 
 
+class TestEntropyEdgeCases:
+    def test_binary_nan_rejected(self):
+        with pytest.raises(L.DomainError):
+            L.binary_entropy(float("nan"))
+
+    def test_shannon_nan_rejected(self):
+        with pytest.raises(L.DomainError):
+            L.shannon_entropy([float("nan"), 1.0])
+
+    def test_pure_distribution_is_positive_zero(self):
+        for h in (L.shannon_entropy([1, 0]), L.shannon_entropy([0, 1, 0]), L.binary_entropy(1.0)):
+            assert h == 0.0 and np.copysign(1.0, h) == 1.0
+
+    def test_binary_broadcasts(self):
+        p = np.array([[0.0, 0.1], [0.5, 0.9]])
+        out = L.binary_entropy(p)
+        assert out.shape == (2, 2)
+        assert out.tolist() == [[L.binary_entropy(x) for x in row] for row in p.tolist()]
+        assert isinstance(L.binary_entropy(0.3), float)
+
+    def test_shannon_reduces_last_axis(self):
+        p = np.array([[0.25] * 4, [1.0, 0.0, 0.0, 0.0], [0.225, 0.675, 0.025, 0.075]])
+        out = L.shannon_entropy(p)
+        assert out.shape == (3,)
+        assert out.tolist() == [L.shannon_entropy(row) for row in p]
+        assert isinstance(L.shannon_entropy([0.5, 0.5]), float)
+
+    def test_broadcast_rejects_any_bad_row(self):
+        with pytest.raises(L.DomainError):
+            L.shannon_entropy(np.array([[0.5, 0.5], [0.5, 0.6]]))
+        with pytest.raises(L.DomainError):
+            L.binary_entropy(np.array([0.2, 1.5]))
+
+
 class TestHermitianEigenvalues:
     def test_identity(self):
         assert np.allclose(L.hermitian_eigenvalues(np.eye(4)), np.ones(4))

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from eurnoise import metrics as M
 from eurnoise.linalg import DomainError, binary_entropy
 from eurnoise.states import BellDiagonalState, bd_to_density
-from eurnoise.channels import evolve_bd_amplitude, evolve_bd_flip
+from eurnoise.channels import ChannelSpec, apply_local_A, evolve_bd_amplitude, evolve_bd_flip
 
 from conftest import bd_states
 
 PAIR_13 = M.pauli_pair(1, 3)
+ALL_PAIRS = [M.pauli_pair(1, 2), M.pauli_pair(1, 3), M.pauli_pair(2, 3)]
 COARSE = (65, 65)  # faster brute-force grid for loops; refinement recovers accuracy
 
 
@@ -228,11 +229,19 @@ class TestMinimalMissingInfoAD:
         m, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(fig_state, gt))
         assert m == pytest.approx(M.minimal_missing_info_ad(fig_state, gt).m, abs=1e-4)
 
-    def test_fallback_flagged(self):
-        # |c1| < |c2| is outside the closed form's proven domain
+    @pytest.mark.parametrize("gt", [710.0, 745.0, 800.0])
+    def test_longtime_finite(self, fig_state, gt):
+        # cosh(Gamma*t) overflows from ~710; the (r, T) form never forms it
+        res = M.minimal_missing_info_ad(fig_state, gt)
+        assert np.all(np.isfinite([res.m, res.m_x, res.m_z]))
+        assert res.m == pytest.approx(0.0, abs=1e-12)
+
+    def test_swapped_coefficients_closed_form(self):
+        # |c1| < |c2|: S x S swaps c1 and c2 and leaves M unchanged, so the
+        # closed form covers this state too
         s = BellDiagonalState(0.1, 0.5, 0.2)
         res = M.minimal_missing_info_ad(s, 0.8)
-        assert res.used_fallback
+        assert not res.used_fallback
         m, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(s, 0.8))
         assert res.m == pytest.approx(m, abs=1e-12)
 
@@ -284,3 +293,44 @@ class TestDiscordWitness:
         s = BellDiagonalState(-0.5, 0.1, 0.8)
         with pytest.raises(M.WitnessNotValidError):
             M.witness_discord_from_U(s, PAIR_13, 1.0)
+
+
+def noise():
+    """(channel spec, strength): flip on any axis at eta, phase or amplitude
+    damping at Gamma*t. Subnormal strengths are left out: the Jacobi oracle's
+    rotation phase overflows on subnormal off-diagonal entries."""
+    return st.one_of(
+        st.tuples(
+            st.sampled_from([1, 2, 3]).map(lambda ax: ChannelSpec("flip", axis=ax)),
+            st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False),
+        ),
+        st.tuples(
+            st.sampled_from([ChannelSpec("pd"), ChannelSpec("ad")]),
+            st.floats(min_value=0.0, max_value=20.0, allow_subnormal=False),
+        ),
+    )
+
+
+class TestXStateCoreVsOracles:
+    """The closed forms the sweeps run on, crossed against the general
+    density-matrix routes on the Kraus-evolved state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(bd_states(), noise())
+    def test_core_matches_oracles(self, s, spec_strength):
+        spec, strength = spec_strength
+        r, t = spec.evolve(s, strength)
+        rho = apply_local_A(spec.at(strength), bd_to_density(s))
+        u_b = float(M.xstate_lower_bound_Ub(r, t))
+        assert u_b == pytest.approx(M.lower_bound_Ub(rho, PAIR_13), abs=1e-10)
+        for pair in ALL_PAIRS:
+            u = float(M.xstate_uncertainty_U(r, t, pair))
+            assert u == pytest.approx(M.uncertainty_U(rho, pair), abs=1e-10)
+            assert u >= u_b - 1e-9
+        e = float(M.xstate_concurrence(r, t))
+        assert e == pytest.approx(M.concurrence(rho), abs=1e-7)
+        assert 0.0 <= e <= 1.0
+        m = float(M.xstate_minimal_missing_info(r, t)[0])
+        assert m == pytest.approx(M.minimal_missing_info_bruteforce(rho, COARSE)[0], abs=1e-4)
+        assert 0.0 <= m <= 1.0
+        assert m - (u_b - 1.0) >= -1e-9

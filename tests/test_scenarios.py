@@ -35,6 +35,25 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             fig_config("pd", outputs=("U", "X"))
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(t_end=np.inf),
+            dict(t_end=np.nan),
+            dict(t_start=-np.inf),
+            dict(t_start=-1.0),
+        ],
+    )
+    def test_rejects_bad_range(self, kw):
+        with pytest.raises(DomainError):
+            fig_config("ad", **kw)
+
+    def test_flip_range_names_value(self):
+        with pytest.raises(DomainError, match="1.5") as info:
+            fig_config("flip", channel=ChannelSpec("flip", axis=3), t_end=1.5)
+        assert "[" not in str(info.value)
+        fig_config("flip", channel=ChannelSpec("flip", axis=3), t_end=1.0)
+
     def test_log_spacing(self):
         grid = fig_config("pd", t_start=0.1, spacing="log").grid()
         assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(10.0)
@@ -88,6 +107,15 @@ class TestFig3Sweep:
             assert r.u >= r.u_b - 1e-9
             assert r.d >= -1e-9
             assert 0.0 <= r.e <= 1.0 + 1e-12
+
+
+    def test_log_grid_to_800_finite(self):
+        cfg = fig_config("ad", t_start=0.01, t_end=800.0, n_points=101, spacing="log")
+        records = SC.run_time_sweep(cfg)
+        values = np.array([[r.u, r.u_b, r.d, r.e, r.m] for r in records])
+        assert np.all(np.isfinite(values))
+        assert records[-1].u_b == pytest.approx(1.0, abs=1e-12)
+        assert records[-1].m == pytest.approx(0.0, abs=1e-12)
 
 
 class TestClassifyLongtime:
