@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eurnoise.linalg import DomainError, IDENTITY_2, PAULI, tensor_product
-from eurnoise.states import BellDiagonalState, is_valid, x_state_density
+from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 
 class ChannelError(RuntimeError):
@@ -29,17 +29,14 @@ class KrausChannel:
 
     def __post_init__(self):
         total = sum(k.conj().T @ k for k in self.operators)
-        if np.max(np.abs(total - IDENTITY_2)) > 1e-10:
+        if not np.max(np.abs(total - IDENTITY_2)) <= 1e-10:
             raise ChannelError(f"channel {self.label!r} is not trace preserving")
 
 
 def make_flip_channel(axis: int, eta: float) -> KrausChannel:
     """Bit-flip (axis 1), bit-phase-flip (axis 2), or phase-flip (axis 3)
     channel with noise probability eta."""
-    if axis not in (1, 2, 3):
-        raise DomainError(f"flip axis must be 1, 2, or 3, got {axis}")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"flip probability {eta} outside [0, 1]")
+    ChannelSpec("flip", axis).check(eta)
     warning = None
     if eta > 0.5:
         warning = "eta > 1/2: beyond the fully-mixing point, correlations flip sign"
@@ -54,8 +51,7 @@ def pd_equivalent_eta(gamma_t: float) -> float:
 
 def make_phase_damping(gamma_t: float) -> KrausChannel:
     """Phase-damping channel at dimensionless Gamma*t."""
-    if gamma_t < 0:
-        raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
+    ChannelSpec("pd").check(gamma_t)
     k0 = np.array([[1.0, 0.0], [0.0, np.exp(-gamma_t / 2.0)]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [0.0, np.sqrt(1.0 - np.exp(-gamma_t))]], dtype=complex)
     params = {"gamma_t": gamma_t, "eta3": pd_equivalent_eta(gamma_t)}
@@ -65,8 +61,7 @@ def make_phase_damping(gamma_t: float) -> KrausChannel:
 def make_amplitude_damping(gamma_t: float, relabeled: bool = False) -> KrausChannel:
     """Amplitude-damping channel at dimensionless Gamma*t (decays toward |1>;
     ``relabeled`` flips the orientation to the |1> -> |0> convention)."""
-    if gamma_t < 0:
-        raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
+    ChannelSpec("ad").check(gamma_t)
     e = np.exp(-gamma_t / 2.0)
     p = np.sqrt(max(1.0 - np.exp(-gamma_t), 0.0))
     if relabeled:
@@ -92,7 +87,7 @@ def apply_local_A(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     for k in ch.operators:
         big = tensor_product(k, IDENTITY_2)
         out += big @ rho @ big.conj().T
-    if abs(np.trace(out).real - 1.0) > 1e-9:
+    if not abs(np.trace(out).real - 1.0) <= 1e-9:
         raise ChannelError(f"channel {ch.label!r} broke trace preservation")
     return out
 
@@ -115,40 +110,48 @@ def amplitude_damped_xstate(c, gamma_t) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
     """Closed-form flip-channel action on the correlation triple."""
-    if axis not in (1, 2, 3):
-        raise DomainError(f"flip axis must be 1, 2, or 3, got {axis}")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"flip probability {eta} outside [0, 1]")
-    if not is_valid(s):
-        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    return BellDiagonalState(*(np.array(s.as_tuple()) * flip_factors(axis, eta)).tolist())
+    return BellDiagonalState(*ChannelSpec("flip", axis).evolve(check_bd(s), eta)[1].tolist())
 
 
 def evolve_bd_amplitude(s: BellDiagonalState, gamma_t: float) -> np.ndarray:
     """Closed-form amplitude-damped state: the X-type 4x4 density of
     ``amplitude_damped_xstate``."""
-    if not is_valid(s):
-        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    if gamma_t < 0:
-        raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
-    return x_state_density(*amplitude_damped_xstate(s.as_tuple(), gamma_t))
+    return x_state_density(*ChannelSpec("ad").evolve(check_bd(s), gamma_t))
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A channel family plus (optionally) a fixed strength.
-
-    In time sweeps the grid variable supplies the strength: Gamma*t for the
-    damping channels, eta for the flips. A strength embedded in the literal
-    (``flip:3:0.25``, ``pd:1.5``, ``ad:0.7``) pins it for one-shot use.
+    """A channel family: a flip on Pauli axis 1, 2 or 3 (``flip``), phase
+    damping (``pd``) or amplitude damping (``ad``). The strength is always
+    supplied by the caller: eta for the flips, Gamma*t for the damping channels.
     """
 
     kind: str  # 'flip', 'pd', or 'ad'
     axis: int | None = None
-    strength: float | None = None
+
+    def check(self, strength=0.0) -> np.ndarray:
+        """The channel contract, decided here only: a known kind, an axis of
+        1, 2 or 3 exactly for flips, and every strength in range (eta in
+        [0, 1], Gamma*t finite and >= 0, never NaN). Returns the strengths as
+        a float array."""
+        if self.kind not in ("flip", "pd", "ad"):
+            raise DomainError(f"unknown channel kind {self.kind!r}; expected flip, pd or ad")
+        if self.kind == "flip" and not (
+            isinstance(self.axis, (int, np.integer)) and self.axis in (1, 2, 3)
+        ):
+            raise DomainError(f"flip axis must be 1, 2, or 3, got {self.axis}")
+        if self.kind != "flip" and self.axis is not None:
+            raise DomainError(f"channel {self.kind!r} takes no axis, got {self.axis}")
+        t = np.asarray(strength, dtype=float)
+        ok = (t >= 0.0) & (t <= (1.0 if self.kind == "flip" else np.inf)) & np.isfinite(t)
+        if not ok.all():
+            rule = "0 <= eta <= 1" if self.kind == "flip" else "0 <= gamma_t < inf"
+            raise DomainError(f"{self.kind} strength {float(t[~ok].flat[0])} outside {rule}")
+        return t
 
     def at(self, t: float) -> KrausChannel:
         """Concrete channel at sweep variable t (eta or Gamma*t)."""
+        self.check(t)
         if self.kind == "flip":
             return make_flip_channel(self.axis, t)
         if self.kind == "pd":
@@ -157,46 +160,21 @@ class ChannelSpec:
 
     def evolve(self, s: BellDiagonalState, t) -> tuple[np.ndarray, np.ndarray]:
         """(r, T) of the initial state s at each sweep variable in the array t."""
-        t = np.asarray(t, dtype=float)
+        t = self.check(t)
         if self.kind == "ad":
             return amplitude_damped_xstate(s.as_tuple(), t)
         axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
         return np.zeros_like(t), np.array(s.as_tuple()) * flip_factors(axis, eta)
 
-    def fixed(self) -> KrausChannel:
-        if self.strength is None:
-            raise DomainError(f"channel spec {self.kind!r} carries no fixed strength")
-        return self.at(self.strength)
+
+CHANNEL_LITERALS = ("flip:1", "flip:2", "flip:3", "pd", "ad")
 
 
 def parse_channel_literal(text: str) -> ChannelSpec:
-    """Parse ``flip:<axis>[:<eta>]``, ``pd[:<gt>]`` / ``pd:<gamma>:<t>``,
-    or ``ad[:<gt>]``."""
-    parts = text.split(":")
-    kind = parts[0]
-    try:
-        if kind == "flip":
-            if len(parts) not in (2, 3):
-                raise DomainError(f"channel literal {text!r}: expected flip:<axis>[:<eta>]")
-            axis = int(parts[1])
-            if axis not in (1, 2, 3):
-                raise DomainError(f"channel literal {text!r}: axis must be 1, 2, or 3")
-            eta = float(parts[2]) if len(parts) == 3 else None
-            if eta is not None and not 0.0 <= eta <= 1.0:
-                raise DomainError(f"channel literal {text!r}: eta outside [0, 1]")
-            return ChannelSpec("flip", axis=axis, strength=eta)
-        if kind in ("pd", "ad"):
-            if len(parts) == 1:
-                gt = None
-            elif len(parts) == 2:
-                gt = float(parts[1])
-            elif len(parts) == 3:
-                gt = float(parts[1]) * float(parts[2])
-            else:
-                raise DomainError(f"channel literal {text!r}: expected {kind}[:<gamma_t>]")
-            if gt is not None and gt < 0:
-                raise DomainError(f"channel literal {text!r}: gamma_t must be >= 0")
-            return ChannelSpec(kind, strength=gt)
-    except ValueError as exc:
-        raise DomainError(f"channel literal {text!r}: {exc}") from exc
-    raise DomainError(f"unknown channel kind {kind!r} in {text!r}")
+    """Parse one of ``CHANNEL_LITERALS``: ``flip:<axis>`` (1 = bit flip,
+    2 = bit-phase flip, 3 = phase flip), ``pd`` or ``ad``. A literal names the
+    family only; the sweep grid supplies the strength."""
+    if text not in CHANNEL_LITERALS:
+        raise DomainError(f"channel literal {text!r} is not one of {', '.join(CHANNEL_LITERALS)}")
+    kind, _, axis = text.partition(":")
+    return ChannelSpec(kind, int(axis) if axis else None)

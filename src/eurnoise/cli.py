@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: sweep, fig2, fig3, smfig-b, classify, surface, check-unital.
-Exit codes: 0 success, 1 domain/parse error, 2 property violation.
+Exit codes: 0 success, 1 domain/parse error, 2 property violation, 3 internal
+numeric or channel failure (a broken invariant, reported as one error line).
 """
 
 from __future__ import annotations
@@ -9,9 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from eurnoise.linalg import DomainError
+from eurnoise.linalg import DomainError, NumericError
 from eurnoise.states import BellDiagonalState, parse_state_literal
-from eurnoise.channels import ChannelSpec, parse_channel_literal
+from eurnoise.channels import CHANNEL_LITERALS, ChannelError, ChannelSpec, parse_channel_literal
 from eurnoise.metrics import ObservablePair, pauli_pair
 from eurnoise.scenarios import (
     ALL_COLUMNS,
@@ -63,7 +64,7 @@ def _cmd_sweep(args) -> int:
         t_end=args.t_max,
         n_points=args.points,
         spacing=args.spacing,
-        outputs=tuple(args.columns.split(",")) if args.columns else ALL_COLUMNS,
+        outputs=tuple(args.columns.split(",")),
     )
     _sweep_and_emit(cfg, args.out)
     return 0
@@ -140,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="metric time sweep emitting CSV")
     p.add_argument("--state", required=True, help="bd:c1,c2,c3")
-    p.add_argument("--channel", required=True, help="flip:l[:eta] | pd[:gt] | ad[:gt]")
+    p.add_argument("--channel", required=True, help=" | ".join(CHANNEL_LITERALS))
     p.add_argument("--pair", required=True, help="Pauli pair 'j,k'")
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.add_argument("--columns", default=None, help="comma subset of U,Ub,D,E,M")
+    p.add_argument("--columns", default=",".join(ALL_COLUMNS), help="comma subset of U,Ub,D,E,M")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -182,9 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, NumericError, ChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DomainError) else 3
 
 
 if __name__ == "__main__":

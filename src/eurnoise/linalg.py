@@ -104,9 +104,10 @@ def _jacobi_eigvals(m: np.ndarray, off_tol: float = 1e-14, max_sweeps: int = 100
                     continue
                 app = a[p, p].real
                 aqq = a[q, q].real
-                # unitary rotation zeroing a[p,q]: absorb the phase of a[p,q],
+                # unitary rotation zeroing a[p,q]: absorb the phase of a[p,q] (from
+                # its angle, since 1/|a[p,q]| overflows for subnormal entries),
                 # then a real Jacobi rotation on the (p,q) plane
-                phase = apq / abs(apq)
+                phase = np.exp(1j * np.angle(apq))
                 theta = 0.5 * np.arctan2(2.0 * abs(apq), app - aqq)
                 c = np.cos(theta)
                 s = np.sin(theta)

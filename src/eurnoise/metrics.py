@@ -21,8 +21,8 @@ from eurnoise.linalg import (
     tensor_product,
     von_neumann_entropy,
 )
-from eurnoise.states import BellDiagonalState, density_to_correlations, is_valid
-from eurnoise.channels import amplitude_damped_xstate
+from eurnoise.states import BellDiagonalState, check_bd, density_to_correlations
+from eurnoise.channels import ChannelSpec
 
 
 class WitnessNotValidError(RuntimeError):
@@ -125,14 +125,9 @@ def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -
     return abs(s[i] + s[pair.q.index] * s[pair.r.index]) <= tol
 
 
-def _is_x_matrix(rho: np.ndarray, tol: float = 1e-12) -> bool:
-    off = [(0, 1), (0, 2), (1, 3), (2, 3)]
-    return all(abs(rho[i, j]) <= tol and abs(rho[j, i]) <= tol for i, j in off)
-
-
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence; for X-structured inputs also checks the
-    closed form 2 max(0, |rho_23|-sqrt(rho_11 rho_44), |rho_14|-sqrt(rho_22 rho_33))."""
+    """Wootters concurrence from the spectrum of rho (sigma_y x sigma_y) rho*
+    (sigma_y x sigma_y); the oracle for ``xstate_concurrence``."""
     rho = np.asarray(rho, dtype=complex)
     yy = tensor_product(PAULI[2], PAULI[2])
     r = rho @ yy @ rho.conj() @ yy
@@ -140,18 +135,7 @@ def concurrence(rho: np.ndarray) -> float:
     ev = np.linalg.eigvals(r)
     ev = np.sort(np.abs(ev.real))[::-1]
     roots = np.sqrt(np.clip(ev, 0.0, None))
-    c_general = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
-    if _is_x_matrix(rho):
-        c_x = 2.0 * max(
-            0.0,
-            abs(rho[1, 2]) - np.sqrt(max(rho[0, 0].real * rho[3, 3].real, 0.0)),
-            abs(rho[0, 3]) - np.sqrt(max(rho[1, 1].real * rho[2, 2].real, 0.0)),
-        )
-        if abs(c_x - c_general) > 1e-8:
-            raise RuntimeError(
-                f"X-state concurrence {c_x} disagrees with Wootters route {c_general}"
-            )
-    return float(c_general)
+    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
 def _measurement_kets(theta, xi):
@@ -270,15 +254,13 @@ def witness_discord_from_U(
     pair: ObservablePair,
     u: float,
     noise_axis: int | None = None,
-    extrapolated: bool = False,
 ) -> float:
     """Discord from a measured uncertainty via D = const - U, with
     const = log2(1/c) + H_bin((1 + |c_i|)/2) for the noise axis i.
 
     Applicability: the noise axis must be one of the measured observables,
     its coefficient must dominate in magnitude, and the initial state must
-    satisfy the matching SPMC condition. ``extrapolated`` acknowledges use
-    past the eta = 1/2 dephasing fixed point.
+    satisfy the matching SPMC condition.
     """
     measured = {pair.q.index, pair.r.index}
     if noise_axis is None:
@@ -357,19 +339,17 @@ def xstate_minimal_missing_info(r, t):
 
 def uncertainty_U_bd(s: BellDiagonalState, pair: ObservablePair) -> float:
     """H_bin((1+c_j)/2) + H_bin((1+c_k)/2)."""
-    return float(xstate_uncertainty_U(0.0, s.as_tuple(), pair))
+    return float(xstate_uncertainty_U(0.0, check_bd(s).as_tuple(), pair))
 
 
 def lower_bound_Ub_bd(s: BellDiagonalState) -> float:
     """Joint entropy over the Bell-basis spectrum."""
-    return float(xstate_lower_bound_Ub(0.0, s.as_tuple()))
+    return float(xstate_lower_bound_Ub(0.0, check_bd(s).as_tuple()))
 
 
 def minimal_missing_info_bd(s: BellDiagonalState) -> float:
     """H_bin((1 + C_max)/2)."""
-    if not is_valid(s):
-        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    return float(xstate_minimal_missing_info(0.0, s.as_tuple())[0])
+    return float(xstate_minimal_missing_info(0.0, check_bd(s).as_tuple())[0])
 
 
 def discord_bd(s: BellDiagonalState) -> float:
@@ -387,7 +367,5 @@ class MinimalInfoAD:
 def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
     """Closed-form minimal missing information for an amplitude-damped
     Bell-diagonal state: M = min{M_x, M_z}, over the whole tetrahedron."""
-    if gamma_t < 0:
-        raise DomainError(f"gamma_t must be >= 0, got {gamma_t}")
-    r, t = amplitude_damped_xstate(s0.as_tuple(), gamma_t)
+    r, t = ChannelSpec("ad").evolve(check_bd(s0), gamma_t)
     return MinimalInfoAD(*(float(x) for x in xstate_minimal_missing_info(r, t)), False)

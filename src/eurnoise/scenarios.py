@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import DomainError
-from eurnoise.states import BellDiagonalState, is_valid, random_bd_states
+from eurnoise.states import BellDiagonalState, check_bd, random_bd_states
 from eurnoise.channels import ChannelSpec, amplitude_damped_xstate, flip_factors, pd_equivalent_eta
 from eurnoise.metrics import (
     ObservablePair,
@@ -34,19 +34,17 @@ class SweepConfig:
     outputs: tuple[str, ...] = ALL_COLUMNS
 
     def __post_init__(self):
-        if not is_valid(self.initial):
-            raise DomainError(f"initial state {self.initial} is not valid")
-        if not 0 <= self.t_start < self.t_end < np.inf:
-            raise DomainError(f"need 0 <= t_start < t_end < inf, got {self.t_start}, {self.t_end}")
-        if self.channel.kind == "flip" and self.t_end > 1:
-            raise DomainError(f"flip probability t_end = {self.t_end} exceeds 1")
+        check_bd(self.initial)
+        self.channel.check((self.t_start, self.t_end))
+        if not self.t_start < self.t_end:
+            raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
         if self.n_points < 2:
             raise DomainError("n_points must be >= 2")
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        bad = set(self.outputs) - set(ALL_COLUMNS)
-        if bad:
-            raise DomainError(f"unknown output columns {sorted(bad)}")
+        cols = self.outputs
+        if not cols or len(set(cols)) < len(cols) or not set(cols) <= set(ALL_COLUMNS):
+            raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -158,8 +156,8 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     not drop by more than 1e-9. Amplitude damping at Gamma*t = 20 is then
     scanned for a state whose U_b decreases.
     """
-    if n_trials < 1:
-        raise DomainError("n_trials must be >= 1")
+    if n_trials < 1 or seed < 0:
+        raise DomainError(f"need n_trials >= 1 and seed >= 0, got {n_trials}, {seed}")
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_trials, rng)
     moves = [("flip", ax, eta) for ax in (1, 2, 3) for eta in FLIP_ETA_GRID]

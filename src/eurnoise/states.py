@@ -56,24 +56,32 @@ class SpectrumBD:
         )
 
 
-def bell_eigenvalues(s: BellDiagonalState, check: bool = True) -> SpectrumBD:
-    """Closed-form Bell-basis spectrum of a Bell-diagonal state."""
-    c1, c2, c3 = s.as_tuple()
-    spec = SpectrumBD(
-        lambda_phi_plus=(1 + c1 - c2 + c3) / 4,
-        lambda_phi_minus=(1 - c1 + c2 + c3) / 4,
-        lambda_psi_plus=(1 + c1 + c2 - c3) / 4,
-        lambda_psi_minus=(1 - c1 - c2 - c3) / 4,
+def _bell_weights(c1, c2, c3) -> tuple:
+    """Bell-basis eigenvalues (Phi+, Phi-, Psi+, Psi-) by scalar arithmetic."""
+    return (
+        (1 + c1 - c2 + c3) / 4,
+        (1 - c1 + c2 + c3) / 4,
+        (1 + c1 + c2 - c3) / 4,
+        (1 - c1 - c2 - c3) / 4,
     )
-    if check and np.min(spec.as_array()) < -TETRAHEDRON_TOL:
-        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    return spec
+
+
+def bell_eigenvalues(s: BellDiagonalState) -> SpectrumBD:
+    """Closed-form Bell-basis spectrum of a Bell-diagonal state."""
+    return SpectrumBD(*_bell_weights(*check_bd(s).as_tuple()))
 
 
 def is_valid(s: BellDiagonalState) -> bool:
-    """True iff (c1, c2, c3) lies inside the tetrahedron of physical states."""
-    spec = bell_eigenvalues(s, check=False)
-    return bool(np.min(spec.as_array()) >= -TETRAHEDRON_TOL)
+    """True iff (c1, c2, c3) lies inside the tetrahedron of physical states
+    (False for NaN)."""
+    return all(w >= -TETRAHEDRON_TOL for w in _bell_weights(s.c1, s.c2, s.c3))
+
+
+def check_bd(s: BellDiagonalState) -> BellDiagonalState:
+    """s itself, or a DomainError if it lies outside the tetrahedron."""
+    if not is_valid(s):
+        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
+    return s
 
 
 def x_state_density(r: float, t) -> np.ndarray:
@@ -88,9 +96,7 @@ def x_state_density(r: float, t) -> np.ndarray:
 
 def bd_to_density(s: BellDiagonalState) -> np.ndarray:
     """4x4 density matrix (1/4)(I + sum_j c_j sigma_j x sigma_j)."""
-    if not is_valid(s):
-        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    return x_state_density(0.0, s.as_tuple())
+    return x_state_density(0.0, check_bd(s).as_tuple())
 
 
 def density_to_correlations(rho: np.ndarray) -> tuple[float, float, float, bool]:
@@ -133,10 +139,7 @@ def parse_state_literal(text: str) -> BellDiagonalState:
         c1, c2, c3 = (float(p) for p in parts)
     except ValueError as exc:
         raise DomainError(f"state literal {text!r}: {exc}") from exc
-    s = BellDiagonalState(c1, c2, c3)
-    if not is_valid(s):
-        raise DomainError(f"state {text!r} lies outside the Bell-diagonal tetrahedron")
-    return s
+    return check_bd(BellDiagonalState(c1, c2, c3))
 
 
 def random_bd_states(n: int, rng: np.random.Generator) -> list[BellDiagonalState]:

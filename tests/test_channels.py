@@ -190,23 +190,94 @@ def test_trace_preserved(s, gt):
 
 class TestParseChannelLiteral:
     def test_flip(self):
-        spec = C.parse_channel_literal("flip:3:0.25")
-        assert spec.kind == "flip" and spec.axis == 3 and spec.strength == 0.25
+        assert C.parse_channel_literal("flip:3") == C.ChannelSpec("flip", axis=3)
+        with pytest.raises(DomainError):
+            C.parse_channel_literal("flip:3:0.25")
 
     def test_flip_family(self):
         spec = C.parse_channel_literal("flip:1")
-        assert spec.strength is None
+        assert spec == C.ChannelSpec("flip", axis=1)
         assert spec.at(0.1).parameters["eta"] == 0.1
 
     def test_pd_product_form(self):
-        assert C.parse_channel_literal("pd:0.5:3.0").strength == pytest.approx(1.5)
-        assert C.parse_channel_literal("pd:1.5").strength == pytest.approx(1.5)
+        assert C.parse_channel_literal("pd") == C.ChannelSpec("pd")
+        for text in ("pd:0.5:3.0", "pd:1.5"):
+            with pytest.raises(DomainError):
+                C.parse_channel_literal(text)
 
     def test_ad(self):
-        spec = C.parse_channel_literal("ad:0.7")
-        assert spec.fixed().label == "ad"
+        assert C.parse_channel_literal("ad").at(0.7).label == "ad"
+        with pytest.raises(DomainError):
+            C.parse_channel_literal("ad:0.7")
 
-    @pytest.mark.parametrize("bad", ["flip", "flip:9:0.1", "pd:-1", "xx:1", "ad:a"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["flip", "flip:9:0.1", "pd:-1", "xx:1", "ad:a", "flip:0", "flip:01", "flip: 1",
+         "flip:1:", "pd:", "ad:0", "AD", " ad", ""],
+    )
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             C.parse_channel_literal(bad)
+
+    def test_every_literal_passes_the_contract(self):
+        for text in C.CHANNEL_LITERALS:
+            C.parse_channel_literal(text).check()
+
+
+BAD_SPECS = [
+    C.ChannelSpec("bogus"),
+    C.ChannelSpec("flip"),
+    C.ChannelSpec("flip", axis=4),
+    C.ChannelSpec("flip", axis=3.0),
+    C.ChannelSpec("pd", axis=3),
+    C.ChannelSpec("ad", axis=1),
+]
+
+
+class TestChannelContract:
+    """ChannelSpec.check is the one place that decides kind, axis and strength."""
+
+    @pytest.mark.parametrize("spec", BAD_SPECS, ids=repr)
+    def test_bad_spec_rejected_by_evolve_and_at(self, spec, fig_state):
+        with pytest.raises(DomainError):
+            spec.evolve(fig_state, np.linspace(0.0, 0.5, 3))
+        with pytest.raises(DomainError):
+            spec.at(0.1)
+
+    @pytest.mark.parametrize("kind", ["flip", "pd", "ad"])
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, np.inf, -np.inf])
+    def test_bad_strength_names_scalar(self, kind, bad, fig_state):
+        spec = C.ChannelSpec(kind, axis=2 if kind == "flip" else None)
+        with pytest.raises(DomainError) as info:
+            spec.evolve(fig_state, np.array([0.0, 0.25, bad, 0.5]))
+        assert str(bad) in str(info.value) and "[" not in str(info.value)
+
+    def test_numpy_integer_axis_accepted(self):
+        assert C.ChannelSpec("flip", axis=np.int64(2)).check(0.5) == 0.5
+
+    def test_flip_strength_above_one(self):
+        with pytest.raises(DomainError, match="1.5"):
+            C.ChannelSpec("flip", axis=1).check(1.5)
+        assert C.ChannelSpec("pd").check(1.5) == 1.5
+
+    def test_nan_strength_rejected_by_builders(self, fig_state):
+        for build in (
+            C.make_phase_damping,
+            C.make_amplitude_damping,
+            lambda gt: C.make_flip_channel(3, gt),
+            lambda gt: C.evolve_bd_flip(fig_state, 3, gt),
+            lambda gt: C.evolve_bd_amplitude(fig_state, gt),
+        ):
+            with pytest.raises(DomainError, match="strength nan"):
+                build(np.nan)
+
+
+class TestNanInvariants:
+    def test_kraus_channel_with_nan_operators(self):
+        with pytest.raises(C.ChannelError):
+            C.KrausChannel((np.full((2, 2), np.nan, dtype=complex),), "nan")
+
+    def test_apply_local_a_with_nan_state(self):
+        rho = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(C.ChannelError):
+            C.apply_local_A(C.make_phase_damping(0.5), rho)

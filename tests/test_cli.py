@@ -1,10 +1,17 @@
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eurnoise import cli
+from eurnoise.channels import ChannelError
 from eurnoise.cli import main
+from eurnoise.linalg import NumericError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -130,3 +137,56 @@ def test_flip_range_error_names_value():
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "1.5" in err and "[" not in err
+
+
+def assert_one_error_line(code, out, err, expected_code=1):
+    assert code == expected_code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+SWEEP = ["sweep", "--state", "bd:-0.5,0.4,0.8", "--pair", "1,3", "--t-max", "1", "--points", "3"]
+
+
+@pytest.mark.parametrize("literal", ["ad:0.7", "flip:3:0.25", "pd:0.5:3.0", "pd:1.5", "flip"])
+def test_channel_literal_with_strength_rejected(literal, capsys):
+    code = main(SWEEP + ["--channel", literal])
+    assert_one_error_line(code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("columns", ["", "U,U", "U,Ub,U", "U,"])
+def test_bad_columns_rejected(columns, capsys):
+    code = main(SWEEP + ["--channel", "pd", "--columns", columns])
+    assert_one_error_line(code, *capsys.readouterr())
+
+
+def test_negative_seed_is_one_error_line():
+    assert_one_error_line(*run_cli("check-unital", "--trials", "1", "--seed", "-1"))
+
+
+@pytest.mark.parametrize("exc", [NumericError, ChannelError])
+def test_internal_failure_exit_code(exc, monkeypatch, capsys):
+    def broken(cfg):
+        raise exc("invariant broken")
+
+    monkeypatch.setattr(cli, "run_time_sweep", broken)
+    code = main(["fig2"])
+    assert_one_error_line(code, *capsys.readouterr(), expected_code=3)
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argv of every ``eurnoise ...`` line in the README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("eurnoise ")]
+
+
+def test_readme_cli_block_covers_every_subcommand():
+    subcommands = {"sweep", "fig2", "fig3", "smfig-b", "classify", "surface", "check-unital"}
+    assert {argv[0] for argv in readme_cli_commands()} == subcommands
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_line_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err

@@ -6,12 +6,20 @@ from hypothesis import strategies as st
 from eurnoise import metrics as M
 from eurnoise.linalg import DomainError, binary_entropy
 from eurnoise.states import BellDiagonalState, bd_to_density
-from eurnoise.channels import ChannelSpec, apply_local_A, evolve_bd_amplitude, evolve_bd_flip
+from eurnoise.channels import (
+    ChannelSpec,
+    apply_local_A,
+    evolve_bd_amplitude,
+    evolve_bd_flip,
+    make_flip_channel,
+)
+from eurnoise.scenarios import classify_longtime_ad
 
 from conftest import bd_states
 
 PAIR_13 = M.pauli_pair(1, 3)
 ALL_PAIRS = [M.pauli_pair(1, 2), M.pauli_pair(1, 3), M.pauli_pair(2, 3)]
+BELL_VERTEX = BellDiagonalState(-1, 1, 1)
 COARSE = (65, 65)  # faster brute-force grid for loops; refinement recovers accuracy
 
 
@@ -101,6 +109,12 @@ class TestUncertainty:
 
 
 class TestLowerBound:
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_subnormal_flip_on_bell_vertex(self, axis):
+        # the Jacobi rotation phase of a subnormal off-diagonal entry must not overflow
+        rho = apply_local_A(make_flip_channel(axis, 2.2e-309), bd_to_density(BELL_VERTEX))
+        assert M.lower_bound_Ub(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
+
     def test_maximally_mixed(self):
         assert M.lower_bound_Ub(np.eye(4) / 4, PAIR_13) == pytest.approx(2.0, abs=1e-10)
 
@@ -171,6 +185,17 @@ class TestConcurrence:
         # sqrt of a near-zero eigenvalue carries ~1e-9 inherent error
         assert M.concurrence(bd_to_density(s)) == pytest.approx(expected, abs=1e-7)
 
+    def test_rank_deficient_state(self):
+        # Bell weights proportional to (0, 0.9025..., 0.2125..., 0): the Wootters
+        # value is 1e-8 off the exact X-state value here, which is within the
+        # oracle tolerance and must not raise
+        lam = np.array([0.0, 0.9025189306698165, 0.21258132126618007, 0.0])
+        lpp, lpm, lsp, lsm = lam / lam.sum()
+        s = BellDiagonalState(lpp - lpm + lsp - lsm, -lpp + lpm + lsp - lsm, lpp + lpm - lsp - lsm)
+        exact = float(M.xstate_concurrence(0.0, s.as_tuple()))
+        assert exact == pytest.approx(2.0 * lam.max() / lam.sum() - 1.0, abs=1e-15)
+        assert M.concurrence(bd_to_density(s)) == pytest.approx(exact, abs=1e-7)
+
 
 class TestMinimalMissingInfo:
     def test_bruteforce_maximally_mixed(self):
@@ -205,7 +230,36 @@ class TestMinimalMissingInfo:
         assert m == pytest.approx(M.minimal_missing_info_bd(s), abs=1e-4)
 
 
+OUTSIDE_STATES = [
+    BellDiagonalState(0.9, 0.9, 0.9),
+    BellDiagonalState(np.nan, 0.0, 0.0),
+    BellDiagonalState(0.0, np.nan, 0.0),
+    BellDiagonalState(0.0, 0.0, np.nan),
+]
+
+
+@pytest.mark.parametrize("s", OUTSIDE_STATES, ids=repr)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s: M.uncertainty_U_bd(s, PAIR_13),
+        M.lower_bound_Ub_bd,
+        lambda s: M.minimal_missing_info_ad(s, 1.0),
+        classify_longtime_ad,
+    ],
+    ids=["uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_ad", "classify"],
+)
+def test_entry_points_reject_states_outside_tetrahedron(s, entry):
+    with pytest.raises(DomainError, match="outside the Bell-diagonal tetrahedron"):
+        entry(s)
+
+
 class TestMinimalMissingInfoAD:
+    @pytest.mark.parametrize("gt", [np.nan, -1.0, np.inf])
+    def test_bad_strength_rejected(self, fig_state, gt):
+        with pytest.raises(DomainError, match=f"ad strength {gt}"):
+            M.minimal_missing_info_ad(fig_state, gt)
+
     def test_zero_time_matches_bd(self, fig_state):
         res = M.minimal_missing_info_ad(fig_state, 0.0)
         assert not res.used_fallback
@@ -297,16 +351,15 @@ class TestDiscordWitness:
 
 def noise():
     """(channel spec, strength): flip on any axis at eta, phase or amplitude
-    damping at Gamma*t. Subnormal strengths are left out: the Jacobi oracle's
-    rotation phase overflows on subnormal off-diagonal entries."""
+    damping at Gamma*t."""
     return st.one_of(
         st.tuples(
             st.sampled_from([1, 2, 3]).map(lambda ax: ChannelSpec("flip", axis=ax)),
-            st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False),
+            st.floats(min_value=0.0, max_value=1.0),
         ),
         st.tuples(
             st.sampled_from([ChannelSpec("pd"), ChannelSpec("ad")]),
-            st.floats(min_value=0.0, max_value=20.0, allow_subnormal=False),
+            st.floats(min_value=0.0, max_value=20.0),
         ),
     )
 

@@ -35,6 +35,24 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             fig_config("pd", outputs=("U", "X"))
 
+    @pytest.mark.parametrize("outputs", [(), ("",), ("U", "U"), ("U", "Ub", "U")])
+    def test_rejects_empty_or_duplicate_columns(self, outputs):
+        with pytest.raises(DomainError):
+            fig_config("pd", outputs=outputs)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ChannelSpec("bogus"), ChannelSpec("flip"), ChannelSpec("pd", axis=3)],
+        ids=repr,
+    )
+    def test_rejects_bad_channel(self, spec):
+        with pytest.raises(DomainError):
+            fig_config("pd", channel=spec, t_end=0.5)
+
+    def test_rejects_invalid_initial_state(self):
+        with pytest.raises(DomainError, match="tetrahedron"):
+            fig_config("pd", initial=BellDiagonalState(0.9, 0.9, 0.9))
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -170,6 +188,11 @@ class TestUnitalPropertyCheck:
         ub0, ub1 = report.counterexample_ub_drop
         assert ub1 < ub0 - 1e-9
         assert report.passed
+
+    @pytest.mark.parametrize("trials, seed", [(1, -1), (0, 5)])
+    def test_rejects_bad_arguments(self, trials, seed):
+        with pytest.raises(DomainError):
+            SC.property_check_unital(trials, seed)
 
     def test_deterministic(self):
         a = SC.property_check_unital(1, seed=99)

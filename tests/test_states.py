@@ -27,6 +27,21 @@ class TestBellEigenvalues:
             S.bell_eigenvalues(S.BellDiagonalState(1, 1, 1))
 
 
+NAN_STATES = [S.BellDiagonalState(*c) for c in [(np.nan, 0, 0), (0, np.nan, 0), (0, 0, np.nan)]]
+
+
+class TestTetrahedronCheck:
+    @pytest.mark.parametrize("s", NAN_STATES + [S.BellDiagonalState(0.9, 0.9, 0.9)], ids=repr)
+    def test_outside_or_nan_is_invalid(self, s):
+        assert not S.is_valid(s)
+        with pytest.raises(DomainError, match="outside the Bell-diagonal tetrahedron"):
+            S.bell_eigenvalues(s)
+
+    def test_boundary_tolerance(self):
+        assert S.is_valid(S.BellDiagonalState(-1, 1, 1 + 2e-12))
+        assert not S.is_valid(S.BellDiagonalState(-1, 1, 1 + 8e-12))
+
+
 class TestBdToDensity:
     def test_center_is_maximally_mixed(self):
         assert np.allclose(S.bd_to_density(S.BellDiagonalState(0, 0, 0)), np.eye(4) / 4)
