@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, IDENTITY_2, PAULI, tensor_product
+from eurnoise.linalg import DomainError, FLOAT_MAX, IDENTITY_2, PAULI, tensor_product
+from eurnoise.linalg import _first_outside, _stack_last
 from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 
@@ -95,7 +96,9 @@ def apply_local_A(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
 def flip_factors(axis: int, eta) -> np.ndarray:
     """Factors (..., 3) by which a flip channel scales (T1, T2, T3): the axis
     coefficient is kept, the other two scale by (1 - 2 eta)."""
-    f = np.repeat(1.0 - 2.0 * np.asarray(eta, dtype=float)[..., None], 3, axis=-1)
+    eta = ChannelSpec("flip", axis).check(eta)
+    f = np.empty(eta.shape + (3,))
+    f[...] = (1.0 - 2.0 * eta)[..., None]
     f[..., axis - 1] = 1.0
     return f
 
@@ -105,18 +108,18 @@ def amplitude_damped_xstate(c, gamma_t) -> tuple[np.ndarray, np.ndarray]:
     damping at Gamma*t: r = e^{-Gt} - 1, T = (e^{-Gt/2} c1, e^{-Gt/2} c2, e^{-Gt} c3)."""
     gt = np.asarray(gamma_t, dtype=float)
     e, eh = np.exp(-gt), np.exp(-gt / 2.0)
-    return e - 1.0, np.asarray(c, dtype=float) * np.stack([eh, eh, e], axis=-1)
+    return e - 1.0, np.asarray(c, dtype=float) * _stack_last(eh, eh, e)
 
 
 def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
     """Closed-form flip-channel action on the correlation triple."""
-    return BellDiagonalState(*ChannelSpec("flip", axis).evolve(check_bd(s), eta)[1].tolist())
+    return BellDiagonalState(*ChannelSpec("flip", axis).evolve(s, eta)[1].tolist())
 
 
 def evolve_bd_amplitude(s: BellDiagonalState, gamma_t: float) -> np.ndarray:
     """Closed-form amplitude-damped state: the X-type 4x4 density of
     ``amplitude_damped_xstate``."""
-    return x_state_density(*ChannelSpec("ad").evolve(check_bd(s), gamma_t))
+    return x_state_density(*ChannelSpec("ad").evolve(s, gamma_t))
 
 
 @dataclass(frozen=True)
@@ -143,10 +146,10 @@ class ChannelSpec:
         if self.kind != "flip" and self.axis is not None:
             raise DomainError(f"channel {self.kind!r} takes no axis, got {self.axis}")
         t = np.asarray(strength, dtype=float)
-        ok = (t >= 0.0) & (t <= (1.0 if self.kind == "flip" else np.inf)) & np.isfinite(t)
-        if not ok.all():
+        bad = _first_outside(t, 0.0, 1.0 if self.kind == "flip" else FLOAT_MAX)
+        if bad is not None:
             rule = "0 <= eta <= 1" if self.kind == "flip" else "0 <= gamma_t < inf"
-            raise DomainError(f"{self.kind} strength {float(t[~ok].flat[0])} outside {rule}")
+            raise DomainError(f"{self.kind} strength {float(bad)} outside {rule}")
         return t
 
     def at(self, t: float) -> KrausChannel:
@@ -159,12 +162,14 @@ class ChannelSpec:
         return make_amplitude_damping(t)
 
     def evolve(self, s: BellDiagonalState, t) -> tuple[np.ndarray, np.ndarray]:
-        """(r, T) of the initial state s at each sweep variable in the array t."""
+        """(r, T) of the initial state s, which must lie in the tetrahedron,
+        at each sweep variable in the array t."""
         t = self.check(t)
+        c = check_bd(s).as_tuple()
         if self.kind == "ad":
-            return amplitude_damped_xstate(s.as_tuple(), t)
+            return amplitude_damped_xstate(c, t)
         axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
-        return np.zeros_like(t), np.array(s.as_tuple()) * flip_factors(axis, eta)
+        return np.zeros_like(t), np.array(c) * flip_factors(axis, eta)
 
 
 CHANNEL_LITERALS = ("flip:1", "flip:2", "flip:3", "pd", "ad")

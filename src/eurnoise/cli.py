@@ -70,29 +70,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _figure_config(state: BellDiagonalState, channel_kind: str) -> SweepConfig:
-    return SweepConfig(
-        initial=state,
-        channel=ChannelSpec(channel_kind),
-        pair=pauli_pair(1, 3),
-        t_start=0.0,
-        t_end=10.0,
-        n_points=201,
-    )
+PRESETS = {  # name: (initial state, channel kind, help)
+    "fig2": (FIG_STATE, "pd", "phase-damping preset for the (-0.5,0.4,0.8) state"),
+    "fig3": (FIG_STATE, "ad", "amplitude-damping preset for the (-0.5,0.4,0.8) state"),
+    "smfig-b": (SMFIG_B_STATE, "ad", "amplitude-damping preset for the (-1,1,1) Bell vertex"),
+}
 
 
-def _cmd_fig2(args) -> int:
-    _sweep_and_emit(_figure_config(FIG_STATE, "pd"), args.out)
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    _sweep_and_emit(_figure_config(FIG_STATE, "ad"), args.out)
-    return 0
-
-
-def _cmd_smfig_b(args) -> int:
-    _sweep_and_emit(_figure_config(SMFIG_B_STATE, "ad"), args.out)
+def _cmd_preset(args) -> int:
+    state, kind, _ = PRESETS[args.command]
+    cfg = SweepConfig(state, ChannelSpec(kind), pauli_pair(1, 3), 0.0, 10.0, 201)
+    _sweep_and_emit(cfg, args.out)
     return 0
 
 
@@ -151,14 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    for name, func, help_text in (
-        ("fig2", _cmd_fig2, "phase-damping preset for the (-0.5,0.4,0.8) state"),
-        ("fig3", _cmd_fig3, "amplitude-damping preset for the (-0.5,0.4,0.8) state"),
-        ("smfig-b", _cmd_smfig_b, "amplitude-damping preset for the (-1,1,1) Bell vertex"),
-    ):
+    for name, (_, _, help_text) in PRESETS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_preset)
 
     p = sub.add_parser("classify", help="long-time amplitude-damping verdict")
     p.add_argument("--state", required=True, help="bd:c1,c2,c3")

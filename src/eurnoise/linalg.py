@@ -11,6 +11,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-9
+FLOAT_MAX = float(np.finfo(float).max)  # x <= FLOAT_MAX iff x is finite or -inf
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -47,32 +48,52 @@ def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _first_outside(x: np.ndarray, lo: float, hi: float):
+    """The first entry of x outside [lo, hi] (NaN included), or None; only an
+    array that fails the min/max test pays for the masked search."""
+    if x.size == 0 or (x.min() >= lo and x.max() <= hi):
+        return None
+    return x[~((x >= lo) & (x <= hi))].flat[0]
+
+
+def _stack_last(*cols) -> np.ndarray:
+    """np.stack(cols, axis=-1), less its overhead; cols broadcast to cols[0]."""
+    out = np.empty(np.shape(cols[0]) + (len(cols),))
+    for j, col in enumerate(cols):
+        out[..., j] = col
+    return out
+
+
+def _entropy_bits(p: np.ndarray):
+    # checked, non-negative p in, bits out. 0 log 0 = 0: the log sees the least
+    # subnormal for 0, and 0.0 - sum gives +0.0, never -0.0, on a pure state
+    h = 0.0 - (p * np.log2(np.maximum(p, 5e-324))).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
+
+
 def binary_entropy(p):
     """H_bin(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0; elementwise,
     and a float for scalar p."""
     p = np.asarray(p, dtype=float)
-    bad = p[~((p >= -1e-12) & (p <= 1 + 1e-12))]
-    if bad.size:
-        raise DomainError(f"binary entropy argument {bad.flat[0]} outside [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    return shannon_entropy(np.stack([p, 1.0 - p], axis=-1))
+    bad = _first_outside(p, -1e-12, 1 + 1e-12)
+    if bad is not None:
+        raise DomainError(f"binary entropy argument {bad} outside [0, 1]")
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    return _entropy_bits(_stack_last(p, 1.0 - p))
 
 
 def shannon_entropy(p):
     """Shannon entropy in bits over the last axis, with 0 log 0 = 0; a float
     for a single probability vector."""
     p = np.asarray(p, dtype=float)
-    bad = p[~((p >= -1e-12) & (p < np.inf))]
-    if bad.size:
-        raise DomainError(f"probability {bad.flat[0]} is negative or not finite")
+    bad = _first_outside(p, -1e-12, FLOAT_MAX)
+    if bad is not None:
+        raise DomainError(f"probability {bad} is negative or not finite")
     total = p.sum(axis=-1)
     off = np.abs(total - 1.0) > 1e-9
-    if np.any(off):
+    if off.any():
         raise DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
-    p = np.clip(p, 0.0, None)
-    # + 0.0 turns the -0.0 of a pure distribution into +0.0
-    h = -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1) + 0.0
-    return float(h) if h.ndim == 0 else h
+    return _entropy_bits(np.maximum(p, 0.0))
 
 
 def _eigvals_2x2(m: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from eurnoise.linalg import (
     shannon_entropy,
     tensor_product,
     von_neumann_entropy,
+    _stack_last,
 )
 from eurnoise.states import BellDiagonalState, check_bd, density_to_correlations
 from eurnoise.channels import ChannelSpec
@@ -192,14 +193,10 @@ def minimal_missing_info_bruteforce(
     rho_t = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     thetas = np.linspace(0.0, np.pi, n_theta)
     xis = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
-    tg, xg = np.meshgrid(thetas, xis, indexing="ij")
-    # blocks of 16 theta rows keep the per-basis temporaries to a few MB
-    vals = np.concatenate(
-        [
-            _avg_conditional_entropy(rho_t, _measurement_kets(tg[i : i + 16], xg[i : i + 16]))
-            for i in range(0, n_theta, 16)
-        ]
-    )
+    vals = np.empty((n_theta, n_xi))
+    for i in range(0, n_theta, 4):  # 4 theta rows at a time: temporaries stay under 1 MB
+        tg, xg = np.meshgrid(thetas[i : i + 4], xis, indexing="ij")
+        vals[i : i + 4] = _avg_conditional_entropy(rho_t, _measurement_kets(tg, xg))
     # ties within rounding noise break toward the smallest (theta, xi)
     flat = int(np.flatnonzero(vals.ravel() <= vals.min() + 1e-12)[0])
     ti, xi_i = divmod(flat, n_xi)
@@ -297,8 +294,8 @@ def _xstate_conditional_entropy(r, t, index: int):
     if index != 3:
         return binary_entropy((1.0 + t[..., index - 1]) / 2.0)
     t3 = t[..., 2]
-    p = np.stack([1 + r + t3, 1 + r - t3, 1 - r - t3, 1 - r + t3], axis=-1)
-    return shannon_entropy(p / 4) - 1.0
+    up, down = 1 + r, 1 - r
+    return shannon_entropy(_stack_last(up + t3, up - t3, down - t3, down + t3) / 4) - 1.0
 
 
 def xstate_uncertainty_U(r, t, pair: ObservablePair):
@@ -308,15 +305,17 @@ def xstate_uncertainty_U(r, t, pair: ObservablePair):
 
 def xstate_lower_bound_Ub(r, t):
     """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2)."""
-    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
-    ev = np.stack([1 + t3 + rad_m, 1 + t3 - rad_m, 1 - t3 + rad_p, 1 - t3 - rad_p], axis=-1)
-    return shannon_entropy(ev / 4)
+    up, down = 1 + t3, 1 - t3
+    return shannon_entropy(_stack_last(up + rad_m, up - rad_m, down + rad_p, down - rad_p) / 4)
 
 
 def xstate_concurrence(r, t):
     """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))."""
-    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     r2 = np.square(r)
     a = np.abs(t1 + t2) - np.sqrt(np.maximum((1 + t3) ** 2 - r2, 0.0))
     b = np.abs(t1 - t2) - np.sqrt(np.maximum((1 - t3) ** 2 - r2, 0.0))
@@ -327,7 +326,8 @@ def xstate_minimal_missing_info(r, t):
     """(M, M_x, M_z) with M = min(M_x, M_z), the better of an x (or y) and a z
     measurement on B. The larger of T1^2 and T2^2 covers |c1| < |c2| through
     the S x S symmetry that swaps them."""
-    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
     m_x = binary_entropy((1.0 + u) / 2.0)
     m_z = (binary_entropy((1 + r + t3) / 2) + binary_entropy((1 + r - t3) / 2)) / 2
@@ -367,5 +367,5 @@ class MinimalInfoAD:
 def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
     """Closed-form minimal missing information for an amplitude-damped
     Bell-diagonal state: M = min{M_x, M_z}, over the whole tetrahedron."""
-    r, t = ChannelSpec("ad").evolve(check_bd(s0), gamma_t)
+    r, t = ChannelSpec("ad").evolve(s0, gamma_t)
     return MinimalInfoAD(*(float(x) for x in xstate_minimal_missing_info(r, t)), False)

@@ -4,6 +4,7 @@ unital-monotonicity property suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -12,14 +13,20 @@ from eurnoise.states import BellDiagonalState, check_bd, random_bd_states
 from eurnoise.channels import ChannelSpec, amplitude_damped_xstate, flip_factors, pd_equivalent_eta
 from eurnoise.metrics import (
     ObservablePair,
-    lower_bound_Ub_bd,
     xstate_concurrence,
     xstate_lower_bound_Ub,
     xstate_minimal_missing_info,
     xstate_uncertainty_U,
 )
 
-ALL_COLUMNS = ("U", "Ub", "D", "E", "M")
+_COLUMN_FIELDS = {"U": "u", "Ub": "u_b", "D": "d", "E": "e", "M": "m"}  # CSV name: record field
+ALL_COLUMNS = tuple(_COLUMN_FIELDS)
+
+
+def _check_columns(cols: tuple[str, ...]) -> None:
+    """Output columns must be a non-empty run of distinct names from ALL_COLUMNS."""
+    if not cols or len(set(cols)) < len(cols) or not set(cols) <= set(ALL_COLUMNS):
+        raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
 
 
 @dataclass(frozen=True)
@@ -42,9 +49,7 @@ class SweepConfig:
             raise DomainError("n_points must be >= 2")
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        cols = self.outputs
-        if not cols or len(set(cols)) < len(cols) or not set(cols) <= set(ALL_COLUMNS):
-            raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
+        _check_columns(self.outputs)
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -54,7 +59,7 @@ class SweepConfig:
         return np.linspace(self.t_start, self.t_end, self.n_points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     t: float
     u: float
@@ -62,9 +67,6 @@ class SweepRecord:
     d: float
     e: float
     m: float
-
-    def column(self, name: str) -> float:
-        return {"U": self.u, "Ub": self.u_b, "D": self.d, "E": self.e, "M": self.m}[name]
 
 
 def run_time_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -95,11 +97,11 @@ def classify_longtime_ad(s: BellDiagonalState) -> ClassificationResult:
     long-time amplitude-damping limit?
 
     The limit value is evaluated on the actually-evolved state at
-    Gamma*t = 50 rather than assumed.
+    Gamma*t = 50 rather than assumed; one core call gives U_b at Gamma*t = 0
+    (where the map is exactly the identity) and at the limit.
     """
-    u_b0 = lower_bound_Ub_bd(s)
-    r, t = amplitude_damped_xstate(s.as_tuple(), LONGTIME_GAMMA_T)
-    u_b_limit = float(xstate_lower_bound_Ub(r, t))
+    r, t = ChannelSpec("ad").evolve(s, (0.0, LONGTIME_GAMMA_T))
+    u_b0, u_b_limit = xstate_lower_bound_Ub(r, t).tolist()
     if u_b0 > u_b_limit + BOUNDARY_BAND:
         verdict = "Decrease"
     elif u_b0 < u_b_limit - BOUNDARY_BAND:
@@ -176,29 +178,20 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
 
     ub_ad = xstate_lower_bound_Ub(*amplitude_damped_xstate(c, AD_PROBE_GAMMA_T))
     drops = np.flatnonzero(ub_ad < ub0 - 1e-9)
-    counter_state = counter_gt = counter_drop = None
+    counter = (None, None, None)  # state, Gamma*t, (U_b before, U_b after)
     if drops.size:
         n = drops[0]
-        counter_state, counter_gt = candidates[n], AD_PROBE_GAMMA_T
-        counter_drop = (float(ub0[n]), float(ub_ad[n]))
-    return UnitalCheckReport(
-        n_trials=n_trials,
-        n_checks=ub1.size,
-        n_violations=len(violations),
-        violations=tuple(violations),
-        counterexample_state=counter_state,
-        counterexample_gamma_t=counter_gt,
-        counterexample_ub_drop=counter_drop,
-    )
+        counter = (candidates[n], AD_PROBE_GAMMA_T, (float(ub0[n]), float(ub_ad[n])))
+    return UnitalCheckReport(n_trials, ub1.size, len(violations), tuple(violations), *counter)
 
 
 def emit_csv(records: list[SweepRecord], outputs: tuple[str, ...] = ALL_COLUMNS) -> bytes:
     """Render sweep records as deterministic CSV bytes (12-decimal fixed
     format, LF endings, UTF-8)."""
+    _check_columns(outputs)
     if not records:
         raise DomainError("no records to emit")
-    lines = ["t," + ",".join(outputs)]
-    for r in records:
-        cells = [f"{r.t:.12f}"] + [f"{r.column(c):.12f}" for c in outputs]
-        lines.append(",".join(cells))
+    row = ",".join(["%.12f"] * (1 + len(outputs)))
+    cells = attrgetter("t", *(_COLUMN_FIELDS[c] for c in outputs))
+    lines = ["t," + ",".join(outputs), *(row % cells(r) for r in records)]
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -7,7 +7,7 @@ all four Bell-basis eigenvalues non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from eurnoise.linalg import (
 TETRAHEDRON_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BellDiagonalState:
     c1: float
     c2: float
@@ -46,14 +46,7 @@ class SpectrumBD:
     lambda_psi_minus: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.lambda_phi_plus,
-                self.lambda_phi_minus,
-                self.lambda_psi_plus,
-                self.lambda_psi_minus,
-            ]
-        )
+        return np.array(astuple(self))
 
 
 def _bell_weights(c1, c2, c3) -> tuple:

@@ -281,3 +281,49 @@ class TestNanInvariants:
         rho = np.full((4, 4), np.nan, dtype=complex)
         with pytest.raises(C.ChannelError):
             C.apply_local_A(C.make_phase_damping(0.5), rho)
+
+
+NON_PHYSICAL_STATES = [BellDiagonalState(0.9, 0.9, 0.9)] + [
+    BellDiagonalState(*(np.nan if j == i else 0.1 for j in range(3))) for i in range(3)
+]
+EVERY_SPEC = [C.ChannelSpec("flip", axis=a) for a in (1, 2, 3)]
+EVERY_SPEC += [C.ChannelSpec("pd"), C.ChannelSpec("ad")]
+
+
+class TestEvolveChecksState:
+    """ChannelSpec.evolve refuses a state outside the tetrahedron, NaN included."""
+
+    @pytest.mark.parametrize("s", NON_PHYSICAL_STATES, ids=repr)
+    @pytest.mark.parametrize("spec", EVERY_SPEC, ids=repr)
+    def test_evolve_rejects(self, spec, s):
+        with pytest.raises(DomainError, match="tetrahedron"):
+            spec.evolve(s, np.linspace(0.0, 0.5, 3))
+        with pytest.raises(DomainError, match="tetrahedron"):
+            spec.evolve(s, 0.0)
+
+    @pytest.mark.parametrize("s", NON_PHYSICAL_STATES, ids=repr)
+    def test_closed_form_wrappers_reject(self, s):
+        with pytest.raises(DomainError, match="tetrahedron"):
+            C.evolve_bd_flip(s, 2, 0.1)
+        with pytest.raises(DomainError, match="tetrahedron"):
+            C.evolve_bd_amplitude(s, 0.1)
+
+
+class TestFlipFactors:
+    @pytest.mark.parametrize("axis", [0, 4, 3.0, -1, None])
+    def test_bad_axis_rejected(self, axis):
+        with pytest.raises(DomainError, match="flip axis"):
+            C.flip_factors(axis, 0.1)
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.5, np.nan, np.inf])
+    def test_bad_eta_rejected(self, eta):
+        with pytest.raises(DomainError, match="strength"):
+            C.flip_factors(3, np.array([0.0, eta]))
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_factors(self, axis):
+        f = C.flip_factors(axis, np.array([0.0, 0.25, 0.5]))
+        expected = np.array([[1.0] * 3, [0.5] * 3, [0.0] * 3])
+        expected[:, axis - 1] = 1.0
+        assert f.tolist() == expected.tolist()
+        assert C.flip_factors(axis, 0.25).shape == (3,)

@@ -1,3 +1,4 @@
+import hashlib
 import shlex
 import subprocess
 import sys
@@ -70,6 +71,22 @@ def test_smfig_b_preset(tmp_path):
     ub = [float(r[2]) for r in rows]
     assert ub[0] == pytest.approx(0.0, abs=1e-9)
     assert ub[-1] > ub[0]  # Bell vertex: lower bound increases under damping
+
+
+PRESET_SHA256 = {
+    "fig2": "a036b58c506529b625fb9fe30f3039c8fe6fb8923b25c1149e71e32b2b7c9c6f",
+    "fig3": "8e2c6490239fcf6389edb692759b83e889ac1e52ba5065e5ac71bb5c0f5f99b9",
+    "smfig-b": "c50a2edfdedac537d46f56d6a401d233ab6a5234d183c2cd6b328be5527c6f23",
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_SHA256)
+def test_preset_bytes_unchanged(preset, tmp_path):
+    """The preset CSVs are pinned byte for byte: a change that only claims to
+    be faster must leave them as they are."""
+    dest = tmp_path / f"{preset}.csv"
+    assert main([preset, "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == PRESET_SHA256[preset]
 
 
 def test_classify(capsys):

@@ -95,6 +95,58 @@ class TestEntropyEdgeCases:
             L.binary_entropy(np.array([0.2, 1.5]))
 
 
+BINARY_BAD = [np.nan, np.inf, -np.inf, -0.5, 1.5, -1e-3, 1.25]
+SHANNON_BAD = [np.nan, np.inf, -np.inf, -0.5, -1e-3]
+
+
+def mixed_inputs(bad_pool, shape, rng, trials=40):
+    """Arrays of `shape` mixing good entries with one or more drawn from
+    bad_pool, each with the value the error must name: the first bad entry in
+    row-major order."""
+    n = int(np.prod(shape))
+    for _ in range(trials):
+        x = rng.uniform(0.0, 1.0, size=n)
+        where = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        x[where] = rng.choice(bad_pool, size=where.size)
+        yield x.reshape(shape), float(x[where.min()])
+
+
+class TestEntropyNamesFirstBadValue:
+    """The in-range fast path must not change which value an error names."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_binary(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        for x, first in mixed_inputs(BINARY_BAD, shape, rng):
+            with pytest.raises(L.DomainError) as info:
+                L.binary_entropy(x)
+            assert str(info.value) == f"binary entropy argument {first} outside [0, 1]"
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_shannon(self, shape):
+        rng = np.random.default_rng(sum(shape) + 2)
+        for x, first in mixed_inputs(SHANNON_BAD, shape, rng):
+            with pytest.raises(L.DomainError) as info:
+                L.shannon_entropy(x)
+            assert str(info.value) == f"probability {first} is negative or not finite"
+
+    def test_shannon_names_first_bad_sum(self):
+        p = np.array([[0.5, 0.5], [0.5, 0.6], [0.1, 0.2]])
+        with pytest.raises(L.DomainError, match="sum to 1.1, not 1"):
+            L.shannon_entropy(p)
+
+    def test_clamp_window_accepted(self):
+        assert L.binary_entropy(np.array([-1e-12, 1 + 1e-12])).tolist() == [0.0, 0.0]
+        assert L.shannon_entropy([-1e-12, 1.0]) == 0.0
+
+    def test_empty_input(self):
+        assert L.binary_entropy(np.array([])).shape == (0,)
+        assert L.binary_entropy(np.empty((2, 0))).shape == (2, 0)
+        assert L.shannon_entropy(np.empty((0, 4))).shape == (0,)
+        with pytest.raises(L.DomainError, match="sum to 0.0"):
+            L.shannon_entropy([])
+
+
 class TestHermitianEigenvalues:
     def test_identity(self):
         assert np.allclose(L.hermitian_eigenvalues(np.eye(4)), np.ones(4))

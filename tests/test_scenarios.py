@@ -1,11 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from eurnoise import scenarios as SC
 from eurnoise.linalg import DomainError, binary_entropy
-from eurnoise.states import BellDiagonalState
-from eurnoise.channels import ChannelSpec
-from eurnoise.metrics import pauli_pair, spmc_holds, uncertainty_U_bd, lower_bound_Ub_bd
+from eurnoise.states import BellDiagonalState, random_bd_states
+from eurnoise.channels import ChannelSpec, amplitude_damped_xstate
+from eurnoise.metrics import (
+    pauli_pair,
+    spmc_holds,
+    uncertainty_U_bd,
+    lower_bound_Ub_bd,
+    xstate_lower_bound_Ub,
+)
 
 PAIR_13 = pauli_pair(1, 3)
 FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)
@@ -154,6 +162,30 @@ class TestClassifyLongtime:
         assert res.u_b_initial == pytest.approx(2.0, abs=1e-12)
 
 
+class TestClassifyOneCoreCall:
+    """classify evaluates U_b at Gamma*t = 0 and at the limit in one core
+    call; both values equal the separate evaluations bit for bit."""
+
+    def test_matches_separate_evaluations_exactly(self):
+        for s in random_bd_states(1000, np.random.default_rng(2024)):
+            res = SC.classify_longtime_ad(s)
+            limit = xstate_lower_bound_Ub(*amplitude_damped_xstate(s.as_tuple(), 50.0))
+            assert res.u_b_initial == lower_bound_Ub_bd(s)
+            assert res.u_b_limit == float(limit)
+
+    def test_one_core_call(self, monkeypatch):
+        shapes = []
+        core = SC.xstate_lower_bound_Ub
+
+        def counted(r, t):
+            shapes.append(np.shape(t))
+            return core(r, t)
+
+        monkeypatch.setattr(SC, "xstate_lower_bound_Ub", counted)
+        SC.classify_longtime_ad(FIG_STATE)
+        assert shapes == [(2, 3)]
+
+
 class TestSpmcSurface:
     def test_corner_is_bell_vertex(self):
         states = SC.sample_spmc_surface(PAIR_13, 2)
@@ -226,3 +258,24 @@ class TestEmitCsv:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             SC.emit_csv([])
+
+    @pytest.mark.parametrize("outputs", [(), ("U", "U"), ("U", "Ub", "U"), ("X",), ("U", "u")])
+    def test_rejects_bad_columns(self, outputs):
+        records = SC.run_time_sweep(fig_config("pd", n_points=2))
+        with pytest.raises(DomainError, match="output columns"):
+            SC.emit_csv(records, outputs)
+
+    def test_bytes_match_fstring_reference(self):
+        rng = np.random.default_rng(11)
+        vals = rng.normal(scale=3.0, size=(30, 6))
+        vals[rng.random(vals.shape) < 0.15] = -0.0
+        # signed zeros and tiny negatives print as -0.000000000000
+        vals[0] = [-0.0, 0.0, -1e-13, 5e-13, -5e-13, 0.1234567890125]
+        records = [SC.SweepRecord(*row) for row in vals.tolist()]
+        fields = dict(zip(SC.ALL_COLUMNS, ("u", "u_b", "d", "e", "m")))
+        for k in range(1, len(SC.ALL_COLUMNS) + 1):
+            for outputs in itertools.permutations(SC.ALL_COLUMNS, k):
+                rows = [(r.t, *(getattr(r, fields[c]) for c in outputs)) for r in records]
+                lines = ["t," + ",".join(outputs)]
+                lines += [",".join(f"{x:.12f}" for x in row) for row in rows]
+                assert SC.emit_csv(records, outputs) == ("\n".join(lines) + "\n").encode()
