@@ -95,8 +95,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_surface(args) -> int:
     states = sample_spmc_surface(_parse_pair(args.pair), args.resolution)
-    lines = ["c1,c2,c3"]
-    lines += [f"{s.c1:.12f},{s.c2:.12f},{s.c3:.12f}" for s in states]
+    lines = ["c1,c2,c3", *("%.12f,%.12f,%.12f" % s for s in states)]
     _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.out)
     return 0
 

@@ -4,7 +4,9 @@ unital-monotonicity property suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import getitem, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +21,7 @@ from eurnoise.metrics import (
     xstate_uncertainty_U,
 )
 
-_COLUMN_FIELDS = {"U": "u", "Ub": "u_b", "D": "d", "E": "e", "M": "m"}  # CSV name: record field
-ALL_COLUMNS = tuple(_COLUMN_FIELDS)
+ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in order
 
 
 def _check_columns(cols: tuple[str, ...]) -> None:
@@ -45,22 +46,20 @@ class SweepConfig:
         self.channel.check((self.t_start, self.t_end))
         if not self.t_start < self.t_end:
             raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
-        if self.n_points < 2:
-            raise DomainError("n_points must be >= 2")
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
+            raise DomainError(f"n_points must be an integer >= 2, got {self.n_points!r}")
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+        if self.spacing == "log" and self.t_start <= 0:
+            raise DomainError("log spacing needs t_start > 0")
         _check_columns(self.outputs)
 
     def grid(self) -> np.ndarray:
-        if self.spacing == "log":
-            if self.t_start <= 0:
-                raise DomainError("log spacing needs t_start > 0")
-            return np.geomspace(self.t_start, self.t_end, self.n_points)
-        return np.linspace(self.t_start, self.t_end, self.n_points)
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        return space(self.t_start, self.t_end, self.n_points)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     t: float
     u: float
     u_b: float
@@ -78,7 +77,7 @@ def run_time_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     u, u_b = xstate_uncertainty_U(r, corr, cfg.pair), xstate_lower_bound_Ub(r, corr)
     m = xstate_minimal_missing_info(r, corr)[0]
     columns = (t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
-    return list(map(SweepRecord, *(c.tolist() for c in columns)))
+    return list(map(tuple.__new__, repeat(SweepRecord), zip(*(c.tolist() for c in columns))))
 
 
 @dataclass(frozen=True)
@@ -115,18 +114,17 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiago
     """Grid the measured-axes square and close each point with the SPMC
     value on the unmeasured axis. Every cell lies in the tetrahedron: its
     Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4."""
-    if resolution < 2:
-        raise DomainError("resolution must be >= 2")
+    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise DomainError(f"resolution must be an integer >= 2, got {resolution!r}")
     j, k = pair.q.index, pair.r.index
-    i = ({1, 2, 3} - {j, k}).pop()
-    axis_vals = np.linspace(-1.0, 1.0, resolution)
-    vals = axis_vals.tolist()  # shared by the states of each row and column
-    c = {
-        j: [v for v in vals for _ in vals],
-        k: vals * resolution,
-        i: (-np.outer(axis_vals, axis_vals)).ravel().tolist(),
-    }
-    return list(map(BellDiagonalState, c[1], c[2], c[3]))
+    a = np.linspace(-1.0, 1.0, resolution)
+    vals = a.tolist()  # shared by the states of each row and column
+    # c_i(p, q) == c_i(q, p) to the bit: row p reuses the floats of rows q < p
+    upper = [(-v * a[p:]).tolist() for p, v in enumerate(vals)]
+    rows = (chain(map(getitem, upper[:p], range(p, 0, -1)), row) for p, row in enumerate(upper))
+    c = {j: chain(*map(repeat, vals, repeat(resolution))), k: chain(*repeat(vals, resolution))}
+    c[6 - j - k] = chain.from_iterable(rows)  # the unmeasured axis
+    return list(map(tuple.__new__, repeat(BellDiagonalState), zip(c[1], c[2], c[3])))
 
 
 @dataclass(frozen=True)
@@ -192,6 +190,6 @@ def emit_csv(records: list[SweepRecord], outputs: tuple[str, ...] = ALL_COLUMNS)
     if not records:
         raise DomainError("no records to emit")
     row = ",".join(["%.12f"] * (1 + len(outputs)))
-    cells = attrgetter("t", *(_COLUMN_FIELDS[c] for c in outputs))
+    cells = itemgetter(0, *(1 + ALL_COLUMNS.index(c) for c in outputs))
     lines = ["t," + ",".join(outputs), *(row % cells(r) for r in records)]
     return ("\n".join(lines) + "\n").encode("utf-8")

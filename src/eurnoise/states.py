@@ -8,6 +8,7 @@ all four Bell-basis eigenvalues non-negative.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,18 +23,20 @@ from eurnoise.linalg import (
 TETRAHEDRON_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class BellDiagonalState:
+class BellDiagonalState(NamedTuple):
+    """Immutable (c1, c2, c3) in iteration order; s[1..3] index by Pauli axis."""
+
     c1: float
     c2: float
     c3: float
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.c1, self.c2, self.c3)
+        return tuple(self)
 
     def __getitem__(self, axis: int) -> float:
-        # Pauli-axis indexing: s[1] = c1, s[2] = c2, s[3] = c3
-        return self.as_tuple()[axis - 1]
+        if isinstance(axis, (int, np.integer)) and axis in (1, 2, 3):
+            return tuple.__getitem__(self, axis - 1)
+        raise DomainError(f"Pauli axis must be 1, 2 or 3, got {axis!r}")
 
 
 @dataclass(frozen=True)

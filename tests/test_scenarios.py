@@ -12,7 +12,10 @@ from eurnoise.metrics import (
     spmc_holds,
     uncertainty_U_bd,
     lower_bound_Ub_bd,
+    xstate_concurrence,
     xstate_lower_bound_Ub,
+    xstate_minimal_missing_info,
+    xstate_uncertainty_U,
 )
 
 PAIR_13 = pauli_pair(1, 3)
@@ -83,6 +86,19 @@ class TestSweepConfig:
     def test_log_spacing(self):
         grid = fig_config("pd", t_start=0.1, spacing="log").grid()
         assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(10.0)
+
+    def test_log_spacing_from_zero_rejected_by_constructor(self):
+        with pytest.raises(DomainError, match="log spacing needs t_start > 0"):
+            fig_config("pd", t_start=0.0, spacing="log")
+
+    @pytest.mark.parametrize("n", [2.5, 5.0, np.float64(5.0), "5", None, 1, np.int64(1)], ids=repr)
+    def test_rejects_non_integral_or_small_n_points(self, n):
+        with pytest.raises(DomainError, match="n_points must be an integer >= 2"):
+            fig_config("pd", n_points=n)
+
+    def test_accepts_numpy_integer_n_points(self):
+        records = SC.run_time_sweep(fig_config("pd", n_points=np.int64(5)))
+        assert records == SC.run_time_sweep(fig_config("pd", n_points=5))
 
 
 class TestFig2Sweep:
@@ -186,7 +202,85 @@ class TestClassifyOneCoreCall:
         assert shapes == [(2, 3)]
 
 
+def _sweep_columns(cfg):
+    """Reference rows: the xstate_* columns over the grid, stacked."""
+    t = cfg.grid()
+    r, corr = cfg.channel.evolve(cfg.initial, t)
+    u, u_b = xstate_uncertainty_U(r, corr, cfg.pair), xstate_lower_bound_Ub(r, corr)
+    m = xstate_minimal_missing_info(r, corr)[0]
+    return np.stack([t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m], axis=1)
+
+
+class TestSweepRecords:
+    @pytest.mark.parametrize("kind", ["flip:1", "flip:2", "flip:3", "pd", "ad"])
+    def test_records_equal_core_columns_bitwise(self, kind):
+        rng = np.random.default_rng(list(kind.encode()))
+        family, _, axis = kind.partition(":")
+        spec = ChannelSpec(family, int(axis) if axis else None)
+        t_end = 1.0 if axis else 10.0
+        for n, s in enumerate(random_bd_states(20, rng)):
+            pair = pauli_pair(*((1, 2), (1, 3), (2, 3))[n % 3])
+            cfg = fig_config(family, initial=s, channel=spec, pair=pair, t_end=t_end, n_points=17 + n)
+            records = SC.run_time_sweep(cfg)
+            assert all(type(rec) is SC.SweepRecord for rec in records)
+            assert np.array(records).tobytes() == _sweep_columns(cfg).tobytes()
+
+    def test_names_and_positions_agree(self):
+        for rec in SC.run_time_sweep(fig_config("ad", n_points=11)):
+            assert len(rec) == 6 and rec.t is rec[0] and rec.u is rec[1] and rec.u_b is rec[2]
+            assert rec.d is rec[3] and rec.e is rec[4] and rec.m is rec[5]
+            assert rec._fields == ("t", "u", "u_b", "d", "e", "m")
+            assert SC.SweepRecord(*rec) == rec and type(SC.SweepRecord(*rec)) is SC.SweepRecord
+
+    def test_immutable(self):
+        rec = SC.run_time_sweep(fig_config("pd", n_points=2))[0]
+        with pytest.raises(AttributeError):
+            rec.u = 0.0
+
+
+def _surface_reference(pair, resolution):
+    """Cells in row-major order over (c_j, c_k), closed by c_i = -c_j*c_k."""
+    j, k = pair
+    v = np.linspace(-1.0, 1.0, resolution)
+    cells = np.empty((resolution, resolution, 3))
+    cells[:, :, j - 1] = v[:, None]
+    cells[:, :, k - 1] = v[None, :]
+    cells[:, :, 6 - j - k - 1] = -np.outer(v, v)
+    return cells.reshape(-1, 3)
+
+
 class TestSpmcSurface:
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
+    def test_cells_bitwise_equal_reference(self, pair):
+        states = SC.sample_spmc_surface(pauli_pair(*pair), 401)
+        assert len(states) == 401**2
+        assert all(type(s) is BellDiagonalState for s in states)
+        # tobytes compares signed zeros too
+        assert np.array(states).tobytes() == _surface_reference(pair, 401).tobytes()
+
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 41])
+    def test_small_grids_bitwise_equal_reference(self, resolution):
+        states = SC.sample_spmc_surface(PAIR_13, resolution)
+        assert np.array(states).tobytes() == _surface_reference((1, 3), resolution).tobytes()
+
+    def test_mirror_cells_share_float_objects(self):
+        # c_i(p, q) is the same float object as c_i(q, p); the measured
+        # coordinates are shared along each row and column
+        res = 31
+        states = SC.sample_spmc_surface(pauli_pair(1, 2), res)
+        for p, q in itertools.product(range(res), repeat=2):
+            assert states[p * res + q].c3 is states[q * res + p].c3
+            assert states[p * res + q].c1 is states[p * res].c1
+            assert states[p * res + q].c2 is states[q].c2
+
+    @pytest.mark.parametrize("resolution", [3.5, 5.0, np.float64(5.0), "5", None, 1], ids=repr)
+    def test_rejects_non_integral_or_small_resolution(self, resolution):
+        with pytest.raises(DomainError, match="resolution must be an integer >= 2"):
+            SC.sample_spmc_surface(PAIR_13, resolution)
+
+    def test_accepts_numpy_integer_resolution(self):
+        assert SC.sample_spmc_surface(PAIR_13, np.int64(5)) == SC.sample_spmc_surface(PAIR_13, 5)
+
     def test_corner_is_bell_vertex(self):
         states = SC.sample_spmc_surface(PAIR_13, 2)
         assert BellDiagonalState(-1.0, 1.0, 1.0) in states

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,54 @@ class TestParseLiteral:
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
             S.parse_state_literal(bad)
+
+
+class TestStateRecord:
+    """BellDiagonalState is an immutable named tuple of (c1, c2, c3)."""
+
+    S0 = S.BellDiagonalState(0.1, 0.2, 0.3)
+
+    def test_iteration_unpacking_and_len(self):
+        assert list(self.S0) == [0.1, 0.2, 0.3]
+        c1, c2, c3 = self.S0
+        assert (c1, c2, c3) == (0.1, 0.2, 0.3) and len(self.S0) == 3
+        assert tuple(self.S0) == (0.1, 0.2, 0.3) and type(self.S0.as_tuple()) is tuple
+
+    def test_pauli_axis_indexing(self):
+        assert (self.S0[1], self.S0[2], self.S0[3]) == (0.1, 0.2, 0.3)
+        assert self.S0[np.int64(3)] == 0.3
+        assert (self.S0.c1, self.S0.c2, self.S0.c3) == (0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize("index", [0, -1, 4, -3, 1.0, "1", None, slice(1, 3), slice(None)],
+                             ids=repr)
+    def test_other_indices_rejected(self, index):
+        with pytest.raises(DomainError, match="Pauli axis must be 1, 2 or 3"):
+            self.S0[index]
+
+    def test_numpy_conversion(self):
+        assert np.array(self.S0).tolist() == [0.1, 0.2, 0.3]
+        both = np.array([self.S0, S.BellDiagonalState(-1.0, 1.0, 1.0)])
+        assert both.tolist() == [[0.1, 0.2, 0.3], [-1.0, 1.0, 1.0]]
+
+    def test_repr(self):
+        assert repr(self.S0) == "BellDiagonalState(c1=0.1, c2=0.2, c3=0.3)"
+
+    def test_equality_and_hash(self):
+        same = S.BellDiagonalState(0.1, 0.2, 0.3)
+        assert same == self.S0 and hash(same) == hash(self.S0)
+        assert S.BellDiagonalState(0.1, 0.2, 0.4) != self.S0
+        assert len({same, self.S0, S.BellDiagonalState(0.3, 0.2, 0.1)}) == 2
+        # a state compares equal to the plain tuple of its coefficients
+        assert self.S0 == (0.1, 0.2, 0.3) and hash(self.S0) == hash((0.1, 0.2, 0.3))
+
+    def test_pickle_round_trip(self):
+        back = pickle.loads(pickle.dumps(self.S0))
+        assert back == self.S0 and type(back) is S.BellDiagonalState
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.S0.c1 = 0.5
+        assert self.S0.c1 == 0.1
 
 
 def test_random_bd_states_reproducible():
