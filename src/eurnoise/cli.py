@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: sweep, fig2, fig3, smfig-b, classify, surface, check-unital.
-Exit codes: 0 success, 1 domain/parse error, 2 property violation, 3 internal
-numeric or channel failure (a broken invariant, reported as one error line).
+Exit codes: 0 success, 1 domain/parse error or a request too large for memory,
+2 property violation, 3 internal numeric or channel failure (a broken
+invariant). Every error is reported as one line.
 """
 
 from __future__ import annotations
@@ -169,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, NumericError, ChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DomainError) else 3
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
 Every quantity has a closed form over arrays of X states (``xstate_*``), the
-runtime route. The general density-matrix routes (pinching, Jacobi, Wootters,
-the brute-force minimizer) are the oracles the test suite crosses them against.
+runtime route. The general density-matrix routes (pinching with LAPACK
+eigenvalues, Wootters, the brute-force minimizer) are the oracles the test
+suite crosses them against; they must never call the ``xstate_*`` closed forms.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from eurnoise.linalg import (
     von_neumann_entropy,
     _stack_last,
 )
-from eurnoise.states import BellDiagonalState, check_bd, density_to_correlations
+from eurnoise.states import BellDiagonalState, check_bd
 from eurnoise.channels import ChannelSpec
 
 
@@ -183,9 +184,11 @@ def minimal_missing_info_bruteforce(
 ) -> tuple[float, tuple[float, float]]:
     """Minimize sum_k q_k S(rho_A^k) over projective measurements on B.
 
-    Coarse (theta, xi) grid, then alternating ternary refinement of each
-    angle until the improvement drops below 1e-10 bits. Ties on the coarse
-    grid break toward the lexicographically smallest (theta, xi).
+    A coarse (theta, xi) grid, whose ties within rounding noise break toward
+    the lexicographically smallest (theta, xi); then a 5x5 grid around the
+    best point, its step halved on every pass from half the coarse spacing
+    down to 1e-9 rad (an angle error d costs O(d^2) in M). The best point
+    moves only on a strict improvement.
     """
     n_theta, n_xi = grid
     if n_theta < 64 or n_xi < 64:
@@ -203,47 +206,25 @@ def minimal_missing_info_bruteforce(
     best_theta, best_xi = float(thetas[ti]), float(xis[xi_i])
     best = float(vals[ti, xi_i])
 
-    def f(theta, xi):
-        return float(_avg_conditional_entropy(rho_t, _measurement_kets(theta, xi)))
-
-    d_theta = thetas[1] - thetas[0]
-    d_xi = xis[1] - xis[0]
-    while True:
-        prev = best
-        best_theta, best = _ternary(lambda t: f(t, best_xi), best_theta, d_theta, best)
-        best_xi, best = _ternary(lambda x: f(best_theta, x), best_xi, d_xi, best)
-        if prev - best < 1e-10:
-            break
+    stencil_t, stencil_x = np.meshgrid(np.arange(-2.0, 3.0), np.arange(-2.0, 3.0))
+    d_theta, d_xi = (thetas[1] - thetas[0]) / 2, (xis[1] - xis[0]) / 2
+    while max(d_theta, d_xi) > 1e-9:
+        tg, xg = best_theta + d_theta * stencil_t, best_xi + d_xi * stencil_x
+        vals = _avg_conditional_entropy(rho_t, _measurement_kets(tg, xg))
+        k = int(np.argmin(vals))
+        if vals.flat[k] < best:
+            best, best_theta, best_xi = float(vals.flat[k]), float(tg.flat[k]), float(xg.flat[k])
+        d_theta, d_xi = d_theta / 2, d_xi / 2
     return best, (best_theta, best_xi)
 
 
-def _ternary(f, center: float, halfwidth: float, fbest: float):
-    lo, hi = center - halfwidth, center + halfwidth
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-12:
-            break
-    x = 0.5 * (lo + hi)
-    fx = f(x)
-    if fx < fbest:
-        return x, fx
-    return center, fbest
-
-
-def discord(rho: np.ndarray, grid: tuple[int, int] = (181, 361)) -> float:
-    """D = -S(A|B) + M; Bell-diagonal inputs use the closed-form M, anything
-    else the brute-force minimizer."""
-    c1, c2, c3, bd = density_to_correlations(rho)
-    if bd:
-        m = minimal_missing_info_bd(BellDiagonalState(c1, c2, c3))
-    else:
-        m, _ = minimal_missing_info_bruteforce(rho, grid)
-    return -conditional_entropy(rho) + m
+def discord(rho: np.ndarray) -> float:
+    """D = -S(A|B) + M, with M from the brute-force minimizer at its default
+    grid, for every input. An oracle for ``discord_bd`` and the sweeps' D
+    column; it must not route through the closed forms it checks."""
+    s_ab = conditional_entropy(rho)  # validates rho before the search
+    m, _ = minimal_missing_info_bruteforce(rho)
+    return m - s_ab
 
 
 def witness_discord_from_U(

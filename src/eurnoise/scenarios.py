@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError
+from eurnoise.linalg import DomainError, check_count
 from eurnoise.states import BellDiagonalState, check_bd, random_bd_states
 from eurnoise.channels import ChannelSpec, amplitude_damped_xstate, flip_factors, pd_equivalent_eta
 from eurnoise.metrics import (
@@ -46,8 +46,7 @@ class SweepConfig:
         self.channel.check((self.t_start, self.t_end))
         if not self.t_start < self.t_end:
             raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
-            raise DomainError(f"n_points must be an integer >= 2, got {self.n_points!r}")
+        check_count(self.n_points, "n_points", 2)
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and self.t_start <= 0:
@@ -114,8 +113,7 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiago
     """Grid the measured-axes square and close each point with the SPMC
     value on the unmeasured axis. Every cell lies in the tetrahedron: its
     Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4."""
-    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
-        raise DomainError(f"resolution must be an integer >= 2, got {resolution!r}")
+    check_count(resolution, "resolution", 2)
     j, k = pair.q.index, pair.r.index
     a = np.linspace(-1.0, 1.0, resolution)
     vals = a.tolist()  # shared by the states of each row and column
@@ -156,8 +154,8 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     not drop by more than 1e-9. Amplitude damping at Gamma*t = 20 is then
     scanned for a state whose U_b decreases.
     """
-    if n_trials < 1 or seed < 0:
-        raise DomainError(f"need n_trials >= 1 and seed >= 0, got {n_trials}, {seed}")
+    check_count(n_trials, "n_trials", 1)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_trials, rng)
     moves = [("flip", ax, eta) for ax in (1, 2, 3) for eta in FLIP_ETA_GRID]

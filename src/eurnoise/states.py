@@ -1,4 +1,4 @@
-"""Bell-diagonal and general two-qubit state representations.
+"""Bell-diagonal and X-state two-qubit state representations.
 
 A Bell-diagonal state is fixed by three real correlation coefficients
 (c1, c2, c3); validity is membership in the tetrahedron of states with
@@ -12,13 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import (
-    DomainError,
-    PAULI,
-    is_hermitian,
-    hermitian_eigenvalues,
-    tensor_product,
-)
+from eurnoise.linalg import DomainError, check_count
 
 TETRAHEDRON_TOL = 1e-12
 
@@ -95,35 +89,6 @@ def bd_to_density(s: BellDiagonalState) -> np.ndarray:
     return x_state_density(0.0, check_bd(s).as_tuple())
 
 
-def density_to_correlations(rho: np.ndarray) -> tuple[float, float, float, bool]:
-    """Correlation traces C_j = tr(rho sigma_j x sigma_j) plus a flag that is
-    true iff rho is itself Bell-diagonal (reconstructs entry-wise to 1e-10)."""
-    check_density(rho)
-    cs = tuple(
-        float(np.trace(rho @ tensor_product(PAULI[j], PAULI[j])).real) for j in (1, 2, 3)
-    )
-    s = BellDiagonalState(*cs)
-    flag = False
-    if is_valid(s):
-        flag = bool(np.max(np.abs(bd_to_density(s) - rho)) <= 1e-10)
-    return cs[0], cs[1], cs[2], flag
-
-
-def check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity of a 4x4 density."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 density, got shape {rho.shape}")
-    if not is_hermitian(rho, tol=1e-9):
-        raise DomainError("density is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise DomainError(f"density trace {np.trace(rho).real} differs from 1")
-    ev = hermitian_eigenvalues(rho, tol=1e-9)
-    if np.min(ev) < -1e-9:
-        raise DomainError(f"density eigenvalue {np.min(ev)} below clamp window")
-    return rho
-
-
 def parse_state_literal(text: str) -> BellDiagonalState:
     """Parse the CLI literal ``bd:c1,c2,c3``."""
     if not text.startswith("bd:"):
@@ -140,6 +105,7 @@ def parse_state_literal(text: str) -> BellDiagonalState:
 
 def random_bd_states(n: int, rng: np.random.Generator) -> list[BellDiagonalState]:
     """Uniform sample over the tetrahedron by rejection from the cube."""
+    check_count(n, "n", 0)
     out: list[BellDiagonalState] = []
     while len(out) < n:
         c = rng.uniform(-1.0, 1.0, size=3)

@@ -191,6 +191,15 @@ def test_internal_failure_exit_code(exc, monkeypatch, capsys):
     assert_one_error_line(code, *capsys.readouterr(), expected_code=3)
 
 
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def too_large(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_time_sweep", too_large)
+    code = main(["fig2"])
+    assert_one_error_line(code, *capsys.readouterr(), expected_code=1)
+
+
 def readme_cli_commands() -> list[list[str]]:
     """The argv of every ``eurnoise ...`` line in the README's CLI block."""
     block = README.read_text().split("## CLI", 1)[1].split("```")[1]

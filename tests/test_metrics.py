@@ -111,7 +111,7 @@ class TestUncertainty:
 class TestLowerBound:
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_subnormal_flip_on_bell_vertex(self, axis):
-        # the Jacobi rotation phase of a subnormal off-diagonal entry must not overflow
+        # a subnormal off-diagonal entry must not overflow the eigensolver
         rho = apply_local_A(make_flip_channel(axis, 2.2e-309), bd_to_density(BELL_VERTEX))
         assert M.lower_bound_Ub(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
 
@@ -227,7 +227,7 @@ class TestMinimalMissingInfo:
     @given(bd_states())
     def test_bd_vs_bruteforce(self, s):
         m, _ = M.minimal_missing_info_bruteforce(bd_to_density(s), COARSE)
-        assert m == pytest.approx(M.minimal_missing_info_bd(s), abs=1e-4)
+        assert m == pytest.approx(M.minimal_missing_info_bd(s), abs=1e-9)
 
 
 OUTSIDE_STATES = [
@@ -281,7 +281,7 @@ class TestMinimalMissingInfoAD:
     def test_log_two_vs_bruteforce(self, fig_state):
         gt = np.log(2)
         m, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(fig_state, gt))
-        assert m == pytest.approx(M.minimal_missing_info_ad(fig_state, gt).m, abs=1e-4)
+        assert m == pytest.approx(M.minimal_missing_info_ad(fig_state, gt).m, abs=1e-9)
 
     @pytest.mark.parametrize("gt", [710.0, 745.0, 800.0])
     def test_longtime_finite(self, fig_state, gt):
@@ -384,6 +384,6 @@ class TestXStateCoreVsOracles:
         assert e == pytest.approx(M.concurrence(rho), abs=1e-7)
         assert 0.0 <= e <= 1.0
         m = float(M.xstate_minimal_missing_info(r, t)[0])
-        assert m == pytest.approx(M.minimal_missing_info_bruteforce(rho, COARSE)[0], abs=1e-4)
+        assert m == pytest.approx(M.minimal_missing_info_bruteforce(rho, COARSE)[0], abs=1e-9)
         assert 0.0 <= m <= 1.0
         assert m - (u_b - 1.0) >= -1e-9

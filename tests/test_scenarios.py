@@ -315,14 +315,18 @@ class TestUnitalPropertyCheck:
         assert ub1 < ub0 - 1e-9
         assert report.passed
 
-    @pytest.mark.parametrize("trials, seed", [(1, -1), (0, 5)])
+    @pytest.mark.parametrize(
+        "trials, seed",
+        [(1, -1), (0, 5), (2.5, 1), (3.0, 1), (np.float64(3.0), 1), ("3", 1), (None, 1),
+         (1, 2.5), (1, None)],
+    )
     def test_rejects_bad_arguments(self, trials, seed):
         with pytest.raises(DomainError):
             SC.property_check_unital(trials, seed)
 
     def test_deterministic(self):
         a = SC.property_check_unital(1, seed=99)
-        b = SC.property_check_unital(1, seed=99)
+        b = SC.property_check_unital(np.int64(1), seed=99)
         assert a == b
 
 

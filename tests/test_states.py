@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from eurnoise import states as S
-from eurnoise.linalg import DomainError, hermitian_eigenvalues, partial_trace
-from eurnoise.channels import evolve_bd_amplitude
+from eurnoise.linalg import PAULI, DomainError, hermitian_eigenvalues, partial_trace
 
 from conftest import bd_states
 
@@ -61,27 +60,6 @@ class TestBdToDensity:
         assert rho[1, 2] == pytest.approx(-0.025)
 
 
-class TestDensityToCorrelations:
-    @settings(max_examples=60)
-    @given(bd_states())
-    def test_round_trip(self, s):
-        c1, c2, c3, flag = S.density_to_correlations(S.bd_to_density(s))
-        assert flag
-        assert (c1, c2, c3) == pytest.approx(s.as_tuple(), abs=1e-12)
-
-    def test_product_state_not_bell_diagonal(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        c1, c2, c3, flag = S.density_to_correlations(rho)
-        assert (c1, c2, c3) == pytest.approx((0, 0, 1), abs=1e-14)
-        assert not flag
-
-    def test_amplitude_damped_loses_flag(self, fig_state):
-        rho = evolve_bd_amplitude(fig_state, 0.5)
-        *_, flag = S.density_to_correlations(rho)
-        assert not flag
-
-
 class TestValidity:
     def test_outside_corner(self):
         assert not S.is_valid(S.BellDiagonalState(1, 1, 1))
@@ -105,14 +83,17 @@ def test_marginals_maximally_mixed(s):
     rho = S.bd_to_density(s)
     assert np.allclose(partial_trace(rho, "A"), np.eye(2) / 2, atol=1e-12)
     assert np.allclose(partial_trace(rho, "B"), np.eye(2) / 2, atol=1e-12)
+    # the correlations round-trip: tr(rho sigma_j x sigma_j) = c_j
+    cs = tuple(np.trace(rho @ np.kron(PAULI[j], PAULI[j])).real for j in (1, 2, 3))
+    assert cs == pytest.approx(s.as_tuple(), abs=1e-12)
 
 
 @settings(max_examples=60)
 @given(bd_states())
 def test_spectrum_consistency(s):
     closed = np.sort(S.bell_eigenvalues(s).as_array())
-    jacobi = np.sort(hermitian_eigenvalues(S.bd_to_density(s)))
-    assert np.max(np.abs(closed - jacobi)) < 1e-10
+    lapack = np.sort(hermitian_eigenvalues(S.bd_to_density(s)))
+    assert np.max(np.abs(closed - lapack)) < 1e-10
 
 
 class TestParseLiteral:
@@ -176,7 +157,16 @@ class TestStateRecord:
 
 
 def test_random_bd_states_reproducible():
-    a = S.random_bd_states(20, np.random.default_rng(42))
-    b = S.random_bd_states(20, np.random.default_rng(42))
+    rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+    a = S.random_bd_states(20, rng_a)
+    b = S.random_bd_states(np.int64(20), rng_b)
     assert a == b
+    assert rng_a.uniform() == rng_b.uniform()  # the same stream after the draws
     assert all(S.is_valid(s) for s in a)
+    assert S.random_bd_states(0, rng_a) == []
+
+
+@pytest.mark.parametrize("n", [-3, 2.5, 3.0, np.float64(3.0), "3", None], ids=repr)
+def test_random_bd_states_rejects_bad_counts(n):
+    with pytest.raises(DomainError, match="n must be an integer >= 0"):
+        S.random_bd_states(n, np.random.default_rng(42))
