@@ -1,20 +1,6 @@
 """Quantum-memory-assisted entropic uncertainty under local noise."""
 
 from eurnoise.states import BellDiagonalState
-from eurnoise.channels import (
-    KrausChannel,
-    make_flip_channel,
-    make_phase_damping,
-    make_amplitude_damping,
-)
 from eurnoise.metrics import ObservablePair, pauli_observable
 
-__all__ = [
-    "BellDiagonalState",
-    "KrausChannel",
-    "make_flip_channel",
-    "make_phase_damping",
-    "make_amplitude_damping",
-    "ObservablePair",
-    "pauli_observable",
-]
+__all__ = ["BellDiagonalState", "ObservablePair", "pauli_observable"]

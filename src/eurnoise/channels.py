@@ -1,96 +1,23 @@
-"""Local noise channels acting on qubit A.
+"""Local noise on qubit A as closed-form maps of the X-state family.
 
-Kraus conventions follow the damping parameterization in which the
-amplitude-damping channel relaxes the population toward |1>:
-kappa_0 = e^{-Gt/2}|0><0| + |1><1|, kappa_1 = sqrt(1-e^{-Gt}) |1><0|.
-Pass ``relabeled=True`` to get the more common |1> -> |0> orientation.
+Flips and phase damping scale the correlations T; amplitude damping relaxes
+the population of A toward |1> (r = e^{-Gt} - 1). ``ChannelSpec`` names a
+channel family and holds the one rule for a valid kind, axis and strength.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, IDENTITY_2, PAULI, tensor_product
-from eurnoise.linalg import _first_outside, _stack_last
+from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last
 from eurnoise.states import BellDiagonalState, check_bd, x_state_density
-
-
-class ChannelError(RuntimeError):
-    """Channel invariant (trace preservation) broken."""
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    operators: tuple[np.ndarray, ...]
-    label: str
-    parameters: dict = field(default_factory=dict)
-    warning: str | None = None
-
-    def __post_init__(self):
-        total = sum(k.conj().T @ k for k in self.operators)
-        if not np.max(np.abs(total - IDENTITY_2)) <= 1e-10:
-            raise ChannelError(f"channel {self.label!r} is not trace preserving")
-
-
-def make_flip_channel(axis: int, eta: float) -> KrausChannel:
-    """Bit-flip (axis 1), bit-phase-flip (axis 2), or phase-flip (axis 3)
-    channel with noise probability eta."""
-    ChannelSpec("flip", axis).check(eta)
-    warning = None
-    if eta > 0.5:
-        warning = "eta > 1/2: beyond the fully-mixing point, correlations flip sign"
-    ops = (np.sqrt(1.0 - eta) * IDENTITY_2, np.sqrt(eta) * PAULI[axis])
-    return KrausChannel(ops, f"flip{axis}", {"axis": axis, "eta": eta}, warning)
 
 
 def pd_equivalent_eta(gamma_t: float) -> float:
     """Phase-flip probability equivalent to phase damping at Gamma*t."""
     return (1.0 - np.exp(-gamma_t / 2.0)) / 2.0
-
-
-def make_phase_damping(gamma_t: float) -> KrausChannel:
-    """Phase-damping channel at dimensionless Gamma*t."""
-    ChannelSpec("pd").check(gamma_t)
-    k0 = np.array([[1.0, 0.0], [0.0, np.exp(-gamma_t / 2.0)]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [0.0, np.sqrt(1.0 - np.exp(-gamma_t))]], dtype=complex)
-    params = {"gamma_t": gamma_t, "eta3": pd_equivalent_eta(gamma_t)}
-    return KrausChannel((k0, k1), "pd", params)
-
-
-def make_amplitude_damping(gamma_t: float, relabeled: bool = False) -> KrausChannel:
-    """Amplitude-damping channel at dimensionless Gamma*t (decays toward |1>;
-    ``relabeled`` flips the orientation to the |1> -> |0> convention)."""
-    ChannelSpec("ad").check(gamma_t)
-    e = np.exp(-gamma_t / 2.0)
-    p = np.sqrt(max(1.0 - np.exp(-gamma_t), 0.0))
-    if relabeled:
-        k0 = np.array([[1.0, 0.0], [0.0, e]], dtype=complex)
-        k1 = np.array([[0.0, p], [0.0, 0.0]], dtype=complex)
-    else:
-        k0 = np.array([[e, 0.0], [0.0, 1.0]], dtype=complex)
-        k1 = np.array([[0.0, 0.0], [p, 0.0]], dtype=complex)
-    return KrausChannel((k0, k1), "ad", {"gamma_t": gamma_t, "relabeled": relabeled})
-
-
-def is_unital(ch: KrausChannel, tol: float = 1e-10) -> bool:
-    """True iff sum kappa kappa^dag = identity within tol (the channel fixes
-    the maximally mixed state)."""
-    total = sum(k @ k.conj().T for k in ch.operators)
-    return bool(np.max(np.abs(total - IDENTITY_2)) <= tol)
-
-
-def apply_local_A(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to qubit A only: sum (k x I) rho (k x I)^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for k in ch.operators:
-        big = tensor_product(k, IDENTITY_2)
-        out += big @ rho @ big.conj().T
-    if not abs(np.trace(out).real - 1.0) <= 1e-9:
-        raise ChannelError(f"channel {ch.label!r} broke trace preservation")
-    return out
 
 
 def flip_factors(axis: int, eta) -> np.ndarray:
@@ -151,15 +78,6 @@ class ChannelSpec:
             rule = "0 <= eta <= 1" if self.kind == "flip" else "0 <= gamma_t < inf"
             raise DomainError(f"{self.kind} strength {float(bad)} outside {rule}")
         return t
-
-    def at(self, t: float) -> KrausChannel:
-        """Concrete channel at sweep variable t (eta or Gamma*t)."""
-        self.check(t)
-        if self.kind == "flip":
-            return make_flip_channel(self.axis, t)
-        if self.kind == "pd":
-            return make_phase_damping(t)
-        return make_amplitude_damping(t)
 
     def evolve(self, s: BellDiagonalState, t) -> tuple[np.ndarray, np.ndarray]:
         """(r, T) of the initial state s, which must lie in the tetrahedron,

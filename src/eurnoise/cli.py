@@ -2,8 +2,7 @@
 
 Subcommands: sweep, fig2, fig3, smfig-b, classify, surface, check-unital.
 Exit codes: 0 success, 1 domain/parse error or a request too large for memory,
-2 property violation, 3 internal numeric or channel failure (a broken
-invariant). Every error is reported as one line.
+2 property violation. Every error is reported as one line.
 """
 
 from __future__ import annotations
@@ -11,9 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from eurnoise.linalg import DomainError, NumericError
+from eurnoise.linalg import DomainError
 from eurnoise.states import BellDiagonalState, parse_state_literal
-from eurnoise.channels import CHANNEL_LITERALS, ChannelError, ChannelSpec, parse_channel_literal
+from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, parse_channel_literal
 from eurnoise.metrics import ObservablePair, pauli_pair
 from eurnoise.scenarios import (
     ALL_COLUMNS,
@@ -167,9 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (DomainError, NumericError, ChannelError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, DomainError) else 3
+        return 1
     except MemoryError:
         print("error: not enough memory for this request", file=sys.stderr)
         return 1

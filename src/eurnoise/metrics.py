@@ -1,9 +1,9 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
 Every quantity has a closed form over arrays of X states (``xstate_*``), the
-runtime route. The general density-matrix routes (pinching with LAPACK
-eigenvalues, Wootters, the brute-force minimizer) are the oracles the test
-suite crosses them against; they must never call the ``xstate_*`` closed forms.
+runtime route; the independent density-matrix routes that check them live in
+``eurnoise.oracles``. The brute-force minimizer for M is an oracle too, but it
+stays here until the benchmark, which reads it at this path, is repointed.
 """
 
 from __future__ import annotations
@@ -12,17 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import (
-    DomainError,
-    IDENTITY_2,
-    PAULI,
-    binary_entropy,
-    partial_trace,
-    shannon_entropy,
-    tensor_product,
-    von_neumann_entropy,
-    _stack_last,
-)
+from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy, _stack_last
 from eurnoise.states import BellDiagonalState, check_bd
 from eurnoise.channels import ChannelSpec
 
@@ -65,59 +55,11 @@ def pauli_pair(j: int, k: int) -> ObservablePair:
     return ObservablePair(pauli_observable(j), pauli_observable(k))
 
 
-def complementarity_raw(q: PauliObservable, r: PauliObservable) -> float:
-    """max_{a,b} |<phi_a|phi_b>|^2 over the two eigenbases (no distinctness
-    check; identical observables give 1)."""
-    return max(
-        float(abs(np.vdot(a, b)) ** 2) for a in q.eigenbasis for b in r.eigenbasis
-    )
-
-
 def complementarity(pair: ObservablePair) -> float:
-    return complementarity_raw(pair.q, pair.r)
-
-
-def post_measurement_state(rho: np.ndarray, x: PauliObservable) -> np.ndarray:
-    """Pinching of qubit A in the eigenbasis of x:
-    sum_a (|psi_a><psi_a| x I) rho (|psi_a><psi_a| x I)."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for v in x.eigenbasis:
-        proj = tensor_product(np.outer(v, v.conj()), IDENTITY_2)
-        out += proj @ rho @ proj
-    return out
-
-
-def conditional_entropy(rho: np.ndarray) -> float:
-    """S(A|B) = S(rho_AB) - S(rho_B); negative for entangled inputs."""
-    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, "B"))
-
-
-def uncertainty_U(rho: np.ndarray, pair: ObservablePair) -> float:
-    """S(Q|B) + S(R|B) via the pinching route."""
-    return conditional_entropy(post_measurement_state(rho, pair.q)) + conditional_entropy(
-        post_measurement_state(rho, pair.r)
+    """max_{a,b} |<phi_a|phi_b>|^2 over the eigenbases of the pair's observables."""
+    return max(
+        float(abs(np.vdot(a, b)) ** 2) for a in pair.q.eigenbasis for b in pair.r.eigenbasis
     )
-
-
-def lower_bound_Ub(rho: np.ndarray, pair: ObservablePair) -> float:
-    """log2(1/c) + S(A|B), the uncertainty lower bound."""
-    c = complementarity(pair)
-    return float(np.log2(1.0 / c)) + conditional_entropy(rho)
-
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    u: float
-    u_b: float
-    c: float
-    slack: float
-
-
-def uncertainty_report(rho: np.ndarray, pair: ObservablePair) -> UncertaintyReport:
-    u = uncertainty_U(rho, pair)
-    u_b = lower_bound_Ub(rho, pair)
-    return UncertaintyReport(u, u_b, complementarity(pair), u - u_b)
 
 
 def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -> bool:
@@ -125,19 +67,6 @@ def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -
     unmeasured axis must equal minus the product of the measured two."""
     i = ({1, 2, 3} - {pair.q.index, pair.r.index}).pop()
     return abs(s[i] + s[pair.q.index] * s[pair.r.index]) <= tol
-
-
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence from the spectrum of rho (sigma_y x sigma_y) rho*
-    (sigma_y x sigma_y); the oracle for ``xstate_concurrence``."""
-    rho = np.asarray(rho, dtype=complex)
-    yy = tensor_product(PAULI[2], PAULI[2])
-    r = rho @ yy @ rho.conj() @ yy
-    # eigenvalues of the (non-Hermitian but similar-to-PSD) product
-    ev = np.linalg.eigvals(r)
-    ev = np.sort(np.abs(ev.real))[::-1]
-    roots = np.sqrt(np.clip(ev, 0.0, None))
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
 def _measurement_kets(theta, xi):
@@ -216,15 +145,6 @@ def minimal_missing_info_bruteforce(
             best, best_theta, best_xi = float(vals.flat[k]), float(tg.flat[k]), float(xg.flat[k])
         d_theta, d_xi = d_theta / 2, d_xi / 2
     return best, (best_theta, best_xi)
-
-
-def discord(rho: np.ndarray) -> float:
-    """D = -S(A|B) + M, with M from the brute-force minimizer at its default
-    grid, for every input. An oracle for ``discord_bd`` and the sweeps' D
-    column; it must not route through the closed forms it checks."""
-    s_ab = conditional_entropy(rho)  # validates rho before the search
-    m, _ = minimal_missing_info_bruteforce(rho)
-    return m - s_ab
 
 
 def witness_discord_from_U(

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from eurnoise import metrics as M
-from eurnoise.linalg import binary_entropy, hermitian_eigenvalues, shannon_entropy
+from eurnoise import oracles as O
+from eurnoise.linalg import binary_entropy, shannon_entropy
 from eurnoise.states import (
     BellDiagonalState,
     bd_to_density,
@@ -22,11 +23,9 @@ from eurnoise.states import (
 )
 from eurnoise.channels import (
     ChannelSpec,
-    apply_local_A,
     evolve_bd_amplitude,
     evolve_bd_flip,
-    make_amplitude_damping,
-    make_flip_channel,
+    flip_factors,
     pd_equivalent_eta,
 )
 from eurnoise.scenarios import (
@@ -113,7 +112,7 @@ def test_criterion_4_witness_consistency():
             evolved = evolve_bd_flip(FIG_STATE, 3, pd_equivalent_eta(r.t))
             rho = bd_to_density(evolved)
             m_bf, _ = M.minimal_missing_info_bruteforce(rho, COARSE)
-            d_bf = -M.conditional_entropy(rho) + m_bf
+            d_bf = -O.conditional_entropy(rho) + m_bf
             assert abs(d_witness - d_bf) <= 1e-9
 
 
@@ -184,16 +183,16 @@ def test_criterion_8_oracle_equivalence():
         for axis in (1, 2, 3):
             for s in random_bd_states(200, rng):
                 eta = float(rng.uniform(0.0, 1.0))
-                via_kraus = apply_local_A(make_flip_channel(axis, eta), bd_to_density(s))
+                via_kraus = O.apply_local_A(O.make_flip_channel(axis, eta), bd_to_density(s))
                 via_formula = bd_to_density(evolve_bd_flip(s, axis, eta))
                 assert np.max(np.abs(via_kraus - via_formula)) <= 1e-10
         for s in random_bd_states(200, rng):
             gt = float(rng.uniform(0.0, 10.0))
-            via_kraus = apply_local_A(make_amplitude_damping(gt), bd_to_density(s))
+            via_kraus = O.apply_local_A(O.make_amplitude_damping(gt), bd_to_density(s))
             assert np.max(np.abs(via_kraus - evolve_bd_amplitude(s, gt))) <= 1e-10
         for s in random_bd_states(200, rng):
             closed = np.sort(bell_eigenvalues(s).as_array())
-            lapack = np.sort(hermitian_eigenvalues(bd_to_density(s)))
+            lapack = np.sort(O.hermitian_eigenvalues(bd_to_density(s)))
             assert np.max(np.abs(closed - lapack)) <= 1e-10
 
 
@@ -201,28 +200,22 @@ def test_criterion_9_uncertainty_relation_never_violated():
     with criterion(9, "U - U_b >= -1e-9 across >= 50,000 randomized evaluations"):
         rng = np.random.default_rng(99)
         states = random_bd_states(500, rng)
+        # flips and phase damping keep a state Bell-diagonal: every state times
+        # the factors of 30 flip moves and 10 phase-damping moves, (500, 40, 3)
         levels = np.linspace(0.0, 0.5, 10)
-        n_evals = 0
-        worst = np.inf
-        for s in states:
-            for pair in ALL_PAIRS:
-                for axis in (1, 2, 3):
-                    for eta in levels:
-                        out = evolve_bd_flip(s, axis, eta)
-                        slack = M.uncertainty_U_bd(out, pair) - M.lower_bound_Ub_bd(out)
-                        worst = min(worst, slack)
-                        n_evals += 1
-                for gt in np.linspace(0.0, 10.0, 10):
-                    out = evolve_bd_flip(s, 3, pd_equivalent_eta(gt))
-                    slack = M.uncertainty_U_bd(out, pair) - M.lower_bound_Ub_bd(out)
-                    worst = min(worst, slack)
-                    n_evals += 1
+        moves = [flip_factors(axis, levels) for axis in (1, 2, 3)]
+        moves.append(flip_factors(3, pd_equivalent_eta(np.linspace(0.0, 10.0, 10))))
+        t = np.array(states)[:, None, :] * np.concatenate(moves)
+        u_b = M.xstate_lower_bound_Ub(0.0, t)
+        slacks = [M.xstate_uncertainty_U(0.0, t, pair) - u_b for pair in ALL_PAIRS]
+        n_evals = sum(x.size for x in slacks)
+        worst = min(float(x.min()) for x in slacks)
         # amplitude damping leaves the Bell-diagonal family: general path
         for s in states[:250]:
             for pair in ALL_PAIRS:
                 for gt in (0.3, 1.0, 3.0, 20.0):
                     rho = evolve_bd_amplitude(s, gt)
-                    slack = M.uncertainty_U(rho, pair) - M.lower_bound_Ub(rho, pair)
+                    slack = O.uncertainty_U(rho, pair) - O.lower_bound_Ub(rho, pair)
                     worst = min(worst, slack)
                     n_evals += 1
         assert n_evals >= 50_000

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from eurnoise import cli
-from eurnoise.channels import ChannelError
 from eurnoise.cli import main
-from eurnoise.linalg import NumericError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -156,8 +154,8 @@ def test_flip_range_error_names_value():
     assert "1.5" in err and "[" not in err
 
 
-def assert_one_error_line(code, out, err, expected_code=1):
-    assert code == expected_code
+def assert_one_error_line(code, out, err):
+    assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
@@ -181,23 +179,13 @@ def test_negative_seed_is_one_error_line():
     assert_one_error_line(*run_cli("check-unital", "--trials", "1", "--seed", "-1"))
 
 
-@pytest.mark.parametrize("exc", [NumericError, ChannelError])
-def test_internal_failure_exit_code(exc, monkeypatch, capsys):
-    def broken(cfg):
-        raise exc("invariant broken")
-
-    monkeypatch.setattr(cli, "run_time_sweep", broken)
-    code = main(["fig2"])
-    assert_one_error_line(code, *capsys.readouterr(), expected_code=3)
-
-
 def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     def too_large(cfg):
         raise MemoryError
 
     monkeypatch.setattr(cli, "run_time_sweep", too_large)
     code = main(["fig2"])
-    assert_one_error_line(code, *capsys.readouterr(), expected_code=1)
+    assert_one_error_line(code, *capsys.readouterr())
 
 
 def readme_cli_commands() -> list[list[str]]:

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eurnoise import linalg as L
+from eurnoise import oracles as O
 from eurnoise.states import BellDiagonalState, bd_to_density
 
 from conftest import hermitian_4x4
@@ -149,32 +150,32 @@ class TestEntropyNamesFirstBadValue:
 
 class TestHermitianEigenvalues:
     def test_identity(self):
-        assert np.allclose(L.hermitian_eigenvalues(np.eye(4)), np.ones(4))
+        assert np.allclose(O.hermitian_eigenvalues(np.eye(4)), np.ones(4))
 
     def test_diagonal_2x2(self):
-        assert np.allclose(L.hermitian_eigenvalues(np.diag([0.3, 0.7])), [0.7, 0.3])
+        assert np.allclose(O.hermitian_eigenvalues(np.diag([0.3, 0.7])), [0.7, 0.3])
 
     def test_bell_diagonal_spectrum(self):
         rho = bd_to_density(BellDiagonalState(-0.5, 0.4, 0.8))
-        ev = L.hermitian_eigenvalues(rho)
+        ev = O.hermitian_eigenvalues(rho)
         assert np.allclose(ev, [0.675, 0.225, 0.075, 0.025], atol=1e-12)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(L.DomainError):
-            L.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+            O.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
     @settings(max_examples=50)
     @given(hermitian_4x4())
     def test_against_numpy(self, m):
         # independent oracle: LAPACK via numpy
-        ours = L.hermitian_eigenvalues(m)
+        ours = O.hermitian_eigenvalues(m)
         ref = np.sort(np.linalg.eigvalsh(m))[::-1]
         assert np.max(np.abs(ours - ref)) < 1e-9
 
     @settings(max_examples=50)
     @given(hermitian_4x4())
     def test_trace_sum(self, m):
-        assert np.sum(L.hermitian_eigenvalues(m)) == pytest.approx(
+        assert np.sum(O.hermitian_eigenvalues(m)) == pytest.approx(
             np.trace(m).real, abs=1e-10
         )
 
@@ -185,7 +186,7 @@ class TestHermitianEigenvalues:
         rotated = u @ m @ u.conj().T
         rotated = (rotated + rotated.conj().T) / 2
         assert np.allclose(
-            L.hermitian_eigenvalues(m), L.hermitian_eigenvalues(rotated), atol=1e-9
+            O.hermitian_eigenvalues(m), O.hermitian_eigenvalues(rotated), atol=1e-9
         )
 
 
@@ -193,56 +194,56 @@ class TestVonNeumannEntropy:
     def test_pure_state(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert L.von_neumann_entropy(rho) == 0.0
+        assert O.von_neumann_entropy(rho) == 0.0
 
     def test_maximally_mixed(self):
-        assert L.von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
+        assert O.von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
 
     def test_bell_diagonal(self):
         rho = bd_to_density(BellDiagonalState(-0.5, 0.4, 0.8))
-        assert L.von_neumann_entropy(rho) == pytest.approx(SHANNON_FIG, abs=1e-10)
+        assert O.von_neumann_entropy(rho) == pytest.approx(SHANNON_FIG, abs=1e-10)
 
     def test_trace_check(self):
         with pytest.raises(L.DomainError):
-            L.von_neumann_entropy(np.eye(4))
+            O.von_neumann_entropy(np.eye(4))
 
 
 class TestTensorAndPartialTrace:
     def test_identity_product(self):
-        assert np.array_equal(L.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(O.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_sigma3_product(self):
-        z = L.PAULI[3]
-        assert np.allclose(L.tensor_product(z, z), np.diag([1, -1, -1, 1]))
+        z = O.PAULI[3]
+        assert np.allclose(O.tensor_product(z, z), np.diag([1, -1, -1, 1]))
 
     def test_sigma1_product(self):
-        x = L.PAULI[1]
+        x = O.PAULI[1]
         expected = np.fliplr(np.eye(4))
-        assert np.allclose(L.tensor_product(x, x), expected)
+        assert np.allclose(O.tensor_product(x, x), expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(L.DomainError):
-            L.tensor_product(np.eye(2), np.eye(4))
+            O.tensor_product(np.eye(2), np.eye(4))
 
     def test_product_state_marginals(self):
         rho_a = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
         rho_b = np.array([[0.6, 0.2j], [-0.2j, 0.4]], dtype=complex)
         joint = np.kron(rho_a, rho_b)
-        assert np.allclose(L.partial_trace(joint, "A"), rho_a, atol=1e-14)
-        assert np.allclose(L.partial_trace(joint, "B"), rho_b, atol=1e-14)
+        assert np.allclose(O.partial_trace(joint, "A"), rho_a, atol=1e-14)
+        assert np.allclose(O.partial_trace(joint, "B"), rho_b, atol=1e-14)
 
     def test_bell_state_marginal(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        assert np.allclose(L.partial_trace(rho, "B"), np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(O.partial_trace(rho, "B"), np.eye(2) / 2, atol=1e-14)
 
     def test_partial_trace_scales_by_trace(self):
         a = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
         b = 2.0 * np.eye(2, dtype=complex)
-        assert np.allclose(L.partial_trace(np.kron(a, b), "A"), a * 4.0, atol=1e-12)
+        assert np.allclose(O.partial_trace(np.kron(a, b), "A"), a * 4.0, atol=1e-12)
 
     def test_entropy_additivity_on_products(self):
         rho_a = np.diag([0.7, 0.3]).astype(complex)
         rho_b = np.diag([0.9, 0.1]).astype(complex)
         joint = np.kron(rho_a, rho_b)
         s_sum = L.shannon_entropy([0.7, 0.3]) + L.shannon_entropy([0.9, 0.1])
-        assert L.von_neumann_entropy(joint) == pytest.approx(s_sum, abs=1e-9)
+        assert O.von_neumann_entropy(joint) == pytest.approx(s_sum, abs=1e-9)

@@ -4,15 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eurnoise import metrics as M
+from eurnoise import oracles as O
 from eurnoise.linalg import DomainError, binary_entropy
 from eurnoise.states import BellDiagonalState, bd_to_density
-from eurnoise.channels import (
-    ChannelSpec,
-    apply_local_A,
-    evolve_bd_amplitude,
-    evolve_bd_flip,
-    make_flip_channel,
-)
+from eurnoise.channels import ChannelSpec, evolve_bd_amplitude, evolve_bd_flip
 from eurnoise.scenarios import classify_longtime_ad
 
 from conftest import bd_states
@@ -25,12 +20,10 @@ COARSE = (65, 65)  # faster brute-force grid for loops; refinement recovers accu
 
 class TestObservables:
     def test_eigenbases_diagonalize(self):
-        from eurnoise.linalg import PAULI
-
         for idx in (1, 2, 3):
             obs = M.pauli_observable(idx)
             for v, expect in zip(obs.eigenbasis, (1.0, -1.0)):
-                assert np.allclose(PAULI[idx] @ v, expect * v)
+                assert np.allclose(O.PAULI[idx] @ v, expect * v)
             assert abs(np.vdot(obs.eigenbasis[0], obs.eigenbasis[1])) < 1e-12
 
     def test_pair_needs_distinct_axes(self):
@@ -41,21 +34,17 @@ class TestObservables:
     def test_complementarity_half(self, j, k):
         assert M.complementarity(M.pauli_pair(j, k)) == pytest.approx(0.5, abs=1e-12)
 
-    def test_degenerate_pair_raw(self):
-        obs = M.pauli_observable(3)
-        assert M.complementarity_raw(obs, obs) == pytest.approx(1.0)
-
 
 class TestPostMeasurementState:
     def test_fixes_maximally_mixed(self):
         rho = np.eye(4, dtype=complex) / 4
         for idx in (1, 2, 3):
-            out = M.post_measurement_state(rho, M.pauli_observable(idx))
+            out = O.post_measurement_state(rho, M.pauli_observable(idx))
             assert np.allclose(out, rho, atol=1e-14)
 
     def test_bell_state_sigma3(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        out = M.post_measurement_state(rho, M.pauli_observable(3))
+        out = O.post_measurement_state(rho, M.pauli_observable(3))
         expected = np.diag([0.5, 0, 0, 0.5]).astype(complex)
         assert np.allclose(out, expected, atol=1e-14)
 
@@ -63,22 +52,22 @@ class TestPostMeasurementState:
     @given(bd_states(), st.sampled_from([1, 2, 3]))
     def test_idempotent(self, s, idx):
         obs = M.pauli_observable(idx)
-        once = M.post_measurement_state(bd_to_density(s), obs)
-        twice = M.post_measurement_state(once, obs)
+        once = O.post_measurement_state(bd_to_density(s), obs)
+        twice = O.post_measurement_state(once, obs)
         assert np.max(np.abs(once - twice)) < 1e-12
 
 
 class TestConditionalEntropy:
     def test_maximally_mixed(self):
-        assert M.conditional_entropy(np.eye(4) / 4) == pytest.approx(1.0, abs=1e-12)
+        assert O.conditional_entropy(np.eye(4) / 4) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        assert M.conditional_entropy(rho) == pytest.approx(-1.0, abs=1e-10)
+        assert O.conditional_entropy(rho) == pytest.approx(-1.0, abs=1e-10)
 
     def test_fig_state(self, fig_state):
         expected = -sum(p * np.log2(p) for p in (0.225, 0.675, 0.025, 0.075)) - 1.0
-        assert M.conditional_entropy(bd_to_density(fig_state)) == pytest.approx(
+        assert O.conditional_entropy(bd_to_density(fig_state)) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -86,16 +75,16 @@ class TestConditionalEntropy:
 class TestUncertainty:
     def test_maximally_mixed(self):
         rho = np.eye(4, dtype=complex) / 4
-        assert M.uncertainty_U(rho, PAIR_13) == pytest.approx(2.0, abs=1e-10)
+        assert O.uncertainty_U(rho, PAIR_13) == pytest.approx(2.0, abs=1e-10)
 
     def test_bell_vertex_certainty(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        assert M.uncertainty_U(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
+        assert O.uncertainty_U(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
 
     def test_fig_state_closed_form(self, fig_state):
         expected = binary_entropy(0.25) + binary_entropy(0.9)
         assert M.uncertainty_U_bd(fig_state, PAIR_13) == pytest.approx(expected, abs=1e-14)
-        assert M.uncertainty_U(bd_to_density(fig_state), PAIR_13) == pytest.approx(
+        assert O.uncertainty_U(bd_to_density(fig_state), PAIR_13) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -103,7 +92,7 @@ class TestUncertainty:
     @given(bd_states(), st.sampled_from([(1, 2), (1, 3), (2, 3)]))
     def test_general_equals_closed_form(self, s, jk):
         pair = M.pauli_pair(*jk)
-        assert M.uncertainty_U(bd_to_density(s), pair) == pytest.approx(
+        assert O.uncertainty_U(bd_to_density(s), pair) == pytest.approx(
             M.uncertainty_U_bd(s, pair), abs=1e-10
         )
 
@@ -112,20 +101,20 @@ class TestLowerBound:
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_subnormal_flip_on_bell_vertex(self, axis):
         # a subnormal off-diagonal entry must not overflow the eigensolver
-        rho = apply_local_A(make_flip_channel(axis, 2.2e-309), bd_to_density(BELL_VERTEX))
-        assert M.lower_bound_Ub(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
+        rho = O.apply_local_A(O.make_flip_channel(axis, 2.2e-309), bd_to_density(BELL_VERTEX))
+        assert O.lower_bound_Ub(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed(self):
-        assert M.lower_bound_Ub(np.eye(4) / 4, PAIR_13) == pytest.approx(2.0, abs=1e-10)
+        assert O.lower_bound_Ub(np.eye(4) / 4, PAIR_13) == pytest.approx(2.0, abs=1e-10)
 
     def test_bell_vertex(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        assert M.lower_bound_Ub(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
+        assert O.lower_bound_Ub(rho, PAIR_13) == pytest.approx(0.0, abs=1e-9)
 
     def test_fig_state(self, fig_state):
         expected = -sum(p * np.log2(p) for p in (0.225, 0.675, 0.025, 0.075))
         assert M.lower_bound_Ub_bd(fig_state) == pytest.approx(expected, abs=1e-12)
-        assert M.lower_bound_Ub(bd_to_density(fig_state), PAIR_13) == pytest.approx(
+        assert O.lower_bound_Ub(bd_to_density(fig_state), PAIR_13) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -133,8 +122,8 @@ class TestLowerBound:
     @given(bd_states(), st.sampled_from([(1, 2), (1, 3), (2, 3)]))
     def test_never_above_uncertainty(self, s, jk):
         pair = M.pauli_pair(*jk)
-        report = M.uncertainty_report(bd_to_density(s), pair)
-        assert report.slack >= -1e-9
+        rho = bd_to_density(s)
+        assert O.uncertainty_U(rho, pair) - O.lower_bound_Ub(rho, pair) >= -1e-9
 
 
 class TestSpmc:
@@ -165,15 +154,15 @@ class TestSpmc:
 
 class TestConcurrence:
     def test_separable(self):
-        assert M.concurrence(np.eye(4) / 4) == 0.0
+        assert O.concurrence(np.eye(4) / 4) == 0.0
 
     def test_bell_state(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        assert M.concurrence(rho) == pytest.approx(1.0, abs=1e-10)
+        assert O.concurrence(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_fig_state(self, fig_state):
         # 2 max(0, lambda_max - 1/2) = 2 (0.675 - 0.5)
-        assert M.concurrence(bd_to_density(fig_state)) == pytest.approx(0.35, abs=1e-10)
+        assert O.concurrence(bd_to_density(fig_state)) == pytest.approx(0.35, abs=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(bd_states())
@@ -183,7 +172,7 @@ class TestConcurrence:
         lam_max = float(np.max(bell_eigenvalues(s).as_array()))
         expected = 2.0 * max(0.0, lam_max - 0.5)
         # sqrt of a near-zero eigenvalue carries ~1e-9 inherent error
-        assert M.concurrence(bd_to_density(s)) == pytest.approx(expected, abs=1e-7)
+        assert O.concurrence(bd_to_density(s)) == pytest.approx(expected, abs=1e-7)
 
     def test_rank_deficient_state(self):
         # Bell weights proportional to (0, 0.9025..., 0.2125..., 0): the Wootters
@@ -194,7 +183,7 @@ class TestConcurrence:
         s = BellDiagonalState(lpp - lpm + lsp - lsm, -lpp + lpm + lsp - lsm, lpp + lpm - lsp - lsm)
         exact = float(M.xstate_concurrence(0.0, s.as_tuple()))
         assert exact == pytest.approx(2.0 * lam.max() / lam.sum() - 1.0, abs=1e-15)
-        assert M.concurrence(bd_to_density(s)) == pytest.approx(exact, abs=1e-7)
+        assert O.concurrence(bd_to_density(s)) == pytest.approx(exact, abs=1e-7)
 
 
 class TestMinimalMissingInfo:
@@ -302,16 +291,16 @@ class TestMinimalMissingInfoAD:
 
 class TestDiscord:
     def test_classical_state(self):
-        assert M.discord(np.eye(4, dtype=complex) / 4) == pytest.approx(0.0, abs=1e-9)
+        assert O.discord(np.eye(4, dtype=complex) / 4) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        assert M.discord(rho) == pytest.approx(1.0, abs=1e-9)
+        assert O.discord(rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_fig_state(self, fig_state):
         s_ab = -sum(p * np.log2(p) for p in (0.225, 0.675, 0.025, 0.075))
         expected = -(s_ab - 1.0) + binary_entropy(0.9)  # 0.18872...
-        assert M.discord(bd_to_density(fig_state)) == pytest.approx(expected, abs=1e-10)
+        assert O.discord(bd_to_density(fig_state)) == pytest.approx(expected, abs=1e-10)
         assert M.discord_bd(fig_state) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
@@ -373,15 +362,15 @@ class TestXStateCoreVsOracles:
     def test_core_matches_oracles(self, s, spec_strength):
         spec, strength = spec_strength
         r, t = spec.evolve(s, strength)
-        rho = apply_local_A(spec.at(strength), bd_to_density(s))
+        rho = O.apply_local_A(O.channel_at(spec, strength), bd_to_density(s))
         u_b = float(M.xstate_lower_bound_Ub(r, t))
-        assert u_b == pytest.approx(M.lower_bound_Ub(rho, PAIR_13), abs=1e-10)
+        assert u_b == pytest.approx(O.lower_bound_Ub(rho, PAIR_13), abs=1e-10)
         for pair in ALL_PAIRS:
             u = float(M.xstate_uncertainty_U(r, t, pair))
-            assert u == pytest.approx(M.uncertainty_U(rho, pair), abs=1e-10)
+            assert u == pytest.approx(O.uncertainty_U(rho, pair), abs=1e-10)
             assert u >= u_b - 1e-9
         e = float(M.xstate_concurrence(r, t))
-        assert e == pytest.approx(M.concurrence(rho), abs=1e-7)
+        assert e == pytest.approx(O.concurrence(rho), abs=1e-7)
         assert 0.0 <= e <= 1.0
         m = float(M.xstate_minimal_missing_info(r, t)[0])
         assert m == pytest.approx(M.minimal_missing_info_bruteforce(rho, COARSE)[0], abs=1e-9)

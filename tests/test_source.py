@@ -1,9 +1,54 @@
 """Rules on the source text of src/eurnoise."""
 
+import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "eurnoise"
 MAX_LINE = 99
+ORACLES = "eurnoise.oracles"
+# the closed forms an oracle checks, besides every name containing "xstate_"
+CLOSED_FORMS = {
+    "amplitude_damped_xstate",
+    "flip_factors",
+    "evolve_bd_flip",
+    "evolve_bd_amplitude",
+    "minimal_missing_info_bd",
+    "minimal_missing_info_ad",
+    "discord_bd",
+    "uncertainty_U_bd",
+    "lower_bound_Ub_bd",
+    "bell_eigenvalues",
+}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_modules(tree):
+    """Every module an import statement in tree names, relative ones resolved
+    against the eurnoise package; `from eurnoise import x` names eurnoise.x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "eurnoise" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
 
 
 def test_source_lines_fit_the_limit():
@@ -16,3 +61,39 @@ def test_source_lines_fit_the_limit():
         if len(line) > MAX_LINE
     ]
     assert not long, f"lines longer than {MAX_LINE} characters: {long}"
+
+
+def test_runtime_never_imports_the_oracles():
+    runtime = sorted(p for p in SRC.glob("*.py") if p.name != "oracles.py")
+    assert len(runtime) >= 7, f"runtime modules missing under {SRC}"
+    offenders = [
+        f"{path.name}: {module}"
+        for path in runtime
+        for module in imported_modules(parse(path))
+        if module == ORACLES or module.startswith(ORACLES + ".")
+    ]
+    assert not offenders, f"runtime modules import the oracles: {offenders}"
+
+
+def test_oracles_never_call_the_closed_forms():
+    names = set(referenced_names(parse(SRC / "oracles.py")))
+    assert "minimal_missing_info_bruteforce" in names  # the walk sees imports and calls
+    used = sorted(n for n in names if "xstate_" in n or n in CLOSED_FORMS)
+    assert not used, f"oracles.py references closed forms: {used}"
+
+
+def test_cli_import_leaves_the_oracles_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, eurnoise.cli; print(eurnoise.__file__); "
+        "print(*sorted(m for m in sys.modules if m.startswith('eurnoise')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    origin, modules = proc.stdout.splitlines()
+    assert pathlib.Path(origin).resolve() == SRC / "__init__.py"
+    assert "eurnoise.cli" in modules.split()
+    assert ORACLES not in modules.split()

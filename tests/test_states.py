@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from eurnoise import states as S
-from eurnoise.linalg import PAULI, DomainError, hermitian_eigenvalues, partial_trace
+from eurnoise.linalg import DomainError
+from eurnoise.oracles import PAULI, hermitian_eigenvalues, partial_trace
 
 from conftest import bd_states
 
