@@ -1,12 +1,14 @@
 """Rules on the source text of src/eurnoise."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "eurnoise"
+WORKLOADS = SRC.parents[1] / "bench" / "workloads.py"
 MAX_LINE = 99
 ORACLES = "eurnoise.oracles"
 # the closed forms an oracle checks, besides every name containing "xstate_"
@@ -22,6 +24,25 @@ CLOSED_FORMS = {
     "lower_bound_Ub_bd",
     "bell_eigenvalues",
 }
+
+# names that live in eurnoise.oracles only, by the runtime module that once held them
+MOVED = {
+    "linalg": (
+        "PAULI", "IDENTITY_2", "HERMITICITY_TOL", "EIGENVALUE_CLAMP", "PositivityError",
+        "_as_matrix", "is_hermitian", "hermitian_eigenvalues", "von_neumann_entropy",
+        "tensor_product", "partial_trace",
+    ),
+    "channels": (
+        "ChannelError", "KrausChannel", "make_flip_channel", "make_phase_damping",
+        "make_amplitude_damping", "is_unital", "apply_local_A",
+    ),
+    "metrics": (
+        "post_measurement_state", "conditional_entropy", "uncertainty_U", "lower_bound_Ub",
+        "concurrence", "discord",
+    ),
+}
+# bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
+BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
 
 def parse(path):
@@ -97,3 +118,34 @@ def test_cli_import_leaves_the_oracles_unloaded():
     assert pathlib.Path(origin).resolve() == SRC / "__init__.py"
     assert "eurnoise.cli" in modules.split()
     assert ORACLES not in modules.split()
+
+
+def test_moved_names_live_in_the_oracles_only():
+    oracles = importlib.import_module(ORACLES)
+    package = importlib.import_module("eurnoise")
+    misplaced = [
+        f"{module}.{name}"
+        for module, names in MOVED.items()
+        for name in names
+        if not hasattr(oracles, name)
+        or hasattr(importlib.import_module(f"eurnoise.{module}"), name)
+        or hasattr(package, name)
+    ]
+    assert not misplaced, f"names not moved to {ORACLES}: {misplaced}"
+
+
+def test_names_the_bench_reads_still_resolve():
+    paths = {
+        (BENCH_ALIASES[node.value.id], node.attr)
+        for node in ast.walk(parse(WORKLOADS))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in BENCH_ALIASES
+    }
+    assert ("metrics", "minimal_missing_info_bruteforce") in paths
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(paths)
+        if not hasattr(importlib.import_module(f"eurnoise.{module}"), name)
+    ]
+    assert not missing, f"names bench/workloads.py reads are gone: {missing}"
