@@ -45,7 +45,8 @@ _EIGENBASES = {
 
 
 def pauli_observable(index: int) -> PauliObservable:
-    if index not in (1, 2, 3):
+    """Index: an int or numpy integer equal to 1, 2 or 3, as for a flip axis."""
+    if not (isinstance(index, (int, np.integer)) and index in (1, 2, 3)):
         raise DomainError(f"Pauli index must be 1, 2, or 3, got {index}")
     plus, minus = _EIGENBASES[index]
     return PauliObservable(index, (plus.astype(complex), minus.astype(complex)))

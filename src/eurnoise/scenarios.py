@@ -3,6 +3,7 @@ unital-monotonicity property suite."""
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import getitem, itemgetter
@@ -112,17 +113,30 @@ def classify_longtime_ad(s: BellDiagonalState) -> ClassificationResult:
 def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiagonalState]:
     """Grid the measured-axes square and close each point with the SPMC
     value on the unmeasured axis. Every cell lies in the tetrahedron: its
-    Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4."""
+    Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4.
+
+    The records are built with the cyclic GC paused, because CPython never
+    untracks named-tuple records and would walk them all on every collection;
+    the caller's GC setting is restored on every path. The pause is
+    process-wide while the call runs."""
     check_count(resolution, "resolution", 2)
-    j, k = pair.q.index, pair.r.index
-    a = np.linspace(-1.0, 1.0, resolution)
-    vals = a.tolist()  # shared by the states of each row and column
-    # c_i(p, q) == c_i(q, p) to the bit: row p reuses the floats of rows q < p
-    upper = [(-v * a[p:]).tolist() for p, v in enumerate(vals)]
-    rows = (chain(map(getitem, upper[:p], range(p, 0, -1)), row) for p, row in enumerate(upper))
-    c = {j: chain(*map(repeat, vals, repeat(resolution))), k: chain(*repeat(vals, resolution))}
-    c[6 - j - k] = chain.from_iterable(rows)  # the unmeasured axis
-    return list(map(tuple.__new__, repeat(BellDiagonalState), zip(c[1], c[2], c[3])))
+    enabled = gc.isenabled()
+    gc.disable()  # the records hold only floats, so they form no cycles
+    try:
+        j, k = pair.q.index, pair.r.index
+        a = np.linspace(-1.0, 1.0, resolution)
+        vals = a.tolist()  # shared by the states of each row and column
+        # c_i(p, q) == c_i(q, p) to the bit: row p reuses the floats of rows q < p
+        upper = [(-v * a[p:]).tolist() for p, v in enumerate(vals)]
+        # a list, not a generator: zip leaves it unfinished, and closing a
+        # generator allocates, which would start a collection inside the call
+        rows = [chain(map(getitem, upper[:p], range(p, 0, -1)), r) for p, r in enumerate(upper)]
+        c = {j: chain(*map(repeat, vals, repeat(resolution))), k: chain(*repeat(vals, resolution))}
+        c[6 - j - k] = chain.from_iterable(rows)  # the unmeasured axis
+        return list(map(tuple.__new__, repeat(BellDiagonalState), zip(c[1], c[2], c[3])))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)

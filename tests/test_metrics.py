@@ -30,6 +30,19 @@ class TestObservables:
         with pytest.raises(DomainError):
             M.pauli_pair(3, 3)
 
+    @pytest.mark.parametrize("index", [1.0, np.float64(2.0), "1", None, 0, 4], ids=repr)
+    def test_rejects_non_integer_or_out_of_range_index(self, index):
+        # the flip-axis rule of ChannelSpec.check: an int or numpy integer in 1..3
+        with pytest.raises(DomainError, match="Pauli index must be 1, 2, or 3"):
+            M.pauli_observable(index)
+        with pytest.raises(DomainError, match="Pauli index must be 1, 2, or 3"):
+            M.pauli_pair(index, 3)
+
+    def test_accepts_numpy_integer_index(self):
+        s = BellDiagonalState(-0.5, 0.4, 0.8)
+        pair = M.pauli_pair(np.int64(1), 3)
+        assert M.uncertainty_U_bd(s, pair) == M.uncertainty_U_bd(s, PAIR_13)
+
     @pytest.mark.parametrize("j,k", [(1, 2), (1, 3), (2, 3), (3, 1)])
     def test_complementarity_half(self, j, k):
         assert M.complementarity(M.pauli_pair(j, k)) == pytest.approx(0.5, abs=1e-12)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -273,6 +274,45 @@ class TestSpmcSurface:
             assert states[p * res + q].c1 is states[p * res].c1
             assert states[p * res + q].c2 is states[q].c2
 
+    def test_starts_no_cyclic_collection(self):
+        # named-tuple records stay GC-tracked; built with the collector
+        # running, a 401^2 surface starts hundreds of collections
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            states = SC.sample_spmc_surface(PAIR_13, 401)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(states) == 401**2
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_gc_setting(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            SC.sample_spmc_surface(PAIR_13, 41)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_gc_setting_on_error(self, monkeypatch, enabled):
+        # a record type that is not a tuple makes tuple.__new__ raise mid-build
+        monkeypatch.setattr(SC, "BellDiagonalState", dict)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(TypeError, match="not a subtype of tuple"):
+                SC.sample_spmc_surface(PAIR_13, 41)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("resolution", [3.5, 5.0, np.float64(5.0), "5", None, 1], ids=repr)
     def test_rejects_non_integral_or_small_resolution(self, resolution):
         with pytest.raises(DomainError, match="resolution must be an integer >= 2"):
@@ -280,6 +320,10 @@ class TestSpmcSurface:
 
     def test_accepts_numpy_integer_resolution(self):
         assert SC.sample_spmc_surface(PAIR_13, np.int64(5)) == SC.sample_spmc_surface(PAIR_13, 5)
+
+    def test_accepts_numpy_integer_pair(self):
+        pair = pauli_pair(np.int64(1), np.int64(3))
+        assert SC.sample_spmc_surface(pair, 5) == SC.sample_spmc_surface(PAIR_13, 5)
 
     def test_corner_is_bell_vertex(self):
         states = SC.sample_spmc_surface(PAIR_13, 2)

@@ -72,6 +72,20 @@ def referenced_names(tree):
             yield node.name.rsplit(".", 1)[-1]
 
 
+def enclosing_defs(tree, name):
+    """The innermost function around each use of the bare name in tree,
+    "<module>" for a use outside every function."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name:
+                yield scope
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if is_def else scope)
+
+    yield from visit(tree, "<module>")
+
+
 def test_source_lines_fit_the_limit():
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no sources under {SRC}"
@@ -82,6 +96,18 @@ def test_source_lines_fit_the_limit():
         if len(line) > MAX_LINE
     ]
     assert not long, f"lines longer than {MAX_LINE} characters: {long}"
+
+
+def test_gc_is_paused_only_by_the_surface_builder():
+    # each pause of the cyclic GC is a measured case; a second site needs its own
+    imports, uses = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        imports += [f"{path.name}: {m}" for m in imported_modules(tree) if m.split(".")[0] == "gc"]
+        uses += [f"{path.stem}.{scope}" for scope in enclosing_defs(tree, "gc")]
+    assert imports == ["scenarios.py: gc"], f"gc imported outside scenarios.py: {imports}"
+    assert uses, "sample_spmc_surface no longer pauses the GC"
+    assert set(uses) == {"scenarios.sample_spmc_surface"}, f"gc used elsewhere: {uses}"
 
 
 def test_runtime_never_imports_the_oracles():
