@@ -15,15 +15,13 @@ from eurnoise.states import random_bd_states
 def run(n_samples: int, seed: int, out_dir: pathlib.Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
+    states = random_bd_states(n_samples, rng)
+    res = classify_longtime_ad(np.reshape(states, (-1, 3)))  # one call for every state
+    columns = zip(states, res.verdict, res.u_b_initial, res.u_b_limit)
     rows = ["c1,c2,c3,verdict,u_b_initial,u_b_limit"]
-    counts = {"Decrease": 0, "Increase": 0, "Boundary": 0}
-    for s in random_bd_states(n_samples, rng):
-        res = classify_longtime_ad(s)
-        counts[res.verdict] += 1
-        rows.append(
-            f"{s.c1:.12f},{s.c2:.12f},{s.c3:.12f},"
-            f"{res.verdict},{res.u_b_initial:.12f},{res.u_b_limit:.12f}"
-        )
+    rows += [f"{c1:.12f},{c2:.12f},{c3:.12f},{v},{u0:.12f},{u1:.12f}"
+             for (c1, c2, c3), v, u0, u1 in columns]
+    counts = {v: res.verdict.count(v) for v in ("Decrease", "Increase", "Boundary")}
     dest = out_dir / "longtime_verdicts.csv"
     dest.write_text("\n".join(rows) + "\n")
     print(f"wrote {dest}: {counts}")

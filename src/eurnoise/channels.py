@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last
+from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last, is_integer
 from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 
@@ -20,22 +20,12 @@ def pd_equivalent_eta(gamma_t: float) -> float:
     return (1.0 - np.exp(-gamma_t / 2.0)) / 2.0
 
 
-def flip_factors(axis: int, eta) -> np.ndarray:
-    """Factors (..., 3) by which a flip channel scales (T1, T2, T3): the axis
-    coefficient is kept, the other two scale by (1 - 2 eta)."""
-    eta = ChannelSpec("flip", axis).check(eta)
-    f = np.empty(eta.shape + (3,))
-    f[...] = (1.0 - 2.0 * eta)[..., None]
-    f[..., axis - 1] = 1.0
-    return f
-
-
-def amplitude_damped_xstate(c, gamma_t) -> tuple[np.ndarray, np.ndarray]:
-    """(r, T) of Bell-diagonal correlations c (shape (..., 3)) after amplitude
-    damping at Gamma*t: r = e^{-Gt} - 1, T = (e^{-Gt/2} c1, e^{-Gt/2} c2, e^{-Gt} c3)."""
+def amplitude_damping_factors(gamma_t) -> tuple[np.ndarray, np.ndarray]:
+    """(r, f) of amplitude damping at Gamma*t, which maps correlations c to the
+    X state (r, T = c * f): r = e^{-Gt} - 1, f = (e^{-Gt/2}, e^{-Gt/2}, e^{-Gt})."""
     gt = np.asarray(gamma_t, dtype=float)
     e, eh = np.exp(-gt), np.exp(-gt / 2.0)
-    return e - 1.0, np.asarray(c, dtype=float) * _stack_last(eh, eh, e)
+    return e - 1.0, _stack_last(eh, eh, e)
 
 
 def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
@@ -44,8 +34,7 @@ def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalS
 
 
 def evolve_bd_amplitude(s: BellDiagonalState, gamma_t: float) -> np.ndarray:
-    """Closed-form amplitude-damped state: the X-type 4x4 density of
-    ``amplitude_damped_xstate``."""
+    """Closed-form amplitude-damped state as its X-type 4x4 density."""
     return x_state_density(*ChannelSpec("ad").evolve(s, gamma_t))
 
 
@@ -66,9 +55,7 @@ class ChannelSpec:
         a float array."""
         if self.kind not in ("flip", "pd", "ad"):
             raise DomainError(f"unknown channel kind {self.kind!r}; expected flip, pd or ad")
-        if self.kind == "flip" and not (
-            isinstance(self.axis, (int, np.integer)) and self.axis in (1, 2, 3)
-        ):
+        if self.kind == "flip" and not (is_integer(self.axis) and self.axis in (1, 2, 3)):
             raise DomainError(f"flip axis must be 1, 2, or 3, got {self.axis}")
         if self.kind != "flip" and self.axis is not None:
             raise DomainError(f"channel {self.kind!r} takes no axis, got {self.axis}")
@@ -79,15 +66,20 @@ class ChannelSpec:
             raise DomainError(f"{self.kind} strength {float(bad)} outside {rule}")
         return t
 
-    def evolve(self, s: BellDiagonalState, t) -> tuple[np.ndarray, np.ndarray]:
-        """(r, T) of the initial state s, which must lie in the tetrahedron,
-        at each sweep variable in the array t."""
+    def evolve(self, c, t) -> tuple[np.ndarray, np.ndarray]:
+        """(r, T) of correlations c (3,) or (..., 3) in the tetrahedron at strengths
+        t, c[..., 0] broadcast against t: c[:, None, :] over K gives (N, K, 3). A
+        flip scales the two other axes by 1 - 2 eta; pd flips axis 3 at pd_equivalent_eta."""
         t = self.check(t)
-        c = check_bd(s).as_tuple()
+        c = check_bd(c)
         if self.kind == "ad":
-            return amplitude_damped_xstate(c, t)
-        axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
-        return np.zeros_like(t), np.array(c) * flip_factors(axis, eta)
+            r, f = amplitude_damping_factors(t)
+        else:
+            axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
+            r, f = np.zeros_like(t), np.empty(eta.shape + (3,))
+            f[...] = (1.0 - 2.0 * eta)[..., None]
+            f[..., axis - 1] = 1.0
+        return r, c * f
 
 
 CHANNEL_LITERALS = ("flip:1", "flip:2", "flip:3", "pd", "ad")

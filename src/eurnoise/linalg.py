@@ -14,9 +14,14 @@ class DomainError(ValueError):
     """Input violates a documented precondition."""
 
 
+def is_integer(x) -> bool:
+    """The rule for counts, axes and indices: an int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_count(n, name: str, least: int) -> None:
-    """A count must be an int or numpy integer of at least `least`."""
-    if not isinstance(n, (int, np.integer)) or n < least:
+    """A count must be an integer of at least `least`."""
+    if not is_integer(n) or n < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
 
 

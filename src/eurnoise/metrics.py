@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy, _stack_last
+from eurnoise.linalg import DomainError, binary_entropy, is_integer, shannon_entropy, _stack_last
 from eurnoise.states import BellDiagonalState, check_bd
 from eurnoise.channels import ChannelSpec
 
@@ -45,8 +45,8 @@ _EIGENBASES = {
 
 
 def pauli_observable(index: int) -> PauliObservable:
-    """Index: an int or numpy integer equal to 1, 2 or 3, as for a flip axis."""
-    if not (isinstance(index, (int, np.integer)) and index in (1, 2, 3)):
+    """Index: an integer (``is_integer``) equal to 1, 2 or 3, as for a flip axis."""
+    if not (is_integer(index) and index in (1, 2, 3)):
         raise DomainError(f"Pauli index must be 1, 2, or 3, got {index}")
     plus, minus = _EIGENBASES[index]
     return PauliObservable(index, (plus.astype(complex), minus.astype(complex)))
@@ -159,8 +159,11 @@ def witness_discord_from_U(
 
     Applicability: the noise axis must be one of the measured observables,
     its coefficient must dominate in magnitude, and the initial state must
-    satisfy the matching SPMC condition.
+    satisfy the matching SPMC condition; u must be finite.
     """
+    check_bd(s0)
+    if not np.isfinite(u):
+        raise DomainError(f"measured uncertainty {u} is not finite")
     measured = {pair.q.index, pair.r.index}
     if noise_axis is None:
         noise_axis = max(measured, key=lambda i: abs(s0[i]))
@@ -241,17 +244,17 @@ def xstate_minimal_missing_info(r, t):
 
 def uncertainty_U_bd(s: BellDiagonalState, pair: ObservablePair) -> float:
     """H_bin((1+c_j)/2) + H_bin((1+c_k)/2)."""
-    return float(xstate_uncertainty_U(0.0, check_bd(s).as_tuple(), pair))
+    return float(xstate_uncertainty_U(0.0, check_bd(s), pair))
 
 
 def lower_bound_Ub_bd(s: BellDiagonalState) -> float:
     """Joint entropy over the Bell-basis spectrum."""
-    return float(xstate_lower_bound_Ub(0.0, check_bd(s).as_tuple()))
+    return float(xstate_lower_bound_Ub(0.0, check_bd(s)))
 
 
 def minimal_missing_info_bd(s: BellDiagonalState) -> float:
     """H_bin((1 + C_max)/2)."""
-    return float(xstate_minimal_missing_info(0.0, check_bd(s).as_tuple())[0])
+    return float(xstate_minimal_missing_info(0.0, check_bd(s))[0])
 
 
 def discord_bd(s: BellDiagonalState) -> float:

@@ -7,14 +7,16 @@ all four Bell-basis eigenvalues non-negative.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, check_count
+from eurnoise.linalg import DomainError, check_count, is_integer
 
 TETRAHEDRON_TOL = 1e-12
+# signs of (c1, c2, c3), by row, in the Bell weights of (Phi+, Phi-, Psi+, Psi-)
+_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=float)
+_FLOOR = -4 * TETRAHEDRON_TOL  # w/4 >= -tol iff w >= -4 tol: scaling by 4 is exact
 
 
 class BellDiagonalState(NamedTuple):
@@ -28,50 +30,43 @@ class BellDiagonalState(NamedTuple):
         return tuple(self)
 
     def __getitem__(self, axis: int) -> float:
-        if isinstance(axis, (int, np.integer)) and axis in (1, 2, 3):
+        if is_integer(axis) and axis in (1, 2, 3):
             return tuple.__getitem__(self, axis - 1)
         raise DomainError(f"Pauli axis must be 1, 2 or 3, got {axis!r}")
 
 
-@dataclass(frozen=True)
-class SpectrumBD:
-    """Eigenvalues in the Bell basis, ordered (Phi+, Phi-, Psi+, Psi-)."""
-
-    lambda_phi_plus: float
-    lambda_phi_minus: float
-    lambda_psi_plus: float
-    lambda_psi_minus: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(astuple(self))
+def _four_weights(c) -> tuple[np.ndarray, np.ndarray]:
+    """c as a float array (..., 3), and 4 x its Bell weights (..., 4), each
+    summed left to right as written, 1 + c1 - c2 + c3 and so on."""
+    c = np.asarray(c, dtype=float)
+    if c.shape[-1:] != (3,):
+        raise DomainError(f"correlations must have shape (..., 3), got shape {c.shape}")
+    x = c[..., :, None] * _SIGNS  # a - b == a + (-b) exactly
+    return c, 1.0 + x[..., 0, :] + x[..., 1, :] + x[..., 2, :]
 
 
-def _bell_weights(c1, c2, c3) -> tuple:
-    """Bell-basis eigenvalues (Phi+, Phi-, Psi+, Psi-) by scalar arithmetic."""
-    return (
-        (1 + c1 - c2 + c3) / 4,
-        (1 - c1 + c2 + c3) / 4,
-        (1 + c1 + c2 - c3) / 4,
-        (1 - c1 - c2 - c3) / 4,
-    )
+def bell_eigenvalues(c) -> np.ndarray:
+    """Bell-basis spectrum (..., 4), ordered (Phi+, Phi-, Psi+, Psi-), of
+    correlations c in the tetrahedron."""
+    return _four_weights(check_bd(c))[1] / 4
 
 
-def bell_eigenvalues(s: BellDiagonalState) -> SpectrumBD:
-    """Closed-form Bell-basis spectrum of a Bell-diagonal state."""
-    return SpectrumBD(*_bell_weights(*check_bd(s).as_tuple()))
+def is_valid(c):
+    """Whether correlations c, shape (3,) or (..., 3), lie in the tetrahedron:
+    a bool for one state, a bool array over the leading axes for many."""
+    ok = _four_weights(c)[1].min(axis=-1) >= _FLOOR  # False for NaN: min is NaN
+    return bool(ok) if ok.ndim == 0 else ok
 
 
-def is_valid(s: BellDiagonalState) -> bool:
-    """True iff (c1, c2, c3) lies inside the tetrahedron of physical states
-    (False for NaN)."""
-    return all(w >= -TETRAHEDRON_TOL for w in _bell_weights(s.c1, s.c2, s.c3))
-
-
-def check_bd(s: BellDiagonalState) -> BellDiagonalState:
-    """s itself, or a DomainError if it lies outside the tetrahedron."""
-    if not is_valid(s):
-        raise DomainError(f"state {s} lies outside the Bell-diagonal tetrahedron")
-    return s
+def check_bd(c) -> np.ndarray:
+    """Correlations c as a float array of shape (..., 3), or a DomainError
+    naming the first state (in C order) outside the tetrahedron."""
+    c, w = _four_weights(c)
+    if w.size and not w.min() >= _FLOOR:  # the rule of is_valid, over every state
+        states = c.reshape(-1, 3)
+        bad = tuple(states[~is_valid(states)][0].tolist())
+        raise DomainError(f"state {bad} lies outside the Bell-diagonal tetrahedron")
+    return c
 
 
 def x_state_density(r: float, t) -> np.ndarray:
@@ -86,7 +81,7 @@ def x_state_density(r: float, t) -> np.ndarray:
 
 def bd_to_density(s: BellDiagonalState) -> np.ndarray:
     """4x4 density matrix (1/4)(I + sum_j c_j sigma_j x sigma_j)."""
-    return x_state_density(0.0, check_bd(s).as_tuple())
+    return x_state_density(0.0, check_bd(s))
 
 
 def parse_state_literal(text: str) -> BellDiagonalState:
@@ -100,16 +95,17 @@ def parse_state_literal(text: str) -> BellDiagonalState:
         c1, c2, c3 = (float(p) for p in parts)
     except ValueError as exc:
         raise DomainError(f"state literal {text!r}: {exc}") from exc
-    return check_bd(BellDiagonalState(c1, c2, c3))
+    s = BellDiagonalState(c1, c2, c3)
+    check_bd(s)
+    return s
 
 
 def random_bd_states(n: int, rng: np.random.Generator) -> list[BellDiagonalState]:
-    """Uniform sample over the tetrahedron by rejection from the cube."""
+    """Uniform sample over the tetrahedron by rejection from the cube; each
+    round draws only the missing triples, so the stream is one triple a time."""
     check_count(n, "n", 0)
     out: list[BellDiagonalState] = []
     while len(out) < n:
-        c = rng.uniform(-1.0, 1.0, size=3)
-        s = BellDiagonalState(*c)
-        if is_valid(s):
-            out.append(s)
+        c = rng.uniform(-1.0, 1.0, size=(n - len(out), 3))
+        out += map(BellDiagonalState._make, c[is_valid(c)].tolist())
     return out

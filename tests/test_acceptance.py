@@ -21,13 +21,7 @@ from eurnoise.states import (
     bell_eigenvalues,
     random_bd_states,
 )
-from eurnoise.channels import (
-    ChannelSpec,
-    evolve_bd_amplitude,
-    evolve_bd_flip,
-    flip_factors,
-    pd_equivalent_eta,
-)
+from eurnoise.channels import ChannelSpec, evolve_bd_amplitude, evolve_bd_flip, pd_equivalent_eta
 from eurnoise.scenarios import (
     SweepConfig,
     classify_longtime_ad,
@@ -170,7 +164,7 @@ def test_criterion_7_longtime_classification():
         for s in random_bd_states(1000, rng):
             res = classify_longtime_ad(s)
             assert res.u_b_limit == pytest.approx(1.0, abs=1e-6)
-            s0 = shannon_entropy(np.clip(bell_eigenvalues(s).as_array(), 0.0, None))
+            s0 = shannon_entropy(np.clip(bell_eigenvalues(s), 0.0, None))
             if s0 > 1.0 + 1e-9:
                 assert res.verdict == "Decrease"
             elif s0 < 1.0 - 1e-9:
@@ -191,7 +185,7 @@ def test_criterion_8_oracle_equivalence():
             via_kraus = O.apply_local_A(O.make_amplitude_damping(gt), bd_to_density(s))
             assert np.max(np.abs(via_kraus - evolve_bd_amplitude(s, gt))) <= 1e-10
         for s in random_bd_states(200, rng):
-            closed = np.sort(bell_eigenvalues(s).as_array())
+            closed = np.sort(bell_eigenvalues(s))
             lapack = np.sort(O.hermitian_eigenvalues(bd_to_density(s)))
             assert np.max(np.abs(closed - lapack)) <= 1e-10
 
@@ -200,12 +194,13 @@ def test_criterion_9_uncertainty_relation_never_violated():
     with criterion(9, "U - U_b >= -1e-9 across >= 50,000 randomized evaluations"):
         rng = np.random.default_rng(99)
         states = random_bd_states(500, rng)
-        # flips and phase damping keep a state Bell-diagonal: every state times
-        # the factors of 30 flip moves and 10 phase-damping moves, (500, 40, 3)
+        # flips and phase damping keep a state Bell-diagonal: every state under
+        # 30 flip moves and 10 phase-damping moves, (500, 40, 3)
+        c = np.array(states)[:, None, :]
         levels = np.linspace(0.0, 0.5, 10)
-        moves = [flip_factors(axis, levels) for axis in (1, 2, 3)]
-        moves.append(flip_factors(3, pd_equivalent_eta(np.linspace(0.0, 10.0, 10))))
-        t = np.array(states)[:, None, :] * np.concatenate(moves)
+        moves = [ChannelSpec("flip", axis).evolve(c, levels)[1] for axis in (1, 2, 3)]
+        moves.append(ChannelSpec("pd").evolve(c, np.linspace(0.0, 10.0, 10))[1])
+        t = np.concatenate(moves, axis=1)
         u_b = M.xstate_lower_bound_Ub(0.0, t)
         slacks = [M.xstate_uncertainty_U(0.0, t, pair) - u_b for pair in ALL_PAIRS]
         n_evals = sum(x.size for x in slacks)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from eurnoise import channels as C
 from eurnoise import oracles as O
 from eurnoise.linalg import DomainError
-from eurnoise.states import BellDiagonalState, bd_to_density
+from eurnoise.states import BellDiagonalState, bd_to_density, random_bd_states
 
 from conftest import bd_states
 
@@ -221,6 +221,8 @@ BAD_SPECS = [
     C.ChannelSpec("flip", axis=3.0),
     C.ChannelSpec("pd", axis=3),
     C.ChannelSpec("ad", axis=1),
+    C.ChannelSpec("flip", axis=True),
+    C.ChannelSpec("flip", axis=False),
 ]
 
 
@@ -299,21 +301,83 @@ class TestEvolveChecksState:
             C.evolve_bd_amplitude(s, 0.1)
 
 
-class TestFlipFactors:
-    @pytest.mark.parametrize("axis", [0, 4, 3.0, -1, None])
-    def test_bad_axis_rejected(self, axis):
+class TestFlipFactorsThroughEvolve:
+    """ChannelSpec.evolve is the one place that builds the flip and
+    phase-damping factors: the axis coefficient is kept, the other two scale
+    by 1 - 2 eta; pd is the phase flip at pd_equivalent_eta."""
+
+    @pytest.mark.parametrize("axis", [0, 4, 3.0, -1, None, True, False])
+    def test_bad_axis_rejected(self, axis, fig_state):
         with pytest.raises(DomainError, match="flip axis"):
-            C.flip_factors(axis, 0.1)
+            C.ChannelSpec("flip", axis).evolve(fig_state, 0.1)
 
     @pytest.mark.parametrize("eta", [-0.1, 1.5, np.nan, np.inf])
-    def test_bad_eta_rejected(self, eta):
+    def test_bad_eta_rejected(self, eta, fig_state):
         with pytest.raises(DomainError, match="strength"):
-            C.flip_factors(3, np.array([0.0, eta]))
+            C.ChannelSpec("flip", 3).evolve(fig_state, np.array([0.0, eta]))
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_factors(self, axis):
-        f = C.flip_factors(axis, np.array([0.0, 0.25, 0.5]))
+        c = np.array([-1.0, 1.0, 1.0])  # a Bell vertex: T / c is the factor exactly
+        r, t = C.ChannelSpec("flip", axis).evolve(c, np.array([0.0, 0.25, 0.5]))
         expected = np.array([[1.0] * 3, [0.5] * 3, [0.0] * 3])
         expected[:, axis - 1] = 1.0
-        assert f.tolist() == expected.tolist()
-        assert C.flip_factors(axis, 0.25).shape == (3,)
+        assert (t / c).tolist() == expected.tolist() and r.tolist() == [0.0] * 3
+        assert C.ChannelSpec("flip", axis).evolve(c, 0.25)[1].shape == (3,)
+
+    def test_pd_is_the_phase_flip_at_the_equivalent_eta(self):
+        c = np.array([-0.5, 0.4, 0.8])
+        gt = np.linspace(0.0, 10.0, 7)
+        r, t = C.ChannelSpec("pd").evolve(c, gt)
+        flip = C.ChannelSpec("flip", 3).evolve(c, C.pd_equivalent_eta(gt))[1]
+        assert t.tobytes() == flip.tobytes() and r.tolist() == [0.0] * 7
+
+
+def _seeded_correlations(n, seed):
+    return np.array(random_bd_states(n, np.random.default_rng(seed)))
+
+
+class TestEvolveOverManyStates:
+    """One state is the N = 1 case of the array path: evolving N states at
+    once equals N single-state calls bit for bit."""
+
+    @pytest.mark.parametrize("literal", C.CHANNEL_LITERALS)
+    def test_grid_per_state_equals_single_calls(self, literal):
+        spec = C.parse_channel_literal(literal)
+        c = _seeded_correlations(200, 17)
+        grid = np.linspace(0.0, 1.0 if spec.kind == "flip" else 10.0, 9)
+        r, t = spec.evolve(c[:, None, :], grid)
+        assert t.shape == (200, 9, 3)
+        for n in range(len(c)):
+            r1, t1 = spec.evolve(c[n], grid)
+            assert t[n].tobytes() == t1.tobytes() and r.tobytes() == r1.tobytes()
+
+    @pytest.mark.parametrize("literal", C.CHANNEL_LITERALS)
+    def test_strength_per_state_equals_single_calls(self, literal):
+        spec = C.parse_channel_literal(literal)
+        c = _seeded_correlations(200, 23)
+        strengths = np.random.default_rng(5).uniform(0.0, 1.0, 200)
+        r, t = spec.evolve(c, strengths)
+        assert t.shape == (200, 3)
+        for n in range(len(c)):
+            r1, t1 = spec.evolve(c[n], strengths[n])
+            assert t[n].tobytes() == t1.tobytes() and r[n].tobytes() == r1.tobytes()
+
+    @pytest.mark.parametrize("literal", C.CHANNEL_LITERALS)
+    def test_tuple_array_and_state_agree(self, literal):
+        spec = C.parse_channel_literal(literal)
+        grid = np.array([0.0, 0.3, 0.6])
+        via_state = spec.evolve(BellDiagonalState(0.1, 0.2, 0.3), grid)
+        for c in [(0.1, 0.2, 0.3), [0.1, 0.2, 0.3], np.array([0.1, 0.2, 0.3])]:
+            r, t = spec.evolve(c, grid)
+            assert t.tobytes() == via_state[1].tobytes() and r.tobytes() == via_state[0].tobytes()
+
+    def test_names_the_first_state_outside(self):
+        c = np.array([[0.1, 0.2, 0.3], [0.9, 0.9, 0.9], [1.0, 1.0, 1.0]])
+        with pytest.raises(DomainError, match=r"state \(0\.9, 0\.9, 0\.9\) lies outside"):
+            C.ChannelSpec("ad").evolve(c[:, None, :], np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 2)])
+    def test_rejects_arrays_that_are_not_correlations(self, shape):
+        with pytest.raises(DomainError, match="shape"):
+            C.ChannelSpec("pd").evolve(np.zeros(shape), 1.0)

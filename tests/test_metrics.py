@@ -30,7 +30,9 @@ class TestObservables:
         with pytest.raises(DomainError):
             M.pauli_pair(3, 3)
 
-    @pytest.mark.parametrize("index", [1.0, np.float64(2.0), "1", None, 0, 4], ids=repr)
+    @pytest.mark.parametrize(
+        "index", [1.0, np.float64(2.0), "1", None, 0, 4, True, False, np.True_], ids=repr
+    )
     def test_rejects_non_integer_or_out_of_range_index(self, index):
         # the flip-axis rule of ChannelSpec.check: an int or numpy integer in 1..3
         with pytest.raises(DomainError, match="Pauli index must be 1, 2, or 3"):
@@ -182,7 +184,7 @@ class TestConcurrence:
     def test_bd_closed_form(self, s):
         from eurnoise.states import bell_eigenvalues
 
-        lam_max = float(np.max(bell_eigenvalues(s).as_array()))
+        lam_max = float(np.max(bell_eigenvalues(s)))
         expected = 2.0 * max(0.0, lam_max - 0.5)
         # sqrt of a near-zero eigenvalue carries ~1e-9 inherent error
         assert O.concurrence(bd_to_density(s)) == pytest.approx(expected, abs=1e-7)
@@ -248,8 +250,10 @@ OUTSIDE_STATES = [
         M.lower_bound_Ub_bd,
         lambda s: M.minimal_missing_info_ad(s, 1.0),
         classify_longtime_ad,
+        lambda s: M.witness_discord_from_U(s, PAIR_13, 1.0),
     ],
-    ids=["uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_ad", "classify"],
+    ids=["uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_ad", "classify",
+         "witness_discord_from_U"],
 )
 def test_entry_points_reject_states_outside_tetrahedron(s, entry):
     with pytest.raises(DomainError, match="outside the Bell-diagonal tetrahedron"):
@@ -345,8 +349,13 @@ class TestDiscordWitness:
         with pytest.raises(M.WitnessNotValidError):
             M.witness_discord_from_U(s, PAIR_13, 1.0, noise_axis=3)
 
+    @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_measured_u_that_is_not_finite(self, u, fig_state):
+        with pytest.raises(DomainError, match="not finite"):
+            M.witness_discord_from_U(fig_state, PAIR_13, u)
+
     def test_rejects_spmc_violation(self):
-        s = BellDiagonalState(-0.5, 0.1, 0.8)
+        s = BellDiagonalState(-0.5, 0.35, 0.8)  # inside the tetrahedron, c2 != -c1*c3
         with pytest.raises(M.WitnessNotValidError):
             M.witness_discord_from_U(s, PAIR_13, 1.0)
 

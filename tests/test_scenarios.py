@@ -7,7 +7,7 @@ import pytest
 from eurnoise import scenarios as SC
 from eurnoise.linalg import DomainError, binary_entropy
 from eurnoise.states import BellDiagonalState, random_bd_states
-from eurnoise.channels import ChannelSpec, amplitude_damped_xstate
+from eurnoise.channels import ChannelSpec
 from eurnoise.metrics import (
     pauli_pair,
     spmc_holds,
@@ -186,7 +186,7 @@ class TestClassifyOneCoreCall:
     def test_matches_separate_evaluations_exactly(self):
         for s in random_bd_states(1000, np.random.default_rng(2024)):
             res = SC.classify_longtime_ad(s)
-            limit = xstate_lower_bound_Ub(*amplitude_damped_xstate(s.as_tuple(), 50.0))
+            limit = xstate_lower_bound_Ub(*ChannelSpec("ad").evolve(s, 50.0))
             assert res.u_b_initial == lower_bound_Ub_bd(s)
             assert res.u_b_limit == float(limit)
 
@@ -201,6 +201,45 @@ class TestClassifyOneCoreCall:
         monkeypatch.setattr(SC, "xstate_lower_bound_Ub", counted)
         SC.classify_longtime_ad(FIG_STATE)
         assert shapes == [(2, 3)]
+        SC.classify_longtime_ad(np.array(random_bd_states(37, np.random.default_rng(1))))
+        assert shapes == [(2, 3), (37, 2, 3)]
+
+
+class TestClassifyManyStates:
+    """One state is the N = 1 case of the array path: N states give length-N
+    columns equal to N single-state calls bit for bit."""
+
+    def test_columns_equal_single_calls_bitwise(self):
+        states = random_bd_states(1500, np.random.default_rng(77))
+        many = SC.classify_longtime_ad(np.array(states))
+        assert [len(col) for col in (many.verdict, many.u_b_initial, many.u_b_limit)] == [1500] * 3
+        assert {"Decrease", "Increase"} <= set(many.verdict)
+        single = [SC.classify_longtime_ad(s) for s in states]
+        assert many.verdict == [res.verdict for res in single]
+        assert np.array(many.u_b_initial).tobytes() == np.array([r.u_b_initial for r in single]).tobytes()
+        assert np.array(many.u_b_limit).tobytes() == np.array([r.u_b_limit for r in single]).tobytes()
+
+    def test_one_state_gives_plain_scalars(self):
+        for c in [FIG_STATE, (-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
+            res = SC.classify_longtime_ad(c)
+            assert type(res.verdict) is str and type(res.u_b_initial) is float
+            assert type(res.u_b_limit) is float and res == SC.classify_longtime_ad(FIG_STATE)
+
+    def test_boundary_band(self, monkeypatch):
+        # U_b exactly at the limit, or within the band of it, is a boundary
+        monkeypatch.setattr(SC, "xstate_lower_bound_Ub", lambda r, t: np.array(
+            [[1.0, 1.0], [1.0 + 1e-9, 1.0], [1.0 - 1e-9, 1.0], [1.0 + 3e-9, 1.0], [0.5, 1.0]]
+        ))
+        res = SC.classify_longtime_ad(np.zeros((5, 3)))
+        assert res.verdict == ["Boundary", "Boundary", "Boundary", "Decrease", "Increase"]
+
+    def test_empty_and_outside(self):
+        res = SC.classify_longtime_ad(np.zeros((0, 3)))
+        assert (res.verdict, res.u_b_initial, res.u_b_limit) == ([], [], [])
+        with pytest.raises(DomainError, match=r"state \(0\.9, 0\.9, 0\.9\) lies outside"):
+            SC.classify_longtime_ad(np.array([[0.0, 0.0, 0.0], [0.9, 0.9, 0.9]]))
+        with pytest.raises(DomainError, match=r"shape \(3,\) or \(N, 3\)"):
+            SC.classify_longtime_ad(np.zeros((2, 2, 3)))
 
 
 def _sweep_columns(cfg):
@@ -362,11 +401,32 @@ class TestUnitalPropertyCheck:
     @pytest.mark.parametrize(
         "trials, seed",
         [(1, -1), (0, 5), (2.5, 1), (3.0, 1), (np.float64(3.0), 1), ("3", 1), (None, 1),
-         (1, 2.5), (1, None)],
+         (1, 2.5), (1, None), (True, 1), (False, 1), (1, True), (1, False), (True, False)],
     )
     def test_rejects_bad_arguments(self, trials, seed):
         with pytest.raises(DomainError):
             SC.property_check_unital(trials, seed)
+
+    def test_violation_names_spec_and_strength_on_its_own_grid(self, monkeypatch):
+        # a core that reports every evolved U_b one bit lower makes every check
+        # a violation, in the order of UNITAL_FAMILIES and their grids
+        core = SC.xstate_lower_bound_Ub
+
+        def lowered(r, t):
+            return core(r, t) - (1.0 if np.ndim(t) == 3 else 0.0)
+
+        monkeypatch.setattr(SC, "xstate_lower_bound_Ub", lowered)
+        report = SC.property_check_unital(2, seed=4)
+        assert report.n_violations == report.n_checks == 80
+        states = random_bd_states(2, np.random.default_rng(4))
+        moves = [(spec, x) for spec, grid in SC.UNITAL_FAMILIES for x in grid]
+        assert [v[:3] for v in report.violations] == [(s, *m) for s in states for m in moves]
+        assert [spec for spec, _ in SC.UNITAL_FAMILIES] == [
+            ChannelSpec("flip", 1), ChannelSpec("flip", 2), ChannelSpec("flip", 3), ChannelSpec("pd")]
+        pd_strengths = [v[2] for v in report.violations[:40] if v[1] == ChannelSpec("pd")]
+        assert pd_strengths == list(SC.PD_GAMMA_T_GRID) and pd_strengths[-1] == 10.0
+        ub0, ub1 = report.violations[0][3:]
+        assert ub1 == pytest.approx(ub0 - 1.0, abs=1e-12)
 
     def test_deterministic(self):
         a = SC.property_check_unital(1, seed=99)

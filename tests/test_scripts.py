@@ -34,3 +34,17 @@ def test_longtime_geometry(tmp_path):
     assert verdicts[0] == "c1,c2,c3,verdict,u_b_initial,u_b_limit" and len(verdicts) == 51
     surface = (out / "spmc_surface.csv").read_text().splitlines()
     assert surface[0] == "c1,c2,c3" and len(surface) == 1 + 41**2
+
+
+# sha256 of longtime_verdicts.csv for --samples 2000 --seed 0: the sampled
+# states, the verdicts and both U_b columns, to the byte
+LONGTIME_VERDICTS_SHA256 = "6aab34bb2e15843ca324b37ce63aa78ceb679adefe2e8f07bbc210fa7981de14"
+
+
+def test_longtime_geometry_bytes_unchanged(tmp_path):
+    out = tmp_path / "out"
+    args = ("--samples", "2000", "--seed", "0", "--out-dir", str(out))
+    proc = run_script("longtime_geometry.py", *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    data = (out / "longtime_verdicts.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == LONGTIME_VERDICTS_SHA256

@@ -13,8 +13,9 @@ MAX_LINE = 99
 ORACLES = "eurnoise.oracles"
 # the closed forms an oracle checks, besides every name containing "xstate_"
 CLOSED_FORMS = {
-    "amplitude_damped_xstate",
-    "flip_factors",
+    "amplitude_damping_factors",
+    "check_bd",
+    "is_valid",
     "evolve_bd_flip",
     "evolve_bd_amplitude",
     "minimal_missing_info_bd",

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -14,19 +15,30 @@ from conftest import bd_states
 class TestBellEigenvalues:
     def test_maximally_mixed(self):
         spec = S.bell_eigenvalues(S.BellDiagonalState(0, 0, 0))
-        assert np.allclose(spec.as_array(), 0.25)
+        assert np.allclose(spec, 0.25)
 
     def test_bell_vertex(self):
         spec = S.bell_eigenvalues(S.BellDiagonalState(-1, 1, 1))
-        assert np.allclose(spec.as_array(), [0, 1, 0, 0], atol=1e-15)
+        assert np.allclose(spec, [0, 1, 0, 0], atol=1e-15)
 
     def test_fig_state(self, fig_state):
         spec = S.bell_eigenvalues(fig_state)
-        assert np.allclose(spec.as_array(), [0.225, 0.675, 0.025, 0.075], atol=1e-14)
+        assert np.allclose(spec, [0.225, 0.675, 0.025, 0.075], atol=1e-14)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(DomainError):
             S.bell_eigenvalues(S.BellDiagonalState(1, 1, 1))
+
+    def test_weights_rounded_as_written(self):
+        # (1 + c1 - c2 + c3)/4 and so on, left to right, for every state
+        c = np.array(S.random_bd_states(500, np.random.default_rng(8)))
+        c1, c2, c3 = c.T
+        written = np.stack(
+            [(1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4,
+             (1 + c1 + c2 - c3) / 4, (1 - c1 - c2 - c3) / 4], axis=-1
+        )
+        assert S.bell_eigenvalues(c).tobytes() == written.tobytes()
+        assert S.bell_eigenvalues(c[7]).tobytes() == written[7].tobytes()
 
 
 NAN_STATES = [S.BellDiagonalState(*c) for c in [(np.nan, 0, 0), (0, np.nan, 0), (0, 0, np.nan)]]
@@ -42,6 +54,44 @@ class TestTetrahedronCheck:
     def test_boundary_tolerance(self):
         assert S.is_valid(S.BellDiagonalState(-1, 1, 1 + 2e-12))
         assert not S.is_valid(S.BellDiagonalState(-1, 1, 1 + 8e-12))
+
+    def test_tolerance_edge_to_the_ulp(self):
+        # every float c3 within 50 ulps of where the weights of (-1, 1, c3)
+        # cross -1e-12, against the rule in scalar Python arithmetic
+        def written(c1, c2, c3):
+            weights = ((1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4,
+                       (1 + c1 + c2 - c3) / 4, (1 - c1 - c2 - c3) / 4)
+            return all(w >= -S.TETRAHEDRON_TOL for w in weights)
+
+        c3 = (1.0 + 4e-12) + np.arange(-50, 51) * 2.0**-52
+        edge = np.stack([np.full_like(c3, -1.0), np.ones_like(c3), c3], axis=-1)
+        expected = [written(*c) for c in edge.tolist()]
+        assert any(expected) and not all(expected)
+        assert S.is_valid(edge).tolist() == expected
+        assert [S.is_valid(c) for c in edge] == expected
+
+    def test_plain_tuples_and_arrays(self):
+        for c in [(0.1, 0.2, 0.3), [0.1, 0.2, 0.3], np.array([0.1, 0.2, 0.3])]:
+            assert S.check_bd(c).tolist() == [0.1, 0.2, 0.3] and S.is_valid(c) is True
+        assert S.is_valid(np.zeros(3)) is True and S.is_valid((0.9, 0.9, 0.9)) is False
+        assert S.check_bd(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_many_states(self):
+        c = np.array([[0.1, 0.2, 0.3], [0.9, 0.9, 0.9], [np.nan, 0, 0], [-1, 1, 1]])
+        assert S.is_valid(c).tolist() == [True, False, False, True]
+        assert S.is_valid(c.reshape(2, 2, 3)).tolist() == [[True, False], [False, True]]
+        assert S.check_bd(c[[0, 3]]).tolist() == [[0.1, 0.2, 0.3], [-1.0, 1.0, 1.0]]
+        with pytest.raises(DomainError, match=r"state \(0\.9, 0\.9, 0\.9\) lies outside"):
+            S.check_bd(c)
+        with pytest.raises(DomainError, match=r"state \(nan, 0\.0, 0\.0\) lies outside"):
+            S.check_bd(c[[0, 2, 1]].reshape(3, 1, 3))
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 2), (3, 0)])
+    def test_rejects_arrays_that_are_not_correlations(self, shape):
+        with pytest.raises(DomainError, match="shape"):
+            S.check_bd(np.zeros(shape))
+        with pytest.raises(DomainError, match="shape"):
+            S.is_valid(np.zeros(shape))
 
 
 class TestBdToDensity:
@@ -92,7 +142,7 @@ def test_marginals_maximally_mixed(s):
 @settings(max_examples=60)
 @given(bd_states())
 def test_spectrum_consistency(s):
-    closed = np.sort(S.bell_eigenvalues(s).as_array())
+    closed = np.sort(S.bell_eigenvalues(s))
     lapack = np.sort(hermitian_eigenvalues(S.bd_to_density(s)))
     assert np.max(np.abs(closed - lapack)) < 1e-10
 
@@ -125,8 +175,9 @@ class TestStateRecord:
         assert self.S0[np.int64(3)] == 0.3
         assert (self.S0.c1, self.S0.c2, self.S0.c3) == (0.1, 0.2, 0.3)
 
-    @pytest.mark.parametrize("index", [0, -1, 4, -3, 1.0, "1", None, slice(1, 3), slice(None)],
-                             ids=repr)
+    @pytest.mark.parametrize(
+        "index", [0, -1, 4, -3, 1.0, "1", None, slice(1, 3), slice(None), True, False], ids=repr
+    )
     def test_other_indices_rejected(self, index):
         with pytest.raises(DomainError, match="Pauli axis must be 1, 2 or 3"):
             self.S0[index]
@@ -167,7 +218,29 @@ def test_random_bd_states_reproducible():
     assert S.random_bd_states(0, rng_a) == []
 
 
-@pytest.mark.parametrize("n", [-3, 2.5, 3.0, np.float64(3.0), "3", None], ids=repr)
+# sha256 of the 5000 states' bytes, and the PCG64 state word after the draws;
+# seeded test data depends on this stream
+RANDOM_STATES_PINS = {
+    0: ("23196a50ca40505f2a2f20c3c7a78855754b8854964b860c3a2a7d5385efaa5d",
+        318513303444087525909301295680150207116),
+    7: ("d3d70bab19d42f8a3ca2f7d7d622391afaca7b5b01cc978a794254c432a0f56f",
+        35675370313698889089847293795400469259),
+    123: ("cb84db0e79315a8e6b8f74d055ba43bbbe69bef6b87c182e7de066ffc5865a17",
+          309756713283393362641688133210189014806),
+}
+
+
+@pytest.mark.parametrize("seed", RANDOM_STATES_PINS)
+def test_random_bd_states_stream_pinned(seed):
+    rng = np.random.default_rng(seed)
+    states = S.random_bd_states(5000, rng)
+    digest, after = RANDOM_STATES_PINS[seed]
+    assert len(states) == 5000 and all(type(s) is S.BellDiagonalState for s in states)
+    assert hashlib.sha256(np.array(states).tobytes()).hexdigest() == digest
+    assert rng.bit_generator.state["state"]["state"] == after
+
+
+@pytest.mark.parametrize("n", [-3, 2.5, 3.0, np.float64(3.0), "3", None, True, False], ids=repr)
 def test_random_bd_states_rejects_bad_counts(n):
     with pytest.raises(DomainError, match="n must be an integer >= 0"):
         S.random_bd_states(n, np.random.default_rng(42))
