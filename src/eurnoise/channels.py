@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last, is_integer
+from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last, is_axis
 from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 
@@ -55,7 +55,7 @@ class ChannelSpec:
         a float array."""
         if self.kind not in ("flip", "pd", "ad"):
             raise DomainError(f"unknown channel kind {self.kind!r}; expected flip, pd or ad")
-        if self.kind == "flip" and not (is_integer(self.axis) and self.axis in (1, 2, 3)):
+        if self.kind == "flip" and not is_axis(self.axis):
             raise DomainError(f"flip axis must be 1, 2, or 3, got {self.axis}")
         if self.kind != "flip" and self.axis is not None:
             raise DomainError(f"channel {self.kind!r} takes no axis, got {self.axis}")

@@ -16,6 +16,7 @@ from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, parse_channel_liter
 from eurnoise.metrics import ObservablePair, pauli_pair
 from eurnoise.scenarios import (
     ALL_COLUMNS,
+    FIG_STATE,
     SweepConfig,
     classify_longtime_ad,
     emit_csv,
@@ -24,7 +25,6 @@ from eurnoise.scenarios import (
     sample_spmc_surface,
 )
 
-FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)
 SMFIG_B_STATE = BellDiagonalState(-1.0, 1.0, 1.0)
 
 

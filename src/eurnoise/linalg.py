@@ -19,6 +19,11 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def is_axis(x) -> bool:
+    """The rule for a Pauli axis: an integer (``is_integer``) equal to 1, 2 or 3."""
+    return is_integer(x) and x in (1, 2, 3)
+
+
 def check_count(n, name: str, least: int) -> None:
     """A count must be an integer of at least `least`."""
     if not is_integer(n) or n < least:

@@ -1,9 +1,11 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
 Every quantity has a closed form over arrays of X states (``xstate_*``), the
-runtime route; the independent density-matrix routes that check them live in
-``eurnoise.oracles``. The brute-force minimizer for M is an oracle too, but it
-stays here until the benchmark, which reads it at this path, is repointed.
+runtime route. A Pauli pair is two axis integers, and any two distinct axes have
+eigenbases of overlap c = 1/2. The density-matrix routes that check the closed
+forms, the eigenbases and c included, live in ``eurnoise.oracles``; so does the
+brute-force minimizer for M, save that it stays here until the benchmark, which
+reads it at this path, is repointed.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, binary_entropy, is_integer, shannon_entropy, _stack_last
+from eurnoise.linalg import DomainError, binary_entropy, is_axis, shannon_entropy, _stack_last
 from eurnoise.states import BellDiagonalState, check_bd
 from eurnoise.channels import ChannelSpec
 
@@ -22,52 +24,29 @@ class WitnessNotValidError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PauliObservable:
-    index: int
-    eigenbasis: tuple[np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
 class ObservablePair:
-    q: PauliObservable
-    r: PauliObservable
+    """Two distinct Pauli axes (``is_axis``), in the order given: q indexes the surface's rows."""
+
+    q: int
+    r: int
 
     def __post_init__(self):
-        if self.q.index == self.r.index:
+        for axis in (self.q, self.r):
+            if not is_axis(axis):
+                raise DomainError(f"Pauli index must be 1, 2, or 3, got {axis}")
+        if self.q == self.r:
             raise DomainError("observable pair must use two distinct Pauli axes")
 
 
-_EIGENBASES = {
-    1: (np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)),
-    2: (np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)),
-    3: (np.array([1, 0]), np.array([0, 1])),
-}
-
-
-def pauli_observable(index: int) -> PauliObservable:
-    """Index: an integer (``is_integer``) equal to 1, 2 or 3, as for a flip axis."""
-    if not (is_integer(index) and index in (1, 2, 3)):
-        raise DomainError(f"Pauli index must be 1, 2, or 3, got {index}")
-    plus, minus = _EIGENBASES[index]
-    return PauliObservable(index, (plus.astype(complex), minus.astype(complex)))
-
-
 def pauli_pair(j: int, k: int) -> ObservablePair:
-    return ObservablePair(pauli_observable(j), pauli_observable(k))
-
-
-def complementarity(pair: ObservablePair) -> float:
-    """max_{a,b} |<phi_a|phi_b>|^2 over the eigenbases of the pair's observables."""
-    return max(
-        float(abs(np.vdot(a, b)) ** 2) for a in pair.q.eigenbasis for b in pair.r.eigenbasis
-    )
+    return ObservablePair(j, k)
 
 
 def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -> bool:
     """State-preparation-and-measurement-choice test: the coefficient on the
     unmeasured axis must equal minus the product of the measured two."""
-    i = ({1, 2, 3} - {pair.q.index, pair.r.index}).pop()
-    return abs(s[i] + s[pair.q.index] * s[pair.r.index]) <= tol
+    c = check_bd(s)  # c[5 - q - r] is the unmeasured axis
+    return bool(abs(c[5 - pair.q - pair.r] + c[pair.q - 1] * c[pair.r - 1]) <= tol)
 
 
 def _measurement_kets(theta, xi):
@@ -161,27 +140,27 @@ def witness_discord_from_U(
     its coefficient must dominate in magnitude, and the initial state must
     satisfy the matching SPMC condition; u must be finite.
     """
-    check_bd(s0)
+    c = check_bd(s0)
     if not np.isfinite(u):
         raise DomainError(f"measured uncertainty {u} is not finite")
-    measured = {pair.q.index, pair.r.index}
+    measured = {pair.q, pair.r}
     if noise_axis is None:
-        noise_axis = max(measured, key=lambda i: abs(s0[i]))
+        noise_axis = max(measured, key=lambda i: abs(c[i - 1]))
+    elif not is_axis(noise_axis):
+        raise DomainError(f"Pauli axis must be 1, 2 or 3, got {noise_axis!r}")
     if noise_axis not in measured:
         raise WitnessNotValidError(
             f"noise axis {noise_axis} is not one of the measured observables {sorted(measured)}"
         )
-    others = [i for i in (1, 2, 3) if i != noise_axis]
-    if not all(abs(s0[noise_axis]) >= abs(s0[i]) for i in others):
+    dominant = abs(c[noise_axis - 1])
+    if dominant < np.abs(c).max():
         raise WitnessNotValidError(
-            f"|c_{noise_axis}| = {abs(s0[noise_axis])} does not dominate the other coefficients"
+            f"|c_{noise_axis}| = {dominant} does not dominate the other coefficients"
         )
-    if not spmc_holds(s0, pair, tol=1e-9):
+    if not spmc_holds(c, pair, tol=1e-9):
         raise WitnessNotValidError("initial state does not satisfy the SPMC condition")
-    const = float(np.log2(1.0 / complementarity(pair))) + binary_entropy(
-        (1.0 + abs(s0[noise_axis])) / 2.0
-    )
-    return const - u
+    # log2(1/c) = 1 exactly: any two distinct Pauli axes have eigenbasis overlap c = 1/2
+    return 1.0 + binary_entropy((1.0 + dominant) / 2.0) - u
 
 
 # ---- closed forms over the X-state family ----------------------------------
@@ -204,8 +183,7 @@ def _xstate_conditional_entropy(r, t, index: int):
 
 
 def xstate_uncertainty_U(r, t, pair: ObservablePair):
-    q, k = pair.q.index, pair.r.index
-    return _xstate_conditional_entropy(r, t, q) + _xstate_conditional_entropy(r, t, k)
+    return _xstate_conditional_entropy(r, t, pair.q) + _xstate_conditional_entropy(r, t, pair.r)
 
 
 def xstate_lower_bound_Ub(r, t):

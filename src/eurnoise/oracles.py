@@ -5,11 +5,14 @@ here take the long way round, on a 4x4 density matrix in the basis
 {|00>, |01>, |10>, |11>} with qubit A as the most-significant qubit: Kraus
 sums for the channels, LAPACK eigenvalues (numpy.linalg.eigvalsh) for the
 entropies, pinching for U, S(A|B) for U_b, the Wootters formula for
-concurrence, and the brute-force minimizer for discord.
+concurrence, and the brute-force minimizer for discord. The Pauli eigenbases,
+their overlap c and the Bell-diagonal density are built here from the Pauli
+matrices alone.
 
-This module may import the runtime, but no runtime module imports it, and an
-oracle never calls the closed forms it checks; tests/test_source.py holds
-both rules.
+This module imports from the runtime only the domain error, the Shannon
+entropy, the channel contract, the Pauli pair and the brute-force minimizer;
+no runtime module imports it, and an oracle never calls the closed forms it
+checks. tests/test_source.py holds these rules.
 
 Kraus conventions follow the damping parameterization in which the
 amplitude-damping channel relaxes the population toward |1>:
@@ -24,12 +27,7 @@ import numpy as np
 
 from eurnoise.linalg import DomainError, shannon_entropy
 from eurnoise.channels import ChannelSpec
-from eurnoise.metrics import (
-    ObservablePair,
-    PauliObservable,
-    complementarity,
-    minimal_missing_info_bruteforce,
-)
+from eurnoise.metrics import ObservablePair, minimal_missing_info_bruteforce
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-9
@@ -111,6 +109,15 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+def bd_to_density(c) -> np.ndarray:
+    """4x4 density (1/4)(I + sum_j c_j sigma_j x sigma_j) of correlations c,
+    unchecked: a state outside the tetrahedron gives a negative eigenvalue."""
+    rho = np.eye(4, dtype=complex)
+    for j, c_j in zip((1, 2, 3), np.asarray(c, dtype=float), strict=True):
+        rho += c_j * tensor_product(PAULI[j], PAULI[j])
+    return rho / 4
+
+
 # ---- Kraus channels on qubit A ------------------------------------------------
 
 
@@ -184,12 +191,23 @@ def apply_local_A(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
 # ---- metrics on a density matrix -----------------------------------------------
 
 
-def post_measurement_state(rho: np.ndarray, x: PauliObservable) -> np.ndarray:
-    """Pinching of qubit A in the eigenbasis of x:
-    sum_a (|psi_a><psi_a| x I) rho (|psi_a><psi_a| x I)."""
+def eigenbasis(axis: int) -> np.ndarray:
+    """The eigenvectors of PAULI[axis] as columns, from LAPACK (numpy.linalg.eigh)."""
+    return np.linalg.eigh(PAULI[axis])[1]
+
+
+def complementarity(pair: ObservablePair) -> float:
+    """c = max_{a,b} |<phi_a|phi_b>|^2 over the eigenbases of the pair's axes."""
+    return float(np.max(np.abs(eigenbasis(pair.q).conj().T @ eigenbasis(pair.r)) ** 2))
+
+
+def post_measurement_state(rho: np.ndarray, axis: int) -> np.ndarray:
+    """Pinching of qubit A in the eigenbasis of Pauli axis:
+    sum_a (|psi_a><psi_a| x I) rho (|psi_a><psi_a| x I). Neither the order
+    nor the phase of the eigenvectors changes the sum."""
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
-    for v in x.eigenbasis:
+    for v in eigenbasis(axis).T:
         proj = tensor_product(np.outer(v, v.conj()), IDENTITY_2)
         out += proj @ rho @ proj
     return out
@@ -209,8 +227,7 @@ def uncertainty_U(rho: np.ndarray, pair: ObservablePair) -> float:
 
 def lower_bound_Ub(rho: np.ndarray, pair: ObservablePair) -> float:
     """log2(1/c) + S(A|B), the uncertainty lower bound."""
-    c = complementarity(pair)
-    return float(np.log2(1.0 / c)) + conditional_entropy(rho)
+    return float(np.log2(1.0 / complementarity(pair))) + conditional_entropy(rho)
 
 
 def concurrence(rho: np.ndarray) -> float:

@@ -23,6 +23,7 @@ from eurnoise.metrics import (
 )
 
 ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in order
+FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)  # the paper's figure state
 
 
 def _check_columns(cols: tuple[str, ...]) -> None:
@@ -123,7 +124,7 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiago
     enabled = gc.isenabled()
     gc.disable()  # the records hold only floats, so they form no cycles
     try:
-        j, k = pair.q.index, pair.r.index
+        j, k = pair.q, pair.r
         a = np.linspace(-1.0, 1.0, resolution)
         vals = a.tolist()  # shared by the states of each row and column
         # c_i(p, q) == c_i(q, p) to the bit: row p reuses the floats of rows q < p
@@ -176,7 +177,7 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_trials, rng)
-    candidates = states + [BellDiagonalState(-0.5, 0.4, 0.8)]
+    candidates = states + [FIG_STATE]
     c = np.array(candidates)
     ub0 = xstate_lower_bound_Ub(0.0, c)
     # for Bell-diagonal states S(rho) and U_b coincide; check both against

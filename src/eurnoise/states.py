@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, check_count, is_integer
+from eurnoise.linalg import DomainError, check_count, is_axis
 
 TETRAHEDRON_TOL = 1e-12
 # signs of (c1, c2, c3), by row, in the Bell weights of (Phi+, Phi-, Psi+, Psi-)
@@ -30,7 +30,7 @@ class BellDiagonalState(NamedTuple):
         return tuple(self)
 
     def __getitem__(self, axis: int) -> float:
-        if is_integer(axis) and axis in (1, 2, 3):
+        if is_axis(axis):
             return tuple.__getitem__(self, axis - 1)
         raise DomainError(f"Pauli axis must be 1, 2 or 3, got {axis!r}")
 
@@ -77,11 +77,6 @@ def x_state_density(r: float, t) -> np.ndarray:
     rho[0, 3] = rho[3, 0] = t1 - t2
     rho[1, 2] = rho[2, 1] = t1 + t2
     return rho / 4
-
-
-def bd_to_density(s: BellDiagonalState) -> np.ndarray:
-    """4x4 density matrix (1/4)(I + sum_j c_j sigma_j x sigma_j)."""
-    return x_state_density(0.0, check_bd(s))
 
 
 def parse_state_literal(text: str) -> BellDiagonalState:

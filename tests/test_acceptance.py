@@ -15,12 +15,8 @@ import pytest
 from eurnoise import metrics as M
 from eurnoise import oracles as O
 from eurnoise.linalg import binary_entropy, shannon_entropy
-from eurnoise.states import (
-    BellDiagonalState,
-    bd_to_density,
-    bell_eigenvalues,
-    random_bd_states,
-)
+from eurnoise.oracles import bd_to_density
+from eurnoise.states import BellDiagonalState, bell_eigenvalues, random_bd_states
 from eurnoise.channels import ChannelSpec, evolve_bd_amplitude, evolve_bd_flip, pd_equivalent_eta
 from eurnoise.scenarios import (
     SweepConfig,

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from eurnoise import channels as C
 from eurnoise import oracles as O
 from eurnoise.linalg import DomainError
-from eurnoise.states import BellDiagonalState, bd_to_density, random_bd_states
+from eurnoise.oracles import bd_to_density
+from eurnoise.states import BellDiagonalState, random_bd_states
 
 from conftest import bd_states
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from eurnoise import linalg as L
 from eurnoise import oracles as O
-from eurnoise.states import BellDiagonalState, bd_to_density
+from eurnoise.oracles import bd_to_density
+from eurnoise.states import BellDiagonalState
 
 from conftest import hermitian_4x4
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from eurnoise import metrics as M
 from eurnoise import oracles as O
 from eurnoise.linalg import DomainError, binary_entropy
-from eurnoise.states import BellDiagonalState, bd_to_density
+from eurnoise.oracles import bd_to_density
+from eurnoise.states import BellDiagonalState
 from eurnoise.channels import ChannelSpec, evolve_bd_amplitude, evolve_bd_flip
 from eurnoise.scenarios import classify_longtime_ad
 
@@ -21,24 +22,34 @@ COARSE = (65, 65)  # faster brute-force grid for loops; refinement recovers accu
 class TestObservables:
     def test_eigenbases_diagonalize(self):
         for idx in (1, 2, 3):
-            obs = M.pauli_observable(idx)
-            for v, expect in zip(obs.eigenbasis, (1.0, -1.0)):
+            vecs = O.eigenbasis(idx)
+            for v, expect in zip(vecs.T, (-1.0, 1.0)):  # eigh: ascending eigenvalues
                 assert np.allclose(O.PAULI[idx] @ v, expect * v)
-            assert abs(np.vdot(obs.eigenbasis[0], obs.eigenbasis[1])) < 1e-12
+            assert abs(np.vdot(vecs[:, 0], vecs[:, 1])) < 1e-12
 
     def test_pair_needs_distinct_axes(self):
-        with pytest.raises(DomainError):
-            M.pauli_pair(3, 3)
+        for make in (M.pauli_pair, M.ObservablePair):
+            with pytest.raises(DomainError, match="two distinct Pauli axes"):
+                make(3, 3)
+            with pytest.raises(DomainError, match="two distinct Pauli axes"):
+                make(np.int64(2), 2)
+
+    def test_pair_keeps_the_order_given(self):
+        pair = M.pauli_pair(3, 1)
+        assert (pair.q, pair.r) == (3, 1) and pair == M.ObservablePair(3, 1)
+        assert pair != M.pauli_pair(1, 3)
 
     @pytest.mark.parametrize(
         "index", [1.0, np.float64(2.0), "1", None, 0, 4, True, False, np.True_], ids=repr
     )
     def test_rejects_non_integer_or_out_of_range_index(self, index):
-        # the flip-axis rule of ChannelSpec.check: an int or numpy integer in 1..3
-        with pytest.raises(DomainError, match="Pauli index must be 1, 2, or 3"):
-            M.pauli_observable(index)
-        with pytest.raises(DomainError, match="Pauli index must be 1, 2, or 3"):
-            M.pauli_pair(index, 3)
+        # linalg.is_axis, the flip-axis rule of ChannelSpec.check: an int or
+        # numpy integer in 1..3; a directly constructed pair is checked too
+        for make in (M.pauli_pair, M.ObservablePair):
+            with pytest.raises(DomainError, match="Pauli index must be 1, 2, or 3"):
+                make(index, 3)
+            with pytest.raises(DomainError, match="Pauli index must be 1, 2, or 3"):
+                make(3, index)
 
     def test_accepts_numpy_integer_index(self):
         s = BellDiagonalState(-0.5, 0.4, 0.8)
@@ -47,28 +58,27 @@ class TestObservables:
 
     @pytest.mark.parametrize("j,k", [(1, 2), (1, 3), (2, 3), (3, 1)])
     def test_complementarity_half(self, j, k):
-        assert M.complementarity(M.pauli_pair(j, k)) == pytest.approx(0.5, abs=1e-12)
+        assert O.complementarity(M.pauli_pair(j, k)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestPostMeasurementState:
     def test_fixes_maximally_mixed(self):
         rho = np.eye(4, dtype=complex) / 4
         for idx in (1, 2, 3):
-            out = O.post_measurement_state(rho, M.pauli_observable(idx))
+            out = O.post_measurement_state(rho, idx)
             assert np.allclose(out, rho, atol=1e-14)
 
     def test_bell_state_sigma3(self):
         rho = bd_to_density(BellDiagonalState(-1, 1, 1))
-        out = O.post_measurement_state(rho, M.pauli_observable(3))
+        out = O.post_measurement_state(rho, 3)
         expected = np.diag([0.5, 0, 0, 0.5]).astype(complex)
         assert np.allclose(out, expected, atol=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(bd_states(), st.sampled_from([1, 2, 3]))
     def test_idempotent(self, s, idx):
-        obs = M.pauli_observable(idx)
-        once = O.post_measurement_state(bd_to_density(s), obs)
-        twice = O.post_measurement_state(once, obs)
+        once = O.post_measurement_state(bd_to_density(s), idx)
+        twice = O.post_measurement_state(once, idx)
         assert np.max(np.abs(once - twice)) < 1e-12
 
 
@@ -152,6 +162,13 @@ class TestSpmc:
 
     def test_fig_state_pair_12_fails(self, fig_state):
         assert not M.spmc_holds(fig_state, M.pauli_pair(1, 2))
+
+    def test_record_tuple_and_array_agree(self, fig_state):
+        for c in [fig_state, (-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
+            for jk in [(1, 3), (3, 1), (1, 2), (2, 3)]:
+                pair = M.pauli_pair(*jk)
+                assert M.spmc_holds(c, pair) is M.spmc_holds(fig_state, pair)
+            assert M.spmc_holds(c, PAIR_13)
 
     @settings(max_examples=40, deadline=None)
     @given(bd_states())
@@ -251,9 +268,10 @@ OUTSIDE_STATES = [
         lambda s: M.minimal_missing_info_ad(s, 1.0),
         classify_longtime_ad,
         lambda s: M.witness_discord_from_U(s, PAIR_13, 1.0),
+        lambda s: M.spmc_holds(s, PAIR_13),
     ],
     ids=["uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_ad", "classify",
-         "witness_discord_from_U"],
+         "witness_discord_from_U", "spmc_holds"],
 )
 def test_entry_points_reject_states_outside_tetrahedron(s, entry):
     with pytest.raises(DomainError, match="outside the Bell-diagonal tetrahedron"):
@@ -332,6 +350,23 @@ class TestDiscordWitness:
         u0 = M.uncertainty_U_bd(fig_state, PAIR_13)
         d = M.witness_discord_from_U(fig_state, PAIR_13, u0)
         assert d == pytest.approx(M.discord_bd(fig_state), abs=1e-12)
+        # log2(1/c) is the exact 1 of every distinct Pauli pair, as in U_b
+        assert d == 1.0 + binary_entropy(0.9) - u0
+        assert M.witness_discord_from_U(fig_state, M.pauli_pair(3, 1), u0) == d
+
+    def test_record_tuple_and_array_agree(self, fig_state):
+        u0 = M.uncertainty_U_bd(fig_state, PAIR_13)
+        d = M.witness_discord_from_U(fig_state, PAIR_13, u0)
+        for c in [(-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
+            assert M.witness_discord_from_U(c, PAIR_13, u0) == d
+            assert M.witness_discord_from_U(c, PAIR_13, u0, noise_axis=3) == d
+            with pytest.raises(M.WitnessNotValidError):
+                M.witness_discord_from_U(c, PAIR_13, u0, noise_axis=1)
+
+    @pytest.mark.parametrize("axis", [3.0, True, 0, 4, "3"], ids=repr)
+    def test_rejects_a_noise_axis_that_is_not_an_axis(self, axis, fig_state):
+        with pytest.raises(DomainError, match="Pauli axis must be 1, 2 or 3"):
+            M.witness_discord_from_U(fig_state, PAIR_13, 1.0, noise_axis=axis)
 
     def test_fully_dephased_discord_zero(self, fig_state):
         dephased = evolve_bd_flip(fig_state, 3, 0.5)

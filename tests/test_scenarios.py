@@ -428,6 +428,12 @@ class TestUnitalPropertyCheck:
         ub0, ub1 = report.violations[0][3:]
         assert ub1 == pytest.approx(ub0 - 1.0, abs=1e-12)
 
+    def test_figure_state_is_defined_once(self):
+        from eurnoise import cli
+
+        assert SC.FIG_STATE == BellDiagonalState(-0.5, 0.4, 0.8)
+        assert cli.FIG_STATE is SC.FIG_STATE and cli.PRESETS["fig3"][0] is SC.FIG_STATE
+
     def test_deterministic(self):
         a = SC.property_check_unital(1, seed=99)
         b = SC.property_check_unital(np.int64(1), seed=99)

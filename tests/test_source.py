@@ -24,6 +24,7 @@ CLOSED_FORMS = {
     "uncertainty_U_bd",
     "lower_bound_Ub_bd",
     "bell_eigenvalues",
+    "x_state_density",
 }
 
 # names that live in eurnoise.oracles only, by the runtime module that once held them
@@ -39,8 +40,16 @@ MOVED = {
     ),
     "metrics": (
         "post_measurement_state", "conditional_entropy", "uncertainty_U", "lower_bound_Ub",
-        "concurrence", "discord",
+        "concurrence", "discord", "complementarity",
     ),
+    "states": ("bd_to_density",),
+}
+# names deleted outright: a Pauli pair is two axis integers, c = 1/2 a constant
+DELETED = ("PauliObservable", "pauli_observable", "_EIGENBASES")
+# the only runtime names eurnoise.oracles may import
+ORACLE_IMPORTS = {
+    "DomainError", "shannon_entropy", "ChannelSpec", "ObservablePair",
+    "minimal_missing_info_bruteforce",
 }
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
@@ -76,11 +85,17 @@ def referenced_names(tree):
 def enclosing_defs(tree, name):
     """The innermost function around each use of the bare name in tree,
     "<module>" for a use outside every function."""
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            yield scope
+
+
+def scoped_nodes(tree):
+    """(innermost enclosing function name or "<module>", node) for every node."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Name) and child.id == name:
-                yield scope
+            yield scope, child
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from visit(child, child.name if is_def else scope)
 
@@ -109,6 +124,23 @@ def test_gc_is_paused_only_by_the_surface_builder():
     assert imports == ["scenarios.py: gc"], f"gc imported outside scenarios.py: {imports}"
     assert uses, "sample_spmc_surface no longer pauses the GC"
     assert set(uses) == {"scenarios.sample_spmc_surface"}, f"gc used elsewhere: {uses}"
+
+
+def test_the_axis_rule_is_written_once():
+    # `x in (1, 2, 3)` belongs to linalg.is_axis; every other caller calls it
+    sites = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(parse(path))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        and any(
+            isinstance(c, (ast.Tuple, ast.Set, ast.List))
+            and {getattr(e, "value", None) for e in c.elts} == {1, 2, 3}
+            for c in node.comparators
+        )
+    ]
+    assert sites == ["linalg.is_axis"], f"the axis rule is written out at {sites}"
 
 
 def test_runtime_never_imports_the_oracles():
@@ -159,6 +191,31 @@ def test_moved_names_live_in_the_oracles_only():
         or hasattr(package, name)
     ]
     assert not misplaced, f"names not moved to {ORACLES}: {misplaced}"
+
+
+def test_deleted_names_resolve_nowhere():
+    modules = [importlib.import_module("eurnoise")] + [
+        importlib.import_module(f"eurnoise.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("__init__", "oracles")
+    ]
+    assert len(modules) >= 7, f"runtime modules missing under {SRC}"
+    left = [f"{m.__name__}.{name}" for m in modules for name in DELETED if hasattr(m, name)]
+    assert not left, f"deleted names still resolve: {left}"
+
+
+def test_oracles_import_only_the_allowed_runtime_names():
+    imported = set()
+    for node in ast.walk(parse(SRC / "oracles.py")):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.split(".")[0] == "eurnoise"}
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "eurnoise"
+        ):
+            imported |= {alias.name for alias in node.names}
+    assert "minimal_missing_info_bruteforce" in imported  # the walk sees the imports
+    extra = sorted(imported - ORACLE_IMPORTS)
+    assert not extra, f"oracles.py imports runtime names beyond the allow-list: {extra}"
 
 
 def test_names_the_bench_reads_still_resolve():

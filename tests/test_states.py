@@ -3,11 +3,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eurnoise import states as S
 from eurnoise.linalg import DomainError
-from eurnoise.oracles import PAULI, hermitian_eigenvalues, partial_trace
+from eurnoise.oracles import PAULI, bd_to_density, hermitian_eigenvalues, partial_trace
 
 from conftest import bd_states
 
@@ -96,16 +97,16 @@ class TestTetrahedronCheck:
 
 class TestBdToDensity:
     def test_center_is_maximally_mixed(self):
-        assert np.allclose(S.bd_to_density(S.BellDiagonalState(0, 0, 0)), np.eye(4) / 4)
+        assert np.allclose(bd_to_density(S.BellDiagonalState(0, 0, 0)), np.eye(4) / 4)
 
     def test_bell_vertex_is_pure_phi_minus(self):
-        rho = S.bd_to_density(S.BellDiagonalState(-1, 1, 1))
+        rho = bd_to_density(S.BellDiagonalState(-1, 1, 1))
         phi_minus = np.array([1, 0, 0, -1]) / np.sqrt(2)
         assert np.allclose(rho, np.outer(phi_minus, phi_minus), atol=1e-14)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_fig_state_entries(self, fig_state):
-        rho = S.bd_to_density(fig_state)
+        rho = bd_to_density(fig_state)
         assert np.allclose(np.diag(rho).real, [0.45, 0.05, 0.05, 0.45])
         assert rho[0, 3] == pytest.approx(-0.225)
         assert rho[1, 2] == pytest.approx(-0.025)
@@ -124,14 +125,23 @@ class TestValidity:
     @settings(max_examples=60)
     @given(bd_states())
     def test_matches_density_positivity(self, s):
-        ev = hermitian_eigenvalues(S.bd_to_density(s))
+        ev = hermitian_eigenvalues(bd_to_density(s))
         assert S.is_valid(s) == bool(np.min(ev) >= -1e-10)
+
+    @settings(max_examples=200)
+    @given(st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3))
+    def test_matches_density_positivity_on_the_cube(self, c):
+        # most of the cube lies outside the tetrahedron; the oracle's builder is
+        # unchecked, so its smallest eigenvalue decides validity on its own
+        least = float(np.min(hermitian_eigenvalues(bd_to_density(c))))
+        assume(abs(least + 1e-12) > 1e-10)
+        assert S.is_valid(c) == (least >= -1e-12)
 
 
 @settings(max_examples=60)
 @given(bd_states())
 def test_marginals_maximally_mixed(s):
-    rho = S.bd_to_density(s)
+    rho = bd_to_density(s)
     assert np.allclose(partial_trace(rho, "A"), np.eye(2) / 2, atol=1e-12)
     assert np.allclose(partial_trace(rho, "B"), np.eye(2) / 2, atol=1e-12)
     # the correlations round-trip: tr(rho sigma_j x sigma_j) = c_j
@@ -143,7 +153,7 @@ def test_marginals_maximally_mixed(s):
 @given(bd_states())
 def test_spectrum_consistency(s):
     closed = np.sort(S.bell_eigenvalues(s))
-    lapack = np.sort(hermitian_eigenvalues(S.bd_to_density(s)))
+    lapack = np.sort(hermitian_eigenvalues(bd_to_density(s)))
     assert np.max(np.abs(closed - lapack)) < 1e-10
 
 
