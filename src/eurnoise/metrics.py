@@ -1,15 +1,16 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
 Every quantity has a closed form over arrays of X states (``xstate_*``), the
-runtime route. A Pauli pair is two axis integers, and any two distinct axes have
+runtime route: ``xstate_entropies`` takes all that a sweep needs in two checked
+entropy calls. A Pauli pair is two axis integers, and any two distinct axes have
 eigenbases of overlap c = 1/2. The density-matrix routes that check the closed
-forms, the eigenbases and c included, live in ``eurnoise.oracles``; so does the
-brute-force minimizer for M, save that it stays here until the benchmark, which
-reads it at this path, is repointed.
+forms live in ``eurnoise.oracles``; the brute-force minimizer for M stays here
+until the benchmark, which reads it at this path, is repointed.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,28 +172,44 @@ def witness_discord_from_U(
 # Rau and Alber, PRA 81, 042105 (2010)).
 
 
-def _xstate_conditional_entropy(r, t, index: int):
-    """S(sigma_index|B): H{(1 +- r +- T3)/4} - 1 for sigma_3, else
-    H_bin((1 + T_index)/2)."""
+def _joint_spectrum(r, t1, t2, t3):  # 4 x the eigenvalues of rho_AB
+    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
+    up, down = 1 + t3, 1 - t3
+    return up + rad_m, up - rad_m, down + rad_p, down - rad_p
+
+
+class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z")):
+    """S(sigma_j|B) for j = 1, 2, 3, S(rho_AB), and M for an x (or y) and a z measurement on B."""
+
+    __slots__ = ()
+
+    def uncertainty(self, pair: ObservablePair):  # U = S(sigma_q|B) + S(sigma_r|B)
+        return self[pair.q - 1] + self[pair.r - 1]
+
+
+def xstate_entropies(r, t) -> XStateEntropies:
+    """One H_bin call over (1 + u)/2, (1 + r +- T3)/2 and (1 + T_j)/2, one H call over
+    (1 +- r +- T3)/4 and rho_AB's spectrum; max(T1^2, T2^2) covers |c1| < |c2| by S x S."""
     t = np.asarray(t, dtype=float)
-    if index != 3:
-        return binary_entropy((1.0 + t[..., index - 1]) / 2.0)
-    t3 = t[..., 2]
-    up, down = 1 + r, 1 - r
-    return shannon_entropy(_stack_last(up + t3, up - t3, down - t3, down + t3) / 4) - 1.0
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
+    z_up, z_down = 1 + r + t3, 1 + r - t3
+    h = binary_entropy(_stack_last(1.0 + u, z_up, z_down, 1.0 + t1, 1.0 + t2) / 2)
+    m_x, h_up, h_down, s1_b, s2_b = h.transpose(-1, *range(h.ndim - 1))
+    p = _stack_last(z_up, z_down, 1 - r - t3, 1 - r + t3, *_joint_spectrum(r, t1, t2, t3))
+    h = shannon_entropy(p.reshape(p.shape[:-1] + (2, 4)) / 4)
+    s3_b, s_ab = h.transpose(-1, *range(h.ndim - 1))
+    return XStateEntropies(s1_b, s2_b, s3_b - 1.0, s_ab, m_x, (h_up + h_down) / 2)
 
 
 def xstate_uncertainty_U(r, t, pair: ObservablePair):
-    return _xstate_conditional_entropy(r, t, pair.q) + _xstate_conditional_entropy(r, t, pair.r)
+    return xstate_entropies(r, t).uncertainty(pair)
 
 
 def xstate_lower_bound_Ub(r, t):
     """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2)."""
     t = np.asarray(t, dtype=float)
-    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
-    up, down = 1 + t3, 1 - t3
-    return shannon_entropy(_stack_last(up + rad_m, up - rad_m, down + rad_p, down - rad_p) / 4)
+    return shannon_entropy(_stack_last(*_joint_spectrum(r, t[..., 0], t[..., 1], t[..., 2])) / 4)
 
 
 def xstate_concurrence(r, t):
@@ -206,15 +223,9 @@ def xstate_concurrence(r, t):
 
 
 def xstate_minimal_missing_info(r, t):
-    """(M, M_x, M_z) with M = min(M_x, M_z), the better of an x (or y) and a z
-    measurement on B. The larger of T1^2 and T2^2 covers |c1| < |c2| through
-    the S x S symmetry that swaps them."""
-    t = np.asarray(t, dtype=float)
-    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
-    m_x = binary_entropy((1.0 + u) / 2.0)
-    m_z = (binary_entropy((1 + r + t3) / 2) + binary_entropy((1 + r - t3) / 2)) / 2
-    return np.minimum(m_x, m_z), m_x, m_z
+    """(M, M_x, M_z): M = min(M_x, M_z), the better of an x (or y) and a z measurement on B."""
+    e = xstate_entropies(r, t)
+    return np.minimum(e.m_x, e.m_z), e.m_x, e.m_z
 
 
 # ---- Bell-diagonal and amplitude-damped entry points on the core -----------

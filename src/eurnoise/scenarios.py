@@ -15,11 +15,7 @@ from eurnoise.linalg import DomainError, check_count
 from eurnoise.states import BellDiagonalState, check_bd, random_bd_states
 from eurnoise.channels import ChannelSpec, amplitude_damping_factors
 from eurnoise.metrics import (
-    ObservablePair,
-    xstate_concurrence,
-    xstate_lower_bound_Ub,
-    xstate_minimal_missing_info,
-    xstate_uncertainty_U,
+    ObservablePair, xstate_concurrence, xstate_entropies, xstate_lower_bound_Ub,
 )
 
 ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in order
@@ -30,6 +26,11 @@ def _check_columns(cols: tuple[str, ...]) -> None:
     """Output columns must be a non-empty run of distinct names from ALL_COLUMNS."""
     if not cols or len(set(cols)) < len(cols) or not set(cols) <= set(ALL_COLUMNS):
         raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
+
+
+def _check_pair(pair) -> None:
+    if not isinstance(pair, ObservablePair):
+        raise DomainError(f"observable pair must come from pauli_pair(j, k), got {pair!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class SweepConfig:
 
     def __post_init__(self):
         check_bd(self.initial)
+        _check_pair(self.pair)
         self.channel.check((self.t_start, self.t_end))
         if not self.t_start < self.t_end:
             raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
@@ -72,11 +74,11 @@ class SweepRecord(NamedTuple):
 def run_time_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evolve the initial state along the grid (Gamma*t for the damping
     channels, eta for the flips) and evaluate every column over the whole
-    grid at once. The channel only picks the (r, T) map."""
+    grid at once, every entropy from one ``xstate_entropies``."""
     t = cfg.grid()
     r, corr = cfg.channel.evolve(cfg.initial, t)
-    u, u_b = xstate_uncertainty_U(r, corr, cfg.pair), xstate_lower_bound_Ub(r, corr)
-    m = xstate_minimal_missing_info(r, corr)[0]
+    e = xstate_entropies(r, corr)
+    u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, np.minimum(e.m_x, e.m_z)  # U_b = S(rho_AB)
     columns = (t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
     return list(map(tuple.__new__, repeat(SweepRecord), zip(*(c.tolist() for c in columns))))
 
@@ -120,6 +122,7 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiago
     untracks named-tuple records and would walk them all on every collection;
     the caller's GC setting is restored on every path. The pause is
     process-wide while the call runs."""
+    _check_pair(pair)
     check_count(resolution, "resolution", 2)
     enabled = gc.isenabled()
     gc.disable()  # the records hold only floats, so they form no cycles
@@ -201,11 +204,11 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
 
 def emit_csv(records: list[SweepRecord], outputs: tuple[str, ...] = ALL_COLUMNS) -> bytes:
     """Render sweep records as deterministic CSV bytes (12-decimal fixed
-    format, LF endings, UTF-8)."""
+    format, LF endings, UTF-8), the body from one row template in one pass."""
     _check_columns(outputs)
     if not records:
         raise DomainError("no records to emit")
     row = ",".join(["%.12f"] * (1 + len(outputs)))
     cells = itemgetter(0, *(1 + ALL_COLUMNS.index(c) for c in outputs))
-    lines = ["t," + ",".join(outputs), *(row % cells(r) for r in records)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    body = (row + "\n") * len(records) % tuple(chain.from_iterable(map(cells, records)))
+    return ("t," + ",".join(outputs) + "\n" + body).encode("utf-8")

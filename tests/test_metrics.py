@@ -1,15 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eurnoise import metrics as M
 from eurnoise import oracles as O
-from eurnoise.linalg import DomainError, binary_entropy
+from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy
 from eurnoise.oracles import bd_to_density
-from eurnoise.states import BellDiagonalState
+from eurnoise.states import BellDiagonalState, random_bd_states
 from eurnoise.channels import ChannelSpec, evolve_bd_amplitude, evolve_bd_flip
-from eurnoise.scenarios import classify_longtime_ad
+from eurnoise.scenarios import FIG_STATE, SweepConfig, classify_longtime_ad, run_time_sweep
 
 from conftest import bd_states
 
@@ -433,3 +435,118 @@ class TestXStateCoreVsOracles:
         assert m == pytest.approx(M.minimal_missing_info_bruteforce(rho, COARSE)[0], abs=1e-9)
         assert 0.0 <= m <= 1.0
         assert m - (u_b - 1.0) >= -1e-9
+
+
+# ---- the per-column reference: one checked entropy call per distribution ----
+# The sweep columns as they were written before the sweep stacked its entropies
+# into two calls. Each function below calls binary_entropy or shannon_entropy
+# once per distribution, so every argument meets its check on its own.
+
+
+def _ref_conditional_entropy(r, t, index):
+    """S(sigma_index|B): H{(1 +- r +- T3)/4} - 1 for sigma_3, else H_bin((1 + T_index)/2)."""
+    t = np.asarray(t, dtype=float)
+    if index != 3:
+        return binary_entropy((1.0 + t[..., index - 1]) / 2.0)
+    t3 = t[..., 2]
+    up, down = 1 + r, 1 - r
+    return shannon_entropy(np.stack([up + t3, up - t3, down - t3, down + t3], axis=-1) / 4) - 1.0
+
+
+def _ref_joint_entropy(r, t):
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
+    up, down = 1 + t3, 1 - t3
+    return shannon_entropy(np.stack([up + rad_m, up - rad_m, down + rad_p, down - rad_p], axis=-1) / 4)
+
+
+def _ref_m_x_m_z(r, t):
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
+    m_x = binary_entropy((1.0 + u) / 2.0)
+    m_z = (binary_entropy((1 + r + t3) / 2) + binary_entropy((1 + r - t3) / 2)) / 2
+    return m_x, m_z
+
+
+def _ref_entropies(r, t):
+    """(S(sigma_1|B), S(sigma_2|B), S(sigma_3|B), S(rho_AB), M_x, M_z) in seven calls."""
+    conditional = [_ref_conditional_entropy(r, t, j) for j in (1, 2, 3)]
+    return (*conditional, _ref_joint_entropy(r, t), *_ref_m_x_m_z(r, t))
+
+
+def _ref_sweep(cfg):
+    """Rows (t, U, U_b, D, E, M) of a sweep, its entropies from the reference."""
+    t = cfg.grid()
+    r, corr = cfg.channel.evolve(cfg.initial, t)
+    u = _ref_conditional_entropy(r, corr, cfg.pair.q) + _ref_conditional_entropy(r, corr, cfg.pair.r)
+    u_b = _ref_joint_entropy(r, corr)
+    m = np.minimum(*_ref_m_x_m_z(r, corr))
+    return np.stack([t, u, u_b, m - (u_b - 1.0), M.xstate_concurrence(r, corr), m], axis=1)
+
+
+def _or_domain_error(f, *args):
+    try:
+        return f(*args)
+    except DomainError:
+        return DomainError
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+# five grids: (kind, axis, t_start, t_end, n_points, spacing)
+REFERENCE_GRIDS = [
+    ("ad", None, 0.0, 800.0, 41, "linear"),
+    ("ad", None, 0.01, 800.0, 41, "log"),
+    ("pd", None, 0.0, 10.0, 33, "linear"),
+    ("flip", 1, 0.0, 1.0, 33, "linear"),
+    ("flip", 2, 0.0, 1.0, 33, "linear"),
+]
+REFERENCE_PAIRS = [(1, 2), (1, 3), (3, 1), (2, 3)]
+# entries just inside and just outside the kernels' 1e-12 windows
+EDGES = [-1.0, 0.0, 1.0, 1.0 + 1e-12, 1.0 + 4e-12, -1.0 - 1e-12, -1.0 - 4e-12]
+coordinate = st.one_of(st.floats(-1.2, 1.2), st.sampled_from(EDGES))
+
+
+class TestEntropiesMatchPerColumnReference:
+    """xstate_entropies takes in two stacked calls what the reference takes in
+    seven: every entry still meets its own check, and every value keeps its bits."""
+
+    def test_sweep_records_bitwise_equal_reference(self):
+        states = random_bd_states(300, np.random.default_rng(20110))
+        states += [BellDiagonalState(-1, 1, 1), BellDiagonalState(1, 1, -1), FIG_STATE]
+        for s, (kind, axis, t0, t1, n, spacing), pair in itertools.product(
+            states, REFERENCE_GRIDS, REFERENCE_PAIRS
+        ):
+            cfg = SweepConfig(s, ChannelSpec(kind, axis), M.pauli_pair(*pair), t0, t1, n, spacing)
+            rows = np.array(run_time_sweep(cfg))
+            assert rows.tobytes() == _ref_sweep(cfg).tobytes(), (s, kind, axis, spacing, pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[coordinate] * 4), min_size=1, max_size=5), st.booleans())
+    @example([(0.0, 0.0, 0.0, 1.0 + 4e-12)], True)
+    @example([(0.0, 1.0 + 1e-12, -1.0 - 1e-12, 1.0)], True)
+    @example([(0.3, 0.2, -0.1, 0.5), (1.2, 0.0, 0.0, 0.0)], False)
+    def test_raises_exactly_when_the_reference_does(self, rows, one_state):
+        rt = np.array(rows)
+        r, t = (rt[0, 0], rt[0, 1:]) if one_state else (rt[:, 0], rt[:, 1:])
+        got, want = _or_domain_error(M.xstate_entropies, r, t), _or_domain_error(_ref_entropies, r, t)
+        assert (got is DomainError) == (want is DomainError)
+        lower = _or_domain_error(M.xstate_lower_bound_Ub, r, t)
+        want_lower = _or_domain_error(_ref_joint_entropy, r, t)
+        assert (lower is DomainError) == (want_lower is DomainError)
+        if lower is not DomainError:
+            assert _bits(lower) == _bits(want_lower)
+        if got is DomainError:
+            return
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        for q, k in itertools.permutations((1, 2, 3), 2):
+            u = M.xstate_uncertainty_U(r, t, M.pauli_pair(q, k))
+            assert _bits(u) == _bits(want[q - 1] + want[k - 1])
+        m_x, m_z = want[4], want[5]
+        want_m = (np.minimum(m_x, m_z), m_x, m_z)
+        assert [_bits(x) for x in M.xstate_minimal_missing_info(r, t)] == [_bits(x) for x in want_m]

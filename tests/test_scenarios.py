@@ -1,13 +1,15 @@
 import gc
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from eurnoise import linalg
 from eurnoise import scenarios as SC
 from eurnoise.linalg import DomainError, binary_entropy
 from eurnoise.states import BellDiagonalState, random_bd_states
-from eurnoise.channels import ChannelSpec
+from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, parse_channel_literal
 from eurnoise.metrics import (
     pauli_pair,
     spmc_holds,
@@ -21,6 +23,9 @@ from eurnoise.metrics import (
 
 PAIR_13 = pauli_pair(1, 3)
 FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)
+# pairs of valid axes that did not come from pauli_pair: each is refused up front
+PLAIN_PAIRS = [(1, 3), [1, 3], np.array([1, 3])]
+ORDERED_PAIRS = list(itertools.permutations((1, 2, 3), 2))
 
 
 def fig_config(kind, **kw):
@@ -64,6 +69,15 @@ class TestSweepConfig:
     def test_rejects_invalid_initial_state(self):
         with pytest.raises(DomainError, match="tetrahedron"):
             fig_config("pd", initial=BellDiagonalState(0.9, 0.9, 0.9))
+
+    @pytest.mark.parametrize("pair", PLAIN_PAIRS, ids=repr)
+    def test_rejects_a_pair_not_built_by_pauli_pair(self, pair):
+        with pytest.raises(DomainError, match=r"pauli_pair\(j, k\)"):
+            fig_config("pd", pair=pair)
+
+    def test_accepts_numpy_integer_pair(self):
+        cfg = fig_config("pd", pair=pauli_pair(np.int64(1), np.int64(3)), n_points=5)
+        assert SC.run_time_sweep(cfg) == SC.run_time_sweep(fig_config("pd", n_points=5))
 
     @pytest.mark.parametrize(
         "kw",
@@ -203,6 +217,47 @@ class TestClassifyOneCoreCall:
         assert shapes == [(2, 3)]
         SC.classify_longtime_ad(np.array(random_bd_states(37, np.random.default_rng(1))))
         assert shapes == [(2, 3), (37, 2, 3)]
+
+
+@pytest.fixture
+def entropy_calls(monkeypatch):
+    """(kernel name, shape of its argument) for every call of the two checked
+    entropy kernels, wherever a loaded eurnoise module binds them."""
+    calls = []
+    for name in ("binary_entropy", "shannon_entropy"):
+        kernel = getattr(linalg, name)
+
+        def counted(p, _name=name, _kernel=kernel):
+            calls.append((_name, np.shape(p)))
+            return _kernel(p)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "eurnoise" and getattr(mod, name, None) is kernel:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestEntropyCallCounts:
+    """A sweep takes every entropy in one binary and one Shannon call, stacked
+    over its grid; a long-time classification takes U_b alone, in one call."""
+
+    @pytest.mark.parametrize("literal", CHANNEL_LITERALS)
+    def test_sweep_makes_one_call_per_kernel(self, entropy_calls, literal):
+        spec = parse_channel_literal(literal)
+        t_end = 1.0 if spec.kind == "flip" else 10.0
+        for n in (2, 3, 17, 201):
+            for pair in ORDERED_PAIRS:
+                entropy_calls.clear()
+                cfg = fig_config("pd", channel=spec, pair=pauli_pair(*pair), t_end=t_end, n_points=n)
+                SC.run_time_sweep(cfg)
+                assert entropy_calls == [("binary_entropy", (n, 5)), ("shannon_entropy", (n, 2, 4))]
+
+    def test_one_state_classify_makes_one_shannon_call(self, entropy_calls):
+        SC.classify_longtime_ad(FIG_STATE)
+        assert entropy_calls == [("shannon_entropy", (2, 4))]
+        entropy_calls.clear()
+        SC.classify_longtime_ad(np.array(random_bd_states(37, np.random.default_rng(1))))
+        assert entropy_calls == [("shannon_entropy", (37, 2, 4))]
 
 
 class TestClassifyManyStates:
@@ -363,6 +418,12 @@ class TestSpmcSurface:
     def test_accepts_numpy_integer_pair(self):
         pair = pauli_pair(np.int64(1), np.int64(3))
         assert SC.sample_spmc_surface(pair, 5) == SC.sample_spmc_surface(PAIR_13, 5)
+
+    @pytest.mark.parametrize("pair", PLAIN_PAIRS, ids=repr)
+    def test_rejects_a_pair_not_built_by_pauli_pair(self, monkeypatch, pair):
+        monkeypatch.setattr(SC.gc, "disable", lambda: pytest.fail("the GC was paused"))
+        with pytest.raises(DomainError, match=r"pauli_pair\(j, k\)"):
+            SC.sample_spmc_surface(pair, 5)
 
     def test_corner_is_bell_vertex(self):
         states = SC.sample_spmc_surface(PAIR_13, 2)

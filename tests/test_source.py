@@ -51,6 +51,9 @@ ORACLE_IMPORTS = {
     "DomainError", "shannon_entropy", "ChannelSpec", "ObservablePair",
     "minimal_missing_info_bruteforce",
 }
+# the two checked entropy kernels, and the only modules that may name them
+ENTROPY_KERNELS = ("binary_entropy", "shannon_entropy")
+ENTROPY_CALLERS = {"linalg", "metrics", "oracles"}
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
@@ -141,6 +144,34 @@ def test_the_axis_rule_is_written_once():
         )
     ]
     assert sites == ["linalg.is_axis"], f"the axis rule is written out at {sites}"
+
+
+def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
+    users = {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        if set(ENTROPY_KERNELS) & set(referenced_names(parse(path)))
+    }
+    assert "metrics" in users  # the walk sees the calls
+    assert users <= ENTROPY_CALLERS, f"entropy kernels named outside {ENTROPY_CALLERS}: {users}"
+
+
+def test_metrics_takes_the_sweep_entropies_in_two_calls():
+    # one stacked call per kernel in xstate_entropies; U_b alone keeps its own
+    # call, and the witness's H_bin of the initial state its own
+    calls = sorted(
+        (scope, node.func.id)
+        for scope, node in scoped_nodes(parse(SRC / "metrics.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ENTROPY_KERNELS
+    )
+    assert calls == [
+        ("witness_discord_from_U", "binary_entropy"),
+        ("xstate_entropies", "binary_entropy"),
+        ("xstate_entropies", "shannon_entropy"),
+        ("xstate_lower_bound_Ub", "shannon_entropy"),
+    ], calls
 
 
 def test_runtime_never_imports_the_oracles():
