@@ -16,8 +16,8 @@ def run(n_samples: int, seed: int, out_dir: pathlib.Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_samples, rng)
-    res = classify_longtime_ad(np.reshape(states, (-1, 3)))  # one call for every state
-    columns = zip(states, res.verdict, res.u_b_initial, res.u_b_limit)
+    res = classify_longtime_ad(states)  # one call for every state
+    columns = zip(states.tolist(), res.verdict, res.u_b_initial, res.u_b_limit)
     rows = ["c1,c2,c3,verdict,u_b_initial,u_b_limit"]
     rows += [f"{c1:.12f},{c2:.12f},{c3:.12f},{v},{u0:.12f},{u1:.12f}"
              for (c1, c2, c3), v, u0, u1 in columns]

@@ -2,10 +2,11 @@
 
 Every quantity has a closed form over arrays of X states (``xstate_*``), the
 runtime route: ``xstate_entropies`` takes all that a sweep needs in two checked
-entropy calls. A Pauli pair is two axis integers, and any two distinct axes have
-eigenbases of overlap c = 1/2. The density-matrix routes that check the closed
-forms live in ``eurnoise.oracles``; the brute-force minimizer for M stays here
-until the benchmark, which reads it at this path, is repointed.
+entropy calls, and U and M select from it. A Pauli pair is an ``ObservablePair``
+of two axes (``check_pair``), and any two distinct axes have eigenbases of
+overlap c = 1/2. The density-matrix routes that check the closed forms live in
+``eurnoise.oracles``; the brute-force minimizer for M stays here until the
+benchmark, which reads it at this path, is repointed.
 """
 
 from __future__ import annotations
@@ -43,9 +44,16 @@ def pauli_pair(j: int, k: int) -> ObservablePair:
     return ObservablePair(j, k)
 
 
+def check_pair(pair) -> None:
+    """The pair rule of every entry point: an ``ObservablePair``, never a plain pair."""
+    if not isinstance(pair, ObservablePair):
+        raise DomainError(f"observable pair must come from pauli_pair(j, k), got {pair!r}")
+
+
 def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -> bool:
     """State-preparation-and-measurement-choice test: the coefficient on the
     unmeasured axis must equal minus the product of the measured two."""
+    check_pair(pair)
     c = check_bd(s)  # c[5 - q - r] is the unmeasured axis
     return bool(abs(c[5 - pair.q - pair.r] + c[pair.q - 1] * c[pair.r - 1]) <= tol)
 
@@ -141,6 +149,7 @@ def witness_discord_from_U(
     its coefficient must dominate in magnitude, and the initial state must
     satisfy the matching SPMC condition; u must be finite.
     """
+    check_pair(pair)
     c = check_bd(s0)
     if not np.isfinite(u):
         raise DomainError(f"measured uncertainty {u} is not finite")
@@ -184,7 +193,12 @@ class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z
     __slots__ = ()
 
     def uncertainty(self, pair: ObservablePair):  # U = S(sigma_q|B) + S(sigma_r|B)
+        check_pair(pair)
         return self[pair.q - 1] + self[pair.r - 1]
+
+    @property
+    def m(self):  # M = min(M_x, M_z), the better measurement on B
+        return np.minimum(self.m_x, self.m_z)
 
 
 def xstate_entropies(r, t) -> XStateEntropies:
@@ -200,10 +214,6 @@ def xstate_entropies(r, t) -> XStateEntropies:
     h = shannon_entropy(p.reshape(p.shape[:-1] + (2, 4)) / 4)
     s3_b, s_ab = h.transpose(-1, *range(h.ndim - 1))
     return XStateEntropies(s1_b, s2_b, s3_b - 1.0, s_ab, m_x, (h_up + h_down) / 2)
-
-
-def xstate_uncertainty_U(r, t, pair: ObservablePair):
-    return xstate_entropies(r, t).uncertainty(pair)
 
 
 def xstate_lower_bound_Ub(r, t):
@@ -222,32 +232,7 @@ def xstate_concurrence(r, t):
     return np.maximum(np.maximum(a, b) / 2, 0.0)
 
 
-def xstate_minimal_missing_info(r, t):
-    """(M, M_x, M_z): M = min(M_x, M_z), the better of an x (or y) and a z measurement on B."""
-    e = xstate_entropies(r, t)
-    return np.minimum(e.m_x, e.m_z), e.m_x, e.m_z
-
-
-# ---- Bell-diagonal and amplitude-damped entry points on the core -----------
-
-
-def uncertainty_U_bd(s: BellDiagonalState, pair: ObservablePair) -> float:
-    """H_bin((1+c_j)/2) + H_bin((1+c_k)/2)."""
-    return float(xstate_uncertainty_U(0.0, check_bd(s), pair))
-
-
-def lower_bound_Ub_bd(s: BellDiagonalState) -> float:
-    """Joint entropy over the Bell-basis spectrum."""
-    return float(xstate_lower_bound_Ub(0.0, check_bd(s)))
-
-
-def minimal_missing_info_bd(s: BellDiagonalState) -> float:
-    """H_bin((1 + C_max)/2)."""
-    return float(xstate_minimal_missing_info(0.0, check_bd(s))[0])
-
-
-def discord_bd(s: BellDiagonalState) -> float:
-    return minimal_missing_info_bd(s) - (lower_bound_Ub_bd(s) - 1.0)
+# ---- the amplitude-damped entry point on the core --------------------------
 
 
 @dataclass(frozen=True)
@@ -260,6 +245,6 @@ class MinimalInfoAD:
 
 def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
     """Closed-form minimal missing information for an amplitude-damped
-    Bell-diagonal state: M = min{M_x, M_z}, over the whole tetrahedron."""
-    r, t = ChannelSpec("ad").evolve(s0, gamma_t)
-    return MinimalInfoAD(*(float(x) for x in xstate_minimal_missing_info(r, t)), False)
+    Bell-diagonal state, over the whole tetrahedron."""
+    e = xstate_entropies(*ChannelSpec("ad").evolve(s0, gamma_t))
+    return MinimalInfoAD(float(e.m), float(e.m_x), float(e.m_z), False)

@@ -15,7 +15,7 @@ from eurnoise.linalg import DomainError, check_count
 from eurnoise.states import BellDiagonalState, check_bd, random_bd_states
 from eurnoise.channels import ChannelSpec, amplitude_damping_factors
 from eurnoise.metrics import (
-    ObservablePair, xstate_concurrence, xstate_entropies, xstate_lower_bound_Ub,
+    ObservablePair, check_pair, xstate_concurrence, xstate_entropies, xstate_lower_bound_Ub,
 )
 
 ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in order
@@ -26,11 +26,6 @@ def _check_columns(cols: tuple[str, ...]) -> None:
     """Output columns must be a non-empty run of distinct names from ALL_COLUMNS."""
     if not cols or len(set(cols)) < len(cols) or not set(cols) <= set(ALL_COLUMNS):
         raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
-
-
-def _check_pair(pair) -> None:
-    if not isinstance(pair, ObservablePair):
-        raise DomainError(f"observable pair must come from pauli_pair(j, k), got {pair!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,7 @@ class SweepConfig:
 
     def __post_init__(self):
         check_bd(self.initial)
-        _check_pair(self.pair)
+        check_pair(self.pair)
         self.channel.check((self.t_start, self.t_end))
         if not self.t_start < self.t_end:
             raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
@@ -78,7 +73,7 @@ def run_time_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     t = cfg.grid()
     r, corr = cfg.channel.evolve(cfg.initial, t)
     e = xstate_entropies(r, corr)
-    u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, np.minimum(e.m_x, e.m_z)  # U_b = S(rho_AB)
+    u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, e.m  # U_b = S(rho_AB)
     columns = (t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
     return list(map(tuple.__new__, repeat(SweepRecord), zip(*(c.tolist() for c in columns))))
 
@@ -122,7 +117,7 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiago
     untracks named-tuple records and would walk them all on every collection;
     the caller's GC setting is restored on every path. The pause is
     process-wide while the call runs."""
-    _check_pair(pair)
+    check_pair(pair)
     check_count(resolution, "resolution", 2)
     enabled = gc.isenabled()
     gc.disable()  # the records hold only floats, so they form no cycles
@@ -178,10 +173,7 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     """
     check_count(n_trials, "n_trials", 1)
     check_count(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    states = random_bd_states(n_trials, rng)
-    candidates = states + [FIG_STATE]
-    c = np.array(candidates)
+    c = np.concatenate([random_bd_states(n_trials, np.random.default_rng(seed)), [FIG_STATE]])
     ub0 = xstate_lower_bound_Ub(0.0, c)
     # for Bell-diagonal states S(rho) and U_b coincide; check both against
     # the pre-noise values
@@ -189,7 +181,7 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     evolved = (spec.evolve(c[:-1, None, :], grid) for spec, grid in UNITAL_FAMILIES)
     ub1 = np.concatenate([xstate_lower_bound_Ub(r, t) for r, t in evolved], axis=-1)
     violations = [
-        (states[n], *moves[k], float(ub0[n]), float(ub1[n, k]))
+        (BellDiagonalState(*c[n].tolist()), *moves[k], float(ub0[n]), float(ub1[n, k]))
         for n, k in zip(*np.nonzero(ub1 < ub0[:-1, None] - 1e-9))
     ]
 
@@ -198,7 +190,8 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     counter = (None, None, None)  # state, Gamma*t, (U_b before, U_b after)
     if drops.size:
         n = drops[0]
-        counter = (candidates[n], AD_PROBE_GAMMA_T, (float(ub0[n]), float(ub_ad[n])))
+        s = BellDiagonalState(*c[n].tolist())
+        counter = (s, AD_PROBE_GAMMA_T, (float(ub0[n]), float(ub_ad[n])))
     return UnitalCheckReport(n_trials, ub1.size, len(violations), tuple(violations), *counter)
 
 

@@ -1,8 +1,8 @@
 """Bell-diagonal and X-state two-qubit state representations.
 
 A Bell-diagonal state is fixed by three real correlation coefficients
-(c1, c2, c3); validity is membership in the tetrahedron of states with
-all four Bell-basis eigenvalues non-negative.
+(c1, c2, c3), many states by a (..., 3) array of them; validity is membership
+in the tetrahedron of states with all four Bell-basis eigenvalues non-negative.
 """
 
 from __future__ import annotations
@@ -95,12 +95,14 @@ def parse_state_literal(text: str) -> BellDiagonalState:
     return s
 
 
-def random_bd_states(n: int, rng: np.random.Generator) -> list[BellDiagonalState]:
-    """Uniform sample over the tetrahedron by rejection from the cube; each
+def random_bd_states(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample (n, 3) over the tetrahedron by rejection from the cube; each
     round draws only the missing triples, so the stream is one triple a time."""
     check_count(n, "n", 0)
-    out: list[BellDiagonalState] = []
-    while len(out) < n:
-        c = rng.uniform(-1.0, 1.0, size=(n - len(out), 3))
-        out += map(BellDiagonalState._make, c[is_valid(c)].tolist())
+    out, k = np.empty((n, 3)), 0
+    while k < n:
+        c = rng.uniform(-1.0, 1.0, size=(n - k, 3))
+        c = c[is_valid(c)]
+        out[k : k + len(c)] = c
+        k += len(c)
     return out

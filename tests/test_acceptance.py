@@ -52,9 +52,9 @@ def test_criterion_1_spmc_identity():
         start = time.time()
         states = sample_spmc_surface(PAIR_13, 100)
         assert len(states) == 10_000
-        worst = max(
-            abs(M.uncertainty_U_bd(s, PAIR_13) - M.lower_bound_Ub_bd(s)) for s in states
-        )
+        c = np.array(states)
+        u = M.xstate_entropies(0.0, c).uncertainty(PAIR_13)
+        worst = float(np.max(np.abs(u - M.xstate_lower_bound_Ub(0.0, c))))
         assert worst <= 1e-10
         assert time.time() - start < 10.0
 
@@ -119,8 +119,8 @@ def test_criterion_5_closed_form_m():
         rng = np.random.default_rng(20260824)
         for s in random_bd_states(200, rng):
             m_bf, _ = M.minimal_missing_info_bruteforce(bd_to_density(s), COARSE)
-            assert abs(m_bf - M.minimal_missing_info_bd(s)) <= 1e-9
-        applicable = [s for s in random_bd_states(600, rng) if abs(s.c1) >= abs(s.c2)][:200]
+            assert abs(m_bf - M.xstate_entropies(0.0, s).m) <= 1e-9
+        applicable = [s for s in random_bd_states(600, rng) if abs(s[0]) >= abs(s[1])][:200]
         assert len(applicable) == 200
         for s in applicable:
             gt = float(rng.uniform(0.0, 5.0))
@@ -129,7 +129,7 @@ def test_criterion_5_closed_form_m():
             m_bf, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(s, gt), COARSE)
             assert abs(m_bf - res.m) <= 1e-9
         # |c1| < |c2|: covered through the S x S symmetry, no fallback
-        swapped = [s for s in random_bd_states(600, rng) if abs(s.c1) < abs(s.c2)][:200]
+        swapped = [s for s in random_bd_states(600, rng) if abs(s[0]) < abs(s[1])][:200]
         assert len(swapped) == 200
         for s in swapped:
             gt = float(rng.uniform(0.0, 5.0))
@@ -192,13 +192,14 @@ def test_criterion_9_uncertainty_relation_never_violated():
         states = random_bd_states(500, rng)
         # flips and phase damping keep a state Bell-diagonal: every state under
         # 30 flip moves and 10 phase-damping moves, (500, 40, 3)
-        c = np.array(states)[:, None, :]
+        c = states[:, None, :]
         levels = np.linspace(0.0, 0.5, 10)
         moves = [ChannelSpec("flip", axis).evolve(c, levels)[1] for axis in (1, 2, 3)]
         moves.append(ChannelSpec("pd").evolve(c, np.linspace(0.0, 10.0, 10))[1])
         t = np.concatenate(moves, axis=1)
         u_b = M.xstate_lower_bound_Ub(0.0, t)
-        slacks = [M.xstate_uncertainty_U(0.0, t, pair) - u_b for pair in ALL_PAIRS]
+        entropies = M.xstate_entropies(0.0, t)
+        slacks = [entropies.uncertainty(pair) - u_b for pair in ALL_PAIRS]
         n_evals = sum(x.size for x in slacks)
         worst = min(float(x.min()) for x in slacks)
         # amplitude damping leaves the Bell-diagonal family: general path

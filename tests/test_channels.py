@@ -335,7 +335,7 @@ class TestFlipFactorsThroughEvolve:
 
 
 def _seeded_correlations(n, seed):
-    return np.array(random_bd_states(n, np.random.default_rng(seed)))
+    return random_bd_states(n, np.random.default_rng(seed))
 
 
 class TestEvolveOverManyStates:

@@ -21,6 +21,12 @@ BELL_VERTEX = BellDiagonalState(-1, 1, 1)
 COARSE = (65, 65)  # faster brute-force grid for loops; refinement recovers accuracy
 
 
+def _discord(c):
+    """D = M - S(A|B) of Bell-diagonal correlations c, from the core at r = 0."""
+    e = M.xstate_entropies(0.0, c)
+    return e.m - (e.s_ab - 1.0)
+
+
 class TestObservables:
     def test_eigenbases_diagonalize(self):
         for idx in (1, 2, 3):
@@ -56,11 +62,42 @@ class TestObservables:
     def test_accepts_numpy_integer_index(self):
         s = BellDiagonalState(-0.5, 0.4, 0.8)
         pair = M.pauli_pair(np.int64(1), 3)
-        assert M.uncertainty_U_bd(s, pair) == M.uncertainty_U_bd(s, PAIR_13)
+        e = M.xstate_entropies(0.0, s)
+        assert e.uncertainty(pair) == e.uncertainty(PAIR_13)
 
     @pytest.mark.parametrize("j,k", [(1, 2), (1, 3), (2, 3), (3, 1)])
     def test_complementarity_half(self, j, k):
         assert O.complementarity(M.pauli_pair(j, k)) == pytest.approx(0.5, abs=1e-12)
+
+
+# pairs of valid axes that did not come from pauli_pair, and the metrics entry
+# points that take a pair: each refuses a plain pair with the one pair rule
+PLAIN_PAIRS = [(1, 3), [1, 3], np.array([1, 3])]
+PAIR_ENTRY_POINTS = {
+    "spmc_holds": lambda pair: M.spmc_holds(FIG_STATE, pair),
+    "witness_discord_from_U": lambda pair: M.witness_discord_from_U(FIG_STATE, pair, 1.0),
+    "XStateEntropies.uncertainty": lambda pair: M.xstate_entropies(0, FIG_STATE).uncertainty(pair),
+}
+
+
+class TestPairRule:
+    @pytest.mark.parametrize("pair", PLAIN_PAIRS, ids=repr)
+    @pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS.values(), ids=PAIR_ENTRY_POINTS)
+    def test_rejects_a_pair_not_built_by_pauli_pair(self, entry, pair):
+        with pytest.raises(DomainError, match=r"pauli_pair\(j, k\)"):
+            entry(pair)
+
+    @pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS.values(), ids=PAIR_ENTRY_POINTS)
+    def test_accepts_numpy_integer_pair(self, entry):
+        pair = M.ObservablePair(np.int64(1), np.int64(3))
+        assert entry(pair) == entry(PAIR_13)
+
+    def test_the_rule_is_check_pair(self):
+        M.check_pair(PAIR_13)
+        M.check_pair(M.ObservablePair(np.int64(3), np.int64(1)))
+        for pair in PLAIN_PAIRS:
+            with pytest.raises(DomainError, match=r"pauli_pair\(j, k\), got"):
+                M.check_pair(pair)
 
 
 class TestPostMeasurementState:
@@ -110,7 +147,8 @@ class TestUncertainty:
 
     def test_fig_state_closed_form(self, fig_state):
         expected = binary_entropy(0.25) + binary_entropy(0.9)
-        assert M.uncertainty_U_bd(fig_state, PAIR_13) == pytest.approx(expected, abs=1e-14)
+        u = M.xstate_entropies(0.0, fig_state).uncertainty(PAIR_13)
+        assert u == pytest.approx(expected, abs=1e-14)
         assert O.uncertainty_U(bd_to_density(fig_state), PAIR_13) == pytest.approx(
             expected, abs=1e-10
         )
@@ -120,7 +158,7 @@ class TestUncertainty:
     def test_general_equals_closed_form(self, s, jk):
         pair = M.pauli_pair(*jk)
         assert O.uncertainty_U(bd_to_density(s), pair) == pytest.approx(
-            M.uncertainty_U_bd(s, pair), abs=1e-10
+            M.xstate_entropies(0.0, s).uncertainty(pair), abs=1e-10
         )
 
 
@@ -140,7 +178,7 @@ class TestLowerBound:
 
     def test_fig_state(self, fig_state):
         expected = -sum(p * np.log2(p) for p in (0.225, 0.675, 0.025, 0.075))
-        assert M.lower_bound_Ub_bd(fig_state) == pytest.approx(expected, abs=1e-12)
+        assert M.xstate_lower_bound_Ub(0.0, fig_state) == pytest.approx(expected, abs=1e-12)
         assert O.lower_bound_Ub(bd_to_density(fig_state), PAIR_13) == pytest.approx(
             expected, abs=1e-10
         )
@@ -181,8 +219,8 @@ class TestSpmc:
         surf = BellDiagonalState(s.c1, -s.c1 * s.c3, s.c3)
         if not is_valid(surf):
             return
-        assert M.uncertainty_U_bd(surf, PAIR_13) == pytest.approx(
-            M.lower_bound_Ub_bd(surf), abs=1e-10
+        assert M.xstate_entropies(0.0, surf).uncertainty(PAIR_13) == pytest.approx(
+            M.xstate_lower_bound_Ub(0.0, surf), abs=1e-10
         )
 
 
@@ -240,9 +278,9 @@ class TestMinimalMissingInfo:
             M.minimal_missing_info_bruteforce(np.eye(4) / 4, (32, 32))
 
     def test_bd_closed_form_examples(self, fig_state):
-        assert M.minimal_missing_info_bd(BellDiagonalState(0, 0, 0)) == 1.0
-        assert M.minimal_missing_info_bd(BellDiagonalState(-1, 1, 1)) == 0.0
-        assert M.minimal_missing_info_bd(fig_state) == pytest.approx(
+        assert M.xstate_entropies(0.0, BellDiagonalState(0, 0, 0)).m == 1.0
+        assert M.xstate_entropies(0.0, BellDiagonalState(-1, 1, 1)).m == 0.0
+        assert M.xstate_entropies(0.0, fig_state).m == pytest.approx(
             binary_entropy(0.9), abs=1e-14
         )
 
@@ -250,7 +288,7 @@ class TestMinimalMissingInfo:
     @given(bd_states())
     def test_bd_vs_bruteforce(self, s):
         m, _ = M.minimal_missing_info_bruteforce(bd_to_density(s), COARSE)
-        assert m == pytest.approx(M.minimal_missing_info_bd(s), abs=1e-9)
+        assert m == pytest.approx(M.xstate_entropies(0.0, s).m, abs=1e-9)
 
 
 OUTSIDE_STATES = [
@@ -265,14 +303,14 @@ OUTSIDE_STATES = [
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda s: M.uncertainty_U_bd(s, PAIR_13),
-        M.lower_bound_Ub_bd,
+        lambda s: SweepConfig(s, ChannelSpec("pd"), PAIR_13),
+        lambda s: ChannelSpec("pd").evolve(s, 1.0),
         lambda s: M.minimal_missing_info_ad(s, 1.0),
         classify_longtime_ad,
         lambda s: M.witness_discord_from_U(s, PAIR_13, 1.0),
         lambda s: M.spmc_holds(s, PAIR_13),
     ],
-    ids=["uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_ad", "classify",
+    ids=["SweepConfig", "ChannelSpec.evolve", "minimal_missing_info_ad", "classify",
          "witness_discord_from_U", "spmc_holds"],
 )
 def test_entry_points_reject_states_outside_tetrahedron(s, entry):
@@ -338,26 +376,26 @@ class TestDiscord:
         s_ab = -sum(p * np.log2(p) for p in (0.225, 0.675, 0.025, 0.075))
         expected = -(s_ab - 1.0) + binary_entropy(0.9)  # 0.18872...
         assert O.discord(bd_to_density(fig_state)) == pytest.approx(expected, abs=1e-10)
-        assert M.discord_bd(fig_state) == pytest.approx(expected, abs=1e-12)
+        assert _discord(fig_state) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(bd_states())
     def test_non_negative(self, s):
-        assert M.discord_bd(s) >= -1e-9
+        assert _discord(s) >= -1e-9
 
 
 class TestDiscordWitness:
     def test_fig2_const(self, fig_state):
         # const = 1 + H_bin(0.9); at t=0, U = U_b so D = const - U
-        u0 = M.uncertainty_U_bd(fig_state, PAIR_13)
+        u0 = M.xstate_entropies(0.0, fig_state).uncertainty(PAIR_13)
         d = M.witness_discord_from_U(fig_state, PAIR_13, u0)
-        assert d == pytest.approx(M.discord_bd(fig_state), abs=1e-12)
+        assert d == pytest.approx(_discord(fig_state), abs=1e-12)
         # log2(1/c) is the exact 1 of every distinct Pauli pair, as in U_b
         assert d == 1.0 + binary_entropy(0.9) - u0
         assert M.witness_discord_from_U(fig_state, M.pauli_pair(3, 1), u0) == d
 
     def test_record_tuple_and_array_agree(self, fig_state):
-        u0 = M.uncertainty_U_bd(fig_state, PAIR_13)
+        u0 = M.xstate_entropies(0.0, fig_state).uncertainty(PAIR_13)
         d = M.witness_discord_from_U(fig_state, PAIR_13, u0)
         for c in [(-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
             assert M.witness_discord_from_U(c, PAIR_13, u0) == d
@@ -372,10 +410,10 @@ class TestDiscordWitness:
 
     def test_fully_dephased_discord_zero(self, fig_state):
         dephased = evolve_bd_flip(fig_state, 3, 0.5)
-        u = M.uncertainty_U_bd(dephased, PAIR_13)
+        u = M.xstate_entropies(0.0, dephased).uncertainty(PAIR_13)
         d = M.witness_discord_from_U(fig_state, PAIR_13, u)
         assert d == pytest.approx(0.0, abs=1e-12)
-        assert M.discord_bd(dephased) == pytest.approx(0.0, abs=1e-9)
+        assert _discord(dephased) == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_wrong_axis(self, fig_state):
         with pytest.raises(M.WitnessNotValidError):
@@ -424,14 +462,15 @@ class TestXStateCoreVsOracles:
         rho = O.apply_local_A(O.channel_at(spec, strength), bd_to_density(s))
         u_b = float(M.xstate_lower_bound_Ub(r, t))
         assert u_b == pytest.approx(O.lower_bound_Ub(rho, PAIR_13), abs=1e-10)
+        entropies = M.xstate_entropies(r, t)
         for pair in ALL_PAIRS:
-            u = float(M.xstate_uncertainty_U(r, t, pair))
+            u = float(entropies.uncertainty(pair))
             assert u == pytest.approx(O.uncertainty_U(rho, pair), abs=1e-10)
             assert u >= u_b - 1e-9
         e = float(M.xstate_concurrence(r, t))
         assert e == pytest.approx(O.concurrence(rho), abs=1e-7)
         assert 0.0 <= e <= 1.0
-        m = float(M.xstate_minimal_missing_info(r, t)[0])
+        m = float(entropies.m)
         assert m == pytest.approx(M.minimal_missing_info_bruteforce(rho, COARSE)[0], abs=1e-9)
         assert 0.0 <= m <= 1.0
         assert m - (u_b - 1.0) >= -1e-9
@@ -512,19 +551,29 @@ EDGES = [-1.0, 0.0, 1.0, 1.0 + 1e-12, 1.0 + 4e-12, -1.0 - 1e-12, -1.0 - 4e-12]
 coordinate = st.one_of(st.floats(-1.2, 1.2), st.sampled_from(EDGES))
 
 
+def _reference_configs():
+    """The 6060 reference sweeps: 303 states, five grids, four ordered pairs."""
+    states = random_bd_states(300, np.random.default_rng(20110)).tolist()
+    states += [BellDiagonalState(-1, 1, 1), BellDiagonalState(1, 1, -1), FIG_STATE]
+    for s, (kind, axis, t0, t1, n, spacing), pair in itertools.product(
+        states, REFERENCE_GRIDS, REFERENCE_PAIRS
+    ):
+        yield SweepConfig(s, ChannelSpec(kind, axis), M.pauli_pair(*pair), t0, t1, n, spacing)
+
+
 class TestEntropiesMatchPerColumnReference:
     """xstate_entropies takes in two stacked calls what the reference takes in
     seven: every entry still meets its own check, and every value keeps its bits."""
 
     def test_sweep_records_bitwise_equal_reference(self):
-        states = random_bd_states(300, np.random.default_rng(20110))
-        states += [BellDiagonalState(-1, 1, 1), BellDiagonalState(1, 1, -1), FIG_STATE]
-        for s, (kind, axis, t0, t1, n, spacing), pair in itertools.product(
-            states, REFERENCE_GRIDS, REFERENCE_PAIRS
-        ):
-            cfg = SweepConfig(s, ChannelSpec(kind, axis), M.pauli_pair(*pair), t0, t1, n, spacing)
+        for cfg in _reference_configs():
             rows = np.array(run_time_sweep(cfg))
-            assert rows.tobytes() == _ref_sweep(cfg).tobytes(), (s, kind, axis, spacing, pair)
+            assert rows.tobytes() == _ref_sweep(cfg).tobytes(), cfg
+
+    def test_m_is_the_smaller_of_m_x_and_m_z_bitwise(self):
+        for cfg in _reference_configs():
+            e = M.xstate_entropies(*cfg.channel.evolve(cfg.initial, cfg.grid()))
+            assert _bits(e.m) == _bits(np.minimum(e.m_x, e.m_z)), cfg
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(*[coordinate] * 4), min_size=1, max_size=5), st.booleans())
@@ -545,8 +594,6 @@ class TestEntropiesMatchPerColumnReference:
             return
         assert [_bits(x) for x in got] == [_bits(x) for x in want]
         for q, k in itertools.permutations((1, 2, 3), 2):
-            u = M.xstate_uncertainty_U(r, t, M.pauli_pair(q, k))
+            u = got.uncertainty(M.pauli_pair(q, k))
             assert _bits(u) == _bits(want[q - 1] + want[k - 1])
-        m_x, m_z = want[4], want[5]
-        want_m = (np.minimum(m_x, m_z), m_x, m_z)
-        assert [_bits(x) for x in M.xstate_minimal_missing_info(r, t)] == [_bits(x) for x in want_m]
+        assert _bits(got.m) == _bits(np.minimum(want[4], want[5]))

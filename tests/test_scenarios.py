@@ -13,12 +13,9 @@ from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, parse_channel_liter
 from eurnoise.metrics import (
     pauli_pair,
     spmc_holds,
-    uncertainty_U_bd,
-    lower_bound_Ub_bd,
     xstate_concurrence,
+    xstate_entropies,
     xstate_lower_bound_Ub,
-    xstate_minimal_missing_info,
-    xstate_uncertainty_U,
 )
 
 PAIR_13 = pauli_pair(1, 3)
@@ -132,8 +129,9 @@ class TestFig2Sweep:
 
     def test_zero_time_record(self):
         r0 = SC.run_time_sweep(fig_config("pd"))[0]
-        assert r0.u == pytest.approx(uncertainty_U_bd(FIG_STATE, PAIR_13), abs=1e-12)
-        assert r0.u_b == pytest.approx(lower_bound_Ub_bd(FIG_STATE), abs=1e-12)
+        u0 = xstate_entropies(0.0, FIG_STATE).uncertainty(PAIR_13)
+        assert r0.u == pytest.approx(u0, abs=1e-12)
+        assert r0.u_b == pytest.approx(xstate_lower_bound_Ub(0.0, FIG_STATE), abs=1e-12)
 
     def test_record_invariants(self):
         for r in SC.run_time_sweep(fig_config("pd")):
@@ -201,7 +199,7 @@ class TestClassifyOneCoreCall:
         for s in random_bd_states(1000, np.random.default_rng(2024)):
             res = SC.classify_longtime_ad(s)
             limit = xstate_lower_bound_Ub(*ChannelSpec("ad").evolve(s, 50.0))
-            assert res.u_b_initial == lower_bound_Ub_bd(s)
+            assert res.u_b_initial == float(xstate_lower_bound_Ub(0.0, s))
             assert res.u_b_limit == float(limit)
 
     def test_one_core_call(self, monkeypatch):
@@ -215,7 +213,7 @@ class TestClassifyOneCoreCall:
         monkeypatch.setattr(SC, "xstate_lower_bound_Ub", counted)
         SC.classify_longtime_ad(FIG_STATE)
         assert shapes == [(2, 3)]
-        SC.classify_longtime_ad(np.array(random_bd_states(37, np.random.default_rng(1))))
+        SC.classify_longtime_ad(random_bd_states(37, np.random.default_rng(1)))
         assert shapes == [(2, 3), (37, 2, 3)]
 
 
@@ -256,7 +254,7 @@ class TestEntropyCallCounts:
         SC.classify_longtime_ad(FIG_STATE)
         assert entropy_calls == [("shannon_entropy", (2, 4))]
         entropy_calls.clear()
-        SC.classify_longtime_ad(np.array(random_bd_states(37, np.random.default_rng(1))))
+        SC.classify_longtime_ad(random_bd_states(37, np.random.default_rng(1)))
         assert entropy_calls == [("shannon_entropy", (37, 2, 4))]
 
 
@@ -266,7 +264,7 @@ class TestClassifyManyStates:
 
     def test_columns_equal_single_calls_bitwise(self):
         states = random_bd_states(1500, np.random.default_rng(77))
-        many = SC.classify_longtime_ad(np.array(states))
+        many = SC.classify_longtime_ad(states)
         assert [len(col) for col in (many.verdict, many.u_b_initial, many.u_b_limit)] == [1500] * 3
         assert {"Decrease", "Increase"} <= set(many.verdict)
         single = [SC.classify_longtime_ad(s) for s in states]
@@ -301,8 +299,8 @@ def _sweep_columns(cfg):
     """Reference rows: the xstate_* columns over the grid, stacked."""
     t = cfg.grid()
     r, corr = cfg.channel.evolve(cfg.initial, t)
-    u, u_b = xstate_uncertainty_U(r, corr, cfg.pair), xstate_lower_bound_Ub(r, corr)
-    m = xstate_minimal_missing_info(r, corr)[0]
+    e = xstate_entropies(r, corr)
+    u, u_b, m = e.uncertainty(cfg.pair), xstate_lower_bound_Ub(r, corr), e.m
     return np.stack([t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m], axis=1)
 
 
@@ -438,8 +436,9 @@ class TestSpmcSurface:
             assert spmc_holds(s, PAIR_13, tol=1e-12)
 
     def test_identity_on_surface(self):
-        for s in SC.sample_spmc_surface(PAIR_13, 21):
-            assert abs(uncertainty_U_bd(s, PAIR_13) - lower_bound_Ub_bd(s)) <= 1e-10
+        c = np.array(SC.sample_spmc_surface(PAIR_13, 21))
+        u = xstate_entropies(0.0, c).uncertainty(PAIR_13)
+        assert np.max(np.abs(u - xstate_lower_bound_Ub(0.0, c))) <= 1e-10
 
     def test_other_pairs(self):
         for s in SC.sample_spmc_surface(pauli_pair(2, 3), 9):
@@ -458,6 +457,24 @@ class TestUnitalPropertyCheck:
         ub0, ub1 = report.counterexample_ub_drop
         assert ub1 < ub0 - 1e-9
         assert report.passed
+
+    @pytest.mark.parametrize("trials, seed", [(5, 3), (200, 11), (1, 10)])
+    def test_counterexample_is_a_record_of_a_sampled_row(self, trials, seed):
+        # the first row, in sample order then the figure state, whose U_b drops
+        # under amplitude damping; seed 10's one sample does not drop
+        rows = random_bd_states(trials, np.random.default_rng(seed)).tolist()
+        rows.append(list(FIG_STATE))
+        report = SC.property_check_unital(trials, seed)
+        s = report.counterexample_state
+        assert type(s) is BellDiagonalState and all(type(x) is float for x in s)
+        assert list(s) in rows
+        ub0, ub1 = report.counterexample_ub_drop
+        assert ub0 == pytest.approx(xstate_lower_bound_Ub(0.0, s), abs=1e-12)
+        assert ub1 == pytest.approx(xstate_lower_bound_Ub(*ChannelSpec("ad").evolve(s, 20.0)), abs=1e-12)
+        for earlier in rows[: rows.index(list(s))]:
+            limit = xstate_lower_bound_Ub(*ChannelSpec("ad").evolve(earlier, 20.0))
+            assert limit >= xstate_lower_bound_Ub(0.0, earlier) - 1e-9
+        assert (s == FIG_STATE) is (seed == 10)
 
     @pytest.mark.parametrize(
         "trials, seed",
@@ -479,9 +496,10 @@ class TestUnitalPropertyCheck:
         monkeypatch.setattr(SC, "xstate_lower_bound_Ub", lowered)
         report = SC.property_check_unital(2, seed=4)
         assert report.n_violations == report.n_checks == 80
-        states = random_bd_states(2, np.random.default_rng(4))
+        states = random_bd_states(2, np.random.default_rng(4)).tolist()
         moves = [(spec, x) for spec, grid in SC.UNITAL_FAMILIES for x in grid]
-        assert [v[:3] for v in report.violations] == [(s, *m) for s in states for m in moves]
+        assert [v[:3] for v in report.violations] == [(tuple(s), *m) for s in states for m in moves]
+        assert all(type(v[0]) is BellDiagonalState for v in report.violations)
         assert [spec for spec, _ in SC.UNITAL_FAMILIES] == [
             ChannelSpec("flip", 1), ChannelSpec("flip", 2), ChannelSpec("flip", 3), ChannelSpec("pd")]
         pd_strengths = [v[2] for v in report.violations[:40] if v[1] == ChannelSpec("pd")]

@@ -44,8 +44,13 @@ MOVED = {
     ),
     "states": ("bd_to_density",),
 }
-# names deleted outright: a Pauli pair is two axis integers, c = 1/2 a constant
-DELETED = ("PauliObservable", "pauli_observable", "_EIGENBASES")
+# names deleted outright: a Pauli pair is two axis integers, c = 1/2 a constant;
+# U and M are selections from xstate_entropies, and metrics.check_pair is the pair rule
+DELETED = (
+    "PauliObservable", "pauli_observable", "_EIGENBASES",
+    "uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_bd", "discord_bd",
+    "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
+)
 # the only runtime names eurnoise.oracles may import
 ORACLE_IMPORTS = {
     "DomainError", "shannon_entropy", "ChannelSpec", "ObservablePair",
@@ -144,6 +149,20 @@ def test_the_axis_rule_is_written_once():
         )
     ]
     assert sites == ["linalg.is_axis"], f"the axis rule is written out at {sites}"
+
+
+def test_the_pair_rule_is_written_once():
+    # `isinstance(pair, ObservablePair)` belongs to metrics.check_pair; every
+    # other entry point that takes a pair calls it
+    sites = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(parse(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and any("ObservablePair" in set(referenced_names(arg)) for arg in node.args[1:])
+    ]
+    assert sites == ["metrics.check_pair"], f"the pair rule is written out at {sites}"
 
 
 def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():

@@ -32,7 +32,7 @@ class TestBellEigenvalues:
 
     def test_weights_rounded_as_written(self):
         # (1 + c1 - c2 + c3)/4 and so on, left to right, for every state
-        c = np.array(S.random_bd_states(500, np.random.default_rng(8)))
+        c = S.random_bd_states(500, np.random.default_rng(8))
         c1, c2, c3 = c.T
         written = np.stack(
             [(1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4,
@@ -222,10 +222,11 @@ def test_random_bd_states_reproducible():
     rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
     a = S.random_bd_states(20, rng_a)
     b = S.random_bd_states(np.int64(20), rng_b)
-    assert a == b
+    assert a.tobytes() == b.tobytes()
     assert rng_a.uniform() == rng_b.uniform()  # the same stream after the draws
     assert all(S.is_valid(s) for s in a)
-    assert S.random_bd_states(0, rng_a) == []
+    empty = S.random_bd_states(0, rng_a)
+    assert empty.shape == (0, 3) and empty.dtype == np.float64
 
 
 # sha256 of the 5000 states' bytes, and the PCG64 state word after the draws;
@@ -245,9 +246,26 @@ def test_random_bd_states_stream_pinned(seed):
     rng = np.random.default_rng(seed)
     states = S.random_bd_states(5000, rng)
     digest, after = RANDOM_STATES_PINS[seed]
-    assert len(states) == 5000 and all(type(s) is S.BellDiagonalState for s in states)
-    assert hashlib.sha256(np.array(states).tobytes()).hexdigest() == digest
+    assert states.shape == (5000, 3) and states.dtype == np.float64
+    assert states.flags.c_contiguous and states.flags.owndata
+    assert hashlib.sha256(states.tobytes()).hexdigest() == digest
     assert rng.bit_generator.state["state"]["state"] == after
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 2000])
+def test_random_bd_states_is_one_float_array(n):
+    # an (n, 3) C-contiguous float64 array whose rows are in the tetrahedron,
+    # with the rows a one-state-a-time draw would give
+    states = S.random_bd_states(n, np.random.default_rng(n))
+    assert type(states) is np.ndarray and states.dtype == np.float64
+    assert states.shape == (n, 3) and states.flags.c_contiguous
+    assert bool(np.all(S.is_valid(states)))
+    rng, rows = np.random.default_rng(n), []
+    while len(rows) < n:
+        c = rng.uniform(-1.0, 1.0, size=3)
+        if S.is_valid(c):
+            rows.append(c)
+    assert states.tobytes() == np.array(rows, dtype=float).reshape(-1, 3).tobytes()
 
 
 @pytest.mark.parametrize("n", [-3, 2.5, 3.0, np.float64(3.0), "3", None, True, False], ids=repr)
