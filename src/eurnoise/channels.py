@@ -2,7 +2,9 @@
 
 Flips and phase damping scale the correlations T; amplitude damping relaxes
 the population of A toward |1> (r = e^{-Gt} - 1). ``ChannelSpec`` names a
-channel family and holds the one rule for a valid kind, axis and strength.
+channel family and holds the one rule for a valid kind, axis and strength;
+its ``evolve`` is those checks plus the closed-form map, ``unchecked_map``,
+which only a sweep whose config already checked its inputs calls directly.
 """
 
 from __future__ import annotations
@@ -68,10 +70,15 @@ class ChannelSpec:
 
     def evolve(self, c, t) -> tuple[np.ndarray, np.ndarray]:
         """(r, T) of correlations c (3,) or (..., 3) in the tetrahedron at strengths
-        t, c[..., 0] broadcast against t: c[:, None, :] over K gives (N, K, 3). A
-        flip scales the two other axes by 1 - 2 eta; pd flips axis 3 at pd_equivalent_eta."""
+        t, c[..., 0] broadcast against t: c[:, None, :] over K gives (N, K, 3). The
+        checks (``check``, then ``check_bd``), then ``unchecked_map``."""
         t = self.check(t)
-        c = check_bd(c)
+        return self.unchecked_map(check_bd(c), t)
+
+    def unchecked_map(self, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The closed-form map of ``evolve`` without its checks: c and t must be
+        the float arrays that ``check_bd`` and ``check`` returned. A flip scales
+        the two other axes by 1 - 2 eta; pd flips axis 3 at pd_equivalent_eta."""
         if self.kind == "ad":
             r, f = amplitude_damping_factors(t)
         else:

@@ -1,6 +1,8 @@
 """Entropy primitives over arrays, the domain error and the count rule.
 
-All entropies are in bits (log base 2) and broadcast over leading axes.
+All entropies are in bits (log base 2) and broadcast over leading axes. Each
+checked kernel settles an in-range array with one cheap test; only an array
+that fails it pays for the ordered checks, which name the first bad value.
 """
 
 from __future__ import annotations
@@ -57,22 +59,33 @@ def binary_entropy(p):
     """H_bin(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0; elementwise,
     and a float for scalar p."""
     p = np.asarray(p, dtype=float)
-    bad = _first_outside(p, -1e-12, 1 + 1e-12)
-    if bad is not None:
-        raise DomainError(f"binary entropy argument {bad} outside [0, 1]")
-    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    if not (p.size and p.min() >= 0.0 and p.max() <= 1.0):  # else the clamp is the identity
+        bad = _first_outside(p, -1e-12, 1 + 1e-12)
+        if bad is not None:
+            raise DomainError(f"binary entropy argument {bad} outside [0, 1]")
+        p = np.minimum(np.maximum(p, 0.0), 1.0)
     return _entropy_bits(_stack_last(p, 1.0 - p))
+
+
+def _sum_last(p: np.ndarray) -> np.ndarray:
+    # entries are >= -1e-12 and never NaN or -inf here, so a sum can only
+    # overflow to +inf, which the caller rejects as a bad sum
+    with np.errstate(over="ignore"):
+        return p.sum(axis=-1)
 
 
 def shannon_entropy(p):
     """Shannon entropy in bits over the last axis, with 0 log 0 = 0; a float
     for a single probability vector."""
     p = np.asarray(p, dtype=float)
-    bad = _first_outside(p, -1e-12, FLOAT_MAX)
-    if bad is not None:
-        raise DomainError(f"probability {bad} is negative or not finite")
-    total = p.sum(axis=-1)
-    off = np.abs(total - 1.0) > 1e-9
-    if off.any():
-        raise DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
+    # the min rules out NaN, -inf and negative entries before any sum, and a
+    # sum within 1e-9 of 1 rules out +inf
+    if not (p.size and p.min() >= -1e-12 and np.abs(_sum_last(p) - 1.0).max() <= 1e-9):
+        bad = _first_outside(p, -1e-12, FLOAT_MAX)
+        if bad is not None:
+            raise DomainError(f"probability {bad} is negative or not finite")
+        total = _sum_last(p)
+        off = np.abs(total - 1.0) > 1e-9
+        if off.any():
+            raise DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
     return _entropy_bits(np.maximum(p, 0.0))

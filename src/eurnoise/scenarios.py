@@ -1,10 +1,11 @@
 """Time sweeps, long-time classification, surface sampling, and the
-unital-monotonicity property suite."""
+unital-monotonicity property suite. A sweep checks its state and strengths
+once, in ``SweepConfig``, and ``run_time_sweep`` maps what passed."""
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import getitem, itemgetter
 from typing import NamedTuple
@@ -30,6 +31,11 @@ def _check_columns(cols: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's inputs, each checked once, here: the state by ``check_bd`` and
+    the channel with the grid's endpoints by ``ChannelSpec.check``. The config
+    keeps the state and the grid as read-only float arrays, so that
+    ``run_time_sweep`` checks nothing again."""
+
     initial: BellDiagonalState
     channel: ChannelSpec
     pair: ObservablePair
@@ -38,9 +44,11 @@ class SweepConfig:
     n_points: int = 201
     spacing: str = "linear"
     outputs: tuple[str, ...] = ALL_COLUMNS
+    _state: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_bd(self.initial)
+        c = check_bd(np.array(self.initial, dtype=float))  # a copy: the caller's may change
         check_pair(self.pair)
         self.channel.check((self.t_start, self.t_end))
         if not self.t_start < self.t_end:
@@ -51,10 +59,20 @@ class SweepConfig:
         if self.spacing == "log" and self.t_start <= 0:
             raise DomainError("log spacing needs t_start > 0")
         _check_columns(self.outputs)
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        with np.errstate(over="ignore"):
+            t = space(self.t_start, self.t_end, self.n_points)
+        # every point between checked endpoints is in range, but numpy takes the
+        # inner points of a log grid that ends near FLOAT_MAX to inf
+        if not np.isfinite(t).all():
+            raise DomainError(f"log grid from {self.t_start} to {self.t_end} overflows")
+        for name, a in (("_state", c), ("_grid", t)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def grid(self) -> np.ndarray:
-        space = np.geomspace if self.spacing == "log" else np.linspace
-        return space(self.t_start, self.t_end, self.n_points)
+        """The strengths of the sweep, a read-only array made once, at construction."""
+        return self._grid
 
 
 class SweepRecord(NamedTuple):
@@ -69,9 +87,10 @@ class SweepRecord(NamedTuple):
 def run_time_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evolve the initial state along the grid (Gamma*t for the damping
     channels, eta for the flips) and evaluate every column over the whole
-    grid at once, every entropy from one ``xstate_entropies``."""
+    grid at once, every entropy from one ``xstate_entropies``. The config
+    checked the state and the grid, so the channel maps them unchecked."""
     t = cfg.grid()
-    r, corr = cfg.channel.evolve(cfg.initial, t)
+    r, corr = cfg.channel.unchecked_map(cfg._state, t)
     e = xstate_entropies(r, corr)
     u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, e.m  # U_b = S(rho_AB)
     columns = (t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)

@@ -42,7 +42,7 @@ def _four_weights(c) -> tuple[np.ndarray, np.ndarray]:
     if c.shape[-1:] != (3,):
         raise DomainError(f"correlations must have shape (..., 3), got shape {c.shape}")
     x = c[..., :, None] * _SIGNS  # a - b == a + (-b) exactly
-    return c, 1.0 + x[..., 0, :] + x[..., 1, :] + x[..., 2, :]
+    return c, np.add.reduce(x, axis=-2, initial=1.0)  # ((1 + x0) + x1) + x2
 
 
 def bell_eigenvalues(c) -> np.ndarray:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eurnoise import linalg as L
 from eurnoise import oracles as O
@@ -147,6 +150,157 @@ class TestEntropyNamesFirstBadValue:
         assert L.shannon_entropy(np.empty((0, 4))).shape == (0,)
         with pytest.raises(L.DomainError, match="sum to 0.0"):
             L.shannon_entropy([])
+
+
+class TestShannonOverflow:
+    """Entries near FLOAT_MAX sum to inf: a bad sum, named as such, with no
+    overflow warning on the way, whether or not warnings are errors."""
+
+    @pytest.mark.parametrize(
+        "p", [[1e308, 1e308], [[0.5, 0.5], [1e308, 1e308]], [[1e308, 1e308, -1e-12]]], ids=repr
+    )
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_sum_to_inf_is_a_domain_error(self, p, action):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(L.DomainError) as info:
+                L.shannon_entropy(np.array(p))
+        assert str(info.value) == "probabilities sum to inf, not 1"
+        assert caught == []
+
+
+# ---- the reference: binary_entropy and shannon_entropy as written before
+# each took its one-test fast path; every input must give the same bits or
+# the same error. The reference sums under errstate(over="ignore"), because
+# as written it let a sum overflow with a RuntimeWarning.
+
+
+def _ref_first_outside(x, lo, hi):
+    if x.size == 0 or (x.min() >= lo and x.max() <= hi):
+        return None
+    return x[~((x >= lo) & (x <= hi))].flat[0]
+
+
+def _ref_entropy_bits(p):
+    h = 0.0 - (p * np.log2(np.maximum(p, 5e-324))).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
+
+
+def _ref_binary_entropy(p):
+    p = np.asarray(p, dtype=float)
+    bad = _ref_first_outside(p, -1e-12, 1 + 1e-12)
+    if bad is not None:
+        raise L.DomainError(f"binary entropy argument {bad} outside [0, 1]")
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    return _ref_entropy_bits(np.stack([p, 1.0 - p], axis=-1))
+
+
+def _ref_shannon_entropy(p):
+    p = np.asarray(p, dtype=float)
+    bad = _ref_first_outside(p, -1e-12, L.FLOAT_MAX)
+    if bad is not None:
+        raise L.DomainError(f"probability {bad} is negative or not finite")
+    with np.errstate(over="ignore"):
+        total = p.sum(axis=-1)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise L.DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
+    return _ref_entropy_bits(np.maximum(p, 0.0))
+
+
+def _outcome(kernel, p):
+    """(type, dtype, shape, bytes) of the result, or (type, message) of the error."""
+    try:
+        h = kernel(p)
+    except Exception as exc:  # a RuntimeWarning raised as an error included
+        return type(exc), str(exc)
+    out = np.asarray(h)
+    return type(h), out.dtype, out.shape, out.tobytes()
+
+
+def _checked(kernel, p):
+    """The kernel's outcome with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _outcome(kernel, p)
+
+
+def _around(*xs, ulps=2):
+    """Each x and its neighbours up to `ulps` floats away on either side."""
+    out = []
+    for x in xs:
+        lo = hi = x
+        for _ in range(ulps):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [float(lo), float(hi)]
+        out.append(x)
+    return out
+
+
+# the windows' edges to the ulp, the pure-state ends, non-finite values and -0.0
+EDGE_ENTRIES = _around(-1e-12, 1 + 1e-12, 0.0, 1.0) + [
+    -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, 0.5,
+]
+entry = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(EDGE_ENTRIES),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+shapes = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(0, 5)),
+    st.tuples(st.integers(0, 4), st.integers(0, 5)),
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 4)),
+)
+# sums at 1 and at the 1 +- 1e-9 edges, give or take a few ulps
+SUM_TARGETS = _around(1.0, 1.0 + 1e-9, 1.0 - 1e-9, ulps=4)
+
+
+mixed_arrays = arrays(np.float64, shapes, elements=entry)
+
+
+@st.composite
+def near_sum_rows(draw):
+    """Rows of non-negative entries whose last entry is set so that each row
+    sums to a drawn target, to within the rounding of the sum."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 5)),
+        st.tuples(st.integers(1, 4), st.integers(1, 5)),
+        st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 4)),
+    ))
+    p = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    p = p / np.maximum(p.sum(axis=-1, keepdims=True), 1.0) / 2
+    targets = draw(arrays(np.float64, shape[:-1], elements=st.sampled_from(SUM_TARGETS)))
+    p[..., -1] = targets - p[..., :-1].sum(axis=-1)
+    return p
+
+
+class TestEntropyKernelsMatchReference:
+    """The one-test fast path changes no bits and no error: the kernels agree
+    with the reference on arrays mixing in-range, edge and non-finite
+    entries, and on rows summing to within a few ulps of the 1e-9 edges."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_arrays)
+    @example(np.array([-0.0, 0.0, 1.0]))
+    @example(np.array([[1 + 1e-12, -1e-12], [0.5, np.nan]]))
+    @example(np.array(np.nan))
+    def test_binary(self, p):
+        assert _checked(L.binary_entropy, p) == _outcome(_ref_binary_entropy, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_arrays)
+    @example(np.array([1e308, 1e308]))
+    @example(np.array([np.inf, -np.inf]))
+    @example(np.array([[-1e-12, 1.0], [-0.0, 1.0]]))
+    @example(np.array(0.5))
+    def test_shannon(self, p):
+        assert _checked(L.shannon_entropy, p) == _outcome(_ref_shannon_entropy, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_sum_rows())
+    def test_shannon_at_the_sum_edges(self, p):
+        assert _checked(L.shannon_entropy, p) == _outcome(_ref_shannon_entropy, p)
 
 
 class TestHermitianEigenvalues:

@@ -191,6 +191,71 @@ class TestClassifyLongtime:
         assert res.u_b_initial == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The name of every check_bd and ChannelSpec.check call, wherever a
+    loaded eurnoise module binds check_bd."""
+    calls = []
+    check_bd, check = SC.check_bd, ChannelSpec.check
+
+    def counted_check_bd(c):
+        calls.append("check_bd")
+        return check_bd(c)
+
+    def counted_check(self, strength=0.0):
+        calls.append("ChannelSpec.check")
+        return check(self, strength)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "eurnoise" and getattr(mod, "check_bd", None) is check_bd:
+            monkeypatch.setattr(mod, "check_bd", counted_check_bd)
+    monkeypatch.setattr(ChannelSpec, "check", counted_check)
+    return calls
+
+
+class TestSweepChecksOnce:
+    """A sweep checks its state and its strengths once each, when its config
+    is built; run_time_sweep maps what passed and checks nothing again."""
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("literal", CHANNEL_LITERALS)
+    def test_one_check_each_at_construction(self, check_calls, literal, spacing):
+        spec = parse_channel_literal(literal)
+        t_end = 1.0 if spec.kind == "flip" else 10.0
+        for n in (2, 3, 201):
+            check_calls.clear()
+            cfg = fig_config(
+                "pd", channel=spec, t_start=0.01, t_end=t_end, n_points=n, spacing=spacing
+            )
+            assert sorted(check_calls) == ["ChannelSpec.check", "check_bd"]
+            check_calls.clear()
+            records = SC.run_time_sweep(cfg)
+            assert check_calls == [] and len(records) == n
+            assert np.array(records).tobytes() == _sweep_columns(cfg).tobytes()
+
+    def test_sweeps_the_state_it_checked(self):
+        c = np.array([-0.5, 0.4, 0.8])
+        cfg = fig_config("ad", initial=c, n_points=11)
+        c[:] = 0.9  # outside the tetrahedron, after the check
+        fresh = fig_config("ad", n_points=11)
+        records, want = SC.run_time_sweep(cfg), SC.run_time_sweep(fresh)
+        assert np.array(records).tobytes() == np.array(want).tobytes()
+        assert SC.emit_csv(records) == SC.emit_csv(want)
+
+    def test_grid_is_read_only(self):
+        grid = fig_config("pd", n_points=5).grid()
+        assert grid.tolist() == [0.0, 2.5, 5.0, 7.5, 10.0]
+        with pytest.raises(ValueError, match="read-only"):
+            grid[1] = 20.0
+
+    @pytest.mark.parametrize("kind", ["pd", "ad"])
+    def test_log_grid_that_overflows_is_rejected(self, kind):
+        # numpy's geomspace takes the inner point to inf: a DomainError, no warning
+        big = float(np.nextafter(linalg.FLOAT_MAX, 0.0))
+        with pytest.raises(DomainError, match="log grid from .* overflows"):
+            fig_config(kind, t_start=big, t_end=linalg.FLOAT_MAX, n_points=3, spacing="log")
+
+
 class TestClassifyOneCoreCall:
     """classify evaluates U_b at Gamma*t = 0 and at the limit in one core
     call; both values equal the separate evaluations bit for bit."""

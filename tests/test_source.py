@@ -59,6 +59,8 @@ ORACLE_IMPORTS = {
 # the two checked entropy kernels, and the only modules that may name them
 ENTROPY_KERNELS = ("binary_entropy", "shannon_entropy")
 ENTROPY_CALLERS = {"linalg", "metrics", "oracles"}
+# the closed-form channel map without the checks of ChannelSpec.evolve
+UNCHECKED_MAP = "unchecked_map"
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
@@ -163,6 +165,18 @@ def test_the_pair_rule_is_written_once():
         and any("ObservablePair" in set(referenced_names(arg)) for arg in node.args[1:])
     ]
     assert sites == ["metrics.check_pair"], f"the pair rule is written out at {sites}"
+
+
+def test_only_evolve_and_the_sweep_call_the_unchecked_map():
+    # ChannelSpec.unchecked_map skips the state and strength checks: evolve
+    # runs them first, and a sweep's config ran them at construction
+    sites = sorted(
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(parse(path))
+        if UNCHECKED_MAP in {getattr(node, "attr", None), getattr(node, "id", None)}
+    )
+    assert sites == ["channels.evolve", "scenarios.run_time_sweep"], sites
 
 
 def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():

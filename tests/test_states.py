@@ -31,15 +31,22 @@ class TestBellEigenvalues:
             S.bell_eigenvalues(S.BellDiagonalState(1, 1, 1))
 
     def test_weights_rounded_as_written(self):
-        # (1 + c1 - c2 + c3)/4 and so on, left to right, for every state
-        c = S.random_bd_states(500, np.random.default_rng(8))
+        # (1 + c1 - c2 + c3)/4 and so on, left to right, for every state:
+        # seeded samples, the tetrahedron's four vertices and points on its six edges
+        vertices = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+        s = np.linspace(0.0, 1.0, 41)[:, None]
+        edges = [s * a + (1 - s) * b for n, a in enumerate(vertices) for b in vertices[n + 1 :]]
+        seeded = [S.random_bd_states(500, np.random.default_rng(seed)) for seed in (8, 9, 10)]
+        c = np.concatenate(seeded + [vertices] + edges)
         c1, c2, c3 = c.T
         written = np.stack(
             [(1 + c1 - c2 + c3) / 4, (1 - c1 + c2 + c3) / 4,
              (1 + c1 + c2 - c3) / 4, (1 - c1 - c2 - c3) / 4], axis=-1
         )
         assert S.bell_eigenvalues(c).tobytes() == written.tobytes()
-        assert S.bell_eigenvalues(c[7]).tobytes() == written[7].tobytes()
+        assert S.bell_eigenvalues(c.reshape(2, -1, 3)).tobytes() == written.tobytes()
+        for n in (7, 1500, 1501, len(c) - 1):
+            assert S.bell_eigenvalues(c[n]).tobytes() == written[n].tobytes()
 
 
 NAN_STATES = [S.BellDiagonalState(*c) for c in [(np.nan, 0, 0), (0, np.nan, 0), (0, 0, np.nan)]]
