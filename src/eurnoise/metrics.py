@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import DomainError, binary_entropy, is_axis, shannon_entropy, _stack_last
-from eurnoise.states import BellDiagonalState, check_bd
+from eurnoise.states import BellDiagonalState, check_one_bd
 from eurnoise.channels import ChannelSpec
 
 
@@ -54,7 +54,7 @@ def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -
     """State-preparation-and-measurement-choice test: the coefficient on the
     unmeasured axis must equal minus the product of the measured two."""
     check_pair(pair)
-    c = check_bd(s)  # c[5 - q - r] is the unmeasured axis
+    c = check_one_bd(s)  # c[5 - q - r] is the unmeasured axis
     return bool(abs(c[5 - pair.q - pair.r] + c[pair.q - 1] * c[pair.r - 1]) <= tol)
 
 
@@ -150,7 +150,9 @@ def witness_discord_from_U(
     satisfy the matching SPMC condition; u must be finite.
     """
     check_pair(pair)
-    c = check_bd(s0)
+    c = check_one_bd(s0)
+    if np.ndim(u):
+        raise DomainError(f"measured uncertainty must be a scalar, got shape {np.shape(u)}")
     if not np.isfinite(u):
         raise DomainError(f"measured uncertainty {u} is not finite")
     measured = {pair.q, pair.r}
@@ -181,10 +183,15 @@ def witness_discord_from_U(
 # Rau and Alber, PRA 81, 042105 (2010)).
 
 
-def _joint_spectrum(r, t1, t2, t3):  # 4 x the eigenvalues of rho_AB
+def _joint_spectrum(r, t1, t2, t3, out):
+    """Write 4 x the eigenvalues of rho_AB into out, a (..., 4) block (or view) that
+    the caller supplies and then scales by 1/4 in place, one ufunc call per column."""
     rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
     up, down = 1 + t3, 1 - t3
-    return up + rad_m, up - rad_m, down + rad_p, down - rad_p
+    np.add(up, rad_m, out[..., 0])
+    np.subtract(up, rad_m, out[..., 1])
+    np.add(down, rad_p, out[..., 2])
+    np.subtract(down, rad_p, out[..., 3])
 
 
 class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z")):
@@ -210,8 +217,10 @@ def xstate_entropies(r, t) -> XStateEntropies:
     z_up, z_down = 1 + r + t3, 1 + r - t3
     h = binary_entropy(_stack_last(1.0 + u, z_up, z_down, 1.0 + t1, 1.0 + t2) / 2)
     m_x, h_up, h_down, s1_b, s2_b = h.transpose(-1, *range(h.ndim - 1))
-    p = _stack_last(z_up, z_down, 1 - r - t3, 1 - r + t3, *_joint_spectrum(r, t1, t2, t3))
-    h = shannon_entropy(p.reshape(p.shape[:-1] + (2, 4)) / 4)
+    p = np.empty(u.shape + (2, 4))  # 4 x the sigma_3|B spectrum, then 4 x rho_AB's
+    _stack_last(z_up, z_down, 1 - r - t3, 1 - r + t3, out=p[..., 0, :])
+    _joint_spectrum(r, t1, t2, t3, p[..., 1, :])
+    h = shannon_entropy(np.divide(p, 4, out=p))
     s3_b, s_ab = h.transpose(-1, *range(h.ndim - 1))
     return XStateEntropies(s1_b, s2_b, s3_b - 1.0, s_ab, m_x, (h_up + h_down) / 2)
 
@@ -219,7 +228,9 @@ def xstate_entropies(r, t) -> XStateEntropies:
 def xstate_lower_bound_Ub(r, t):
     """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2)."""
     t = np.asarray(t, dtype=float)
-    return shannon_entropy(_stack_last(*_joint_spectrum(r, t[..., 0], t[..., 1], t[..., 2])) / 4)
+    p = np.empty(np.broadcast(r, t[..., 0]).shape + (4,))
+    _joint_spectrum(r, t[..., 0], t[..., 1], t[..., 2], p)
+    return shannon_entropy(np.divide(p, 4, out=p))
 
 
 def xstate_concurrence(r, t):
@@ -246,5 +257,7 @@ class MinimalInfoAD:
 def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
     """Closed-form minimal missing information for an amplitude-damped
     Bell-diagonal state, over the whole tetrahedron."""
-    e = xstate_entropies(*ChannelSpec("ad").evolve(s0, gamma_t))
+    if np.ndim(gamma_t):
+        raise DomainError(f"gamma_t must be a scalar, got shape {np.shape(gamma_t)}")
+    e = xstate_entropies(*ChannelSpec("ad").evolve(check_one_bd(s0), gamma_t))
     return MinimalInfoAD(float(e.m), float(e.m_x), float(e.m_z), False)

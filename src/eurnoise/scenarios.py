@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from eurnoise.linalg import DomainError, check_count
-from eurnoise.states import BellDiagonalState, check_bd, random_bd_states
+from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, random_bd_states
 from eurnoise.channels import ChannelSpec, amplitude_damping_factors
 from eurnoise.metrics import (
     ObservablePair, check_pair, xstate_concurrence, xstate_entropies, xstate_lower_bound_Ub,
@@ -31,7 +31,7 @@ def _check_columns(cols: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A sweep's inputs, each checked once, here: the state by ``check_bd`` and
+    """A sweep's inputs, each checked once, here: the state by ``check_one_bd`` and
     the channel with the grid's endpoints by ``ChannelSpec.check``. The config
     keeps the state and the grid as read-only float arrays, so that
     ``run_time_sweep`` checks nothing again."""
@@ -48,7 +48,7 @@ class SweepConfig:
     _grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = check_bd(np.array(self.initial, dtype=float))  # a copy: the caller's may change
+        c = check_one_bd(np.array(self.initial, dtype=float))  # a copy: the caller's may change
         check_pair(self.pair)
         self.channel.check((self.t_start, self.t_end))
         if not self.t_start < self.t_end:

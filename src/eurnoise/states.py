@@ -62,11 +62,19 @@ def check_bd(c) -> np.ndarray:
     """Correlations c as a float array of shape (..., 3), or a DomainError
     naming the first state (in C order) outside the tetrahedron."""
     c, w = _four_weights(c)
-    if w.size and not w.min() >= _FLOOR:  # the rule of is_valid, over every state
+    if w.size and not np.minimum.reduce(w, None) >= _FLOOR:  # is_valid's rule, every state
         states = c.reshape(-1, 3)
         bad = tuple(states[~is_valid(states)][0].tolist())
         raise DomainError(f"state {bad} lies outside the Bell-diagonal tetrahedron")
     return c
+
+
+def check_one_bd(c) -> np.ndarray:
+    """The state rule of the one-state entry points: shape (3,), then ``check_bd``."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (3,):
+        raise DomainError(f"one state must have shape (3,), got shape {c.shape}")
+    return check_bd(c)
 
 
 def x_state_density(r: float, t) -> np.ndarray:

@@ -259,15 +259,43 @@ SUM_TARGETS = _around(1.0, 1.0 + 1e-9, 1.0 - 1e-9, ulps=4)
 mixed_arrays = arrays(np.float64, shapes, elements=entry)
 
 
+row_shapes = st.one_of(  # no zero-size axis
+    st.tuples(st.integers(1, 5)),
+    st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 4)),
+)
+# entries within 4 ulps of 0 (-0.0 and negative subnormals included) and of 1
+NEAR_0 = _around(0.0, ulps=4) + [-0.0]
+NEAR_1 = _around(1.0, ulps=4)
+# the ordered path accepts an entry just above 1 beside one just below 0
+ABOVE_1 = st.floats(1.0, 1.0 + 1e-9, exclude_min=True)
+BELOW_0 = st.floats(-1e-12, 0.0, exclude_max=True)
+
+
+@st.composite
+def straddling_rows(draw):
+    """Rows at the edges of the fast test (entries in [0, 1], rows summing to
+    within 1e-9 of 1): near-0 entries, with one near-1 entry or one in
+    (1, 1 + 1e-9] beside a companion in [-1e-12, 0), at drawn columns."""
+    shape = draw(row_shapes)
+    p = draw(arrays(np.float64, shape, elements=st.sampled_from(NEAR_0)))
+    j = draw(st.integers(0, shape[-1] - 1))
+    if shape[-1] > 1 and draw(st.booleans()):
+        p[..., j] = draw(arrays(np.float64, shape[:-1], elements=ABOVE_1))
+        p[..., j - 1] = draw(arrays(np.float64, shape[:-1], elements=BELOW_0))
+    else:
+        p[..., j] = draw(arrays(np.float64, shape[:-1], elements=st.sampled_from(NEAR_1)))
+    return p
+
+
+unit_edge_arrays = arrays(np.float64, shapes, elements=st.sampled_from(NEAR_0 + NEAR_1))
+
+
 @st.composite
 def near_sum_rows(draw):
     """Rows of non-negative entries whose last entry is set so that each row
     sums to a drawn target, to within the rounding of the sum."""
-    shape = draw(st.one_of(
-        st.tuples(st.integers(1, 5)),
-        st.tuples(st.integers(1, 4), st.integers(1, 5)),
-        st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 4)),
-    ))
+    shape = draw(row_shapes)
     p = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
     p = p / np.maximum(p.sum(axis=-1, keepdims=True), 1.0) / 2
     targets = draw(arrays(np.float64, shape[:-1], elements=st.sampled_from(SUM_TARGETS)))
@@ -301,6 +329,21 @@ class TestEntropyKernelsMatchReference:
     @given(near_sum_rows())
     def test_shannon_at_the_sum_edges(self, p):
         assert _checked(L.shannon_entropy, p) == _outcome(_ref_shannon_entropy, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(straddling_rows(), unit_edge_arrays))
+    @example(np.array([1.0 + 1e-9, -1e-12]))
+    @example(np.array([[-1e-12, 0.0, np.nextafter(1.0, 2.0)], [-0.0, 5e-324, 1.0]]))
+    @example(np.array([-5e-324, 1.0, -0.0]))
+    def test_shannon_at_the_unit_edges(self, p):
+        assert _checked(L.shannon_entropy, p) == _outcome(_ref_shannon_entropy, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(straddling_rows(), unit_edge_arrays))
+    @example(np.array([1.0 + 1e-9, -1e-12]))
+    @example(np.array([-0.0, -5e-324, np.nextafter(1.0, 2.0)]))
+    def test_binary_at_the_unit_edges(self, p):
+        assert _checked(L.binary_entropy, p) == _outcome(_ref_binary_entropy, p)
 
 
 class TestHermitianEigenvalues:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eurnoise import metrics as M
 from eurnoise import oracles as O
@@ -318,6 +319,47 @@ def test_entry_points_reject_states_outside_tetrahedron(s, entry):
         entry(s)
 
 
+# batches of valid states, each a DomainError at an entry point that takes one
+# state; three distinct states over a 3-point grid once gave one state per point
+BATCHES = [
+    np.array([[0.0, 0.0, 0.0], [-0.5, 0.4, 0.8], [0.2, 0.1, 0.3]]),
+    np.zeros((2, 3)),
+    np.array([[-0.5, 0.4, 0.8]]),
+    np.zeros((0, 3)),
+    np.zeros((2, 1, 3)),
+]
+ONE_STATE_ENTRIES = {
+    "SweepConfig": lambda c: SweepConfig(c, ChannelSpec("ad"), PAIR_13, 0.0, 2.0, 3),
+    "spmc_holds": lambda c: M.spmc_holds(c, PAIR_13),
+    "witness_discord_from_U": lambda c: M.witness_discord_from_U(c, PAIR_13, 1.0),
+    "minimal_missing_info_ad": lambda c: M.minimal_missing_info_ad(c, 1.0),
+}
+# arrays where one strength or one measured U belongs
+NOT_SCALARS = [np.array([1.0]), np.array([0.5, 1.0]), [1.0, 2.0], np.ones((2, 2)), np.empty(0)]
+
+
+@pytest.mark.parametrize("c", BATCHES, ids=lambda c: f"shape{c.shape}")
+@pytest.mark.parametrize("entry", ONE_STATE_ENTRIES.values(), ids=ONE_STATE_ENTRIES.keys())
+def test_one_state_entry_points_reject_a_batch(entry, c):
+    with pytest.raises(DomainError) as info:
+        entry(c)
+    assert str(info.value) == f"one state must have shape (3,), got shape {c.shape}"
+
+
+@pytest.mark.parametrize("x", NOT_SCALARS, ids=lambda x: f"shape{np.shape(x)}")
+def test_minimal_missing_info_ad_takes_one_strength(x, fig_state):
+    with pytest.raises(DomainError) as info:
+        M.minimal_missing_info_ad(fig_state, x)
+    assert str(info.value) == f"gamma_t must be a scalar, got shape {np.shape(x)}"
+
+
+@pytest.mark.parametrize("x", NOT_SCALARS, ids=lambda x: f"shape{np.shape(x)}")
+def test_witness_takes_one_measured_u(x, fig_state):
+    with pytest.raises(DomainError) as info:
+        M.witness_discord_from_U(fig_state, PAIR_13, x)
+    assert str(info.value) == f"measured uncertainty must be a scalar, got shape {np.shape(x)}"
+
+
 class TestMinimalMissingInfoAD:
     @pytest.mark.parametrize("gt", [np.nan, -1.0, np.inf])
     def test_bad_strength_rejected(self, fig_state, gt):
@@ -597,3 +639,84 @@ class TestEntropiesMatchPerColumnReference:
             u = got.uncertainty(M.pauli_pair(q, k))
             assert _bits(u) == _bits(want[q - 1] + want[k - 1])
         assert _bits(got.m) == _bits(np.minimum(want[4], want[5]))
+
+
+# ---- the spectrum reference: the four sums of rho_AB's spectrum, stacked and
+# then divided by 4, as written before _joint_spectrum wrote its columns into
+# the caller's block and scaled it in place. np.stack is the stacking helper
+# the route used, without its shortcut.
+
+
+def _stacked_joint_spectrum(r, t1, t2, t3):  # 4 x the eigenvalues of rho_AB
+    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
+    up, down = 1 + t3, 1 - t3
+    return up + rad_m, up - rad_m, down + rad_p, down - rad_p
+
+
+def _stacked_lower_bound_Ub(r, t):
+    t = np.asarray(t, dtype=float)
+    cols = _stacked_joint_spectrum(r, t[..., 0], t[..., 1], t[..., 2])
+    return shannon_entropy(np.stack(cols, axis=-1) / 4)
+
+
+def _stacked_s3_b_s_ab(r, t):
+    """S(sigma_3|B) and S(rho_AB) from one Shannon call over the (..., 2, 4) block."""
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    cols = (1 + r + t3, 1 + r - t3, 1 - r - t3, 1 - r + t3, *_stacked_joint_spectrum(r, t1, t2, t3))
+    p = np.stack(cols, axis=-1)
+    h = shannon_entropy(p.reshape(p.shape[:-1] + (2, 4)) / 4)
+    s3_b, s_ab = h.transpose(-1, *range(h.ndim - 1))
+    return s3_b - 1.0, s_ab
+
+
+# the pure Bell states (Phi+, Phi-, Psi+, Psi-) as correlations, one per row
+BELL_VERTICES = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+SPECTRUM_SHAPES = [(), (5,), (4, 5), (0,), (0, 5), (4, 0)]
+# e^{-800} underflows to 0, so Gamma*t = 800 gives the r = -1 limit exactly
+GAMMA_T = st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 800.0, 1e6]))
+
+
+@st.composite
+def x_states(draw):
+    """(r, t) over a drawn batch shape: Bell-diagonal states at r = 0, or their
+    amplitude-damped images. Weights of 0 and 1 are drawn often, so many
+    states are pure Bell states, and many strengths give r = -1."""
+    shape = draw(st.sampled_from(SPECTRUM_SHAPES))
+    weight = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    w = draw(arrays(np.float64, shape + (4,), elements=weight))
+    w[..., 0] += w.sum(axis=-1) == 0.0
+    c = (w / w.sum(axis=-1, keepdims=True)) @ BELL_VERTICES
+    if draw(st.booleans()):
+        return 0.0, c
+    return ChannelSpec("ad").evolve(c, draw(arrays(np.float64, shape, elements=GAMMA_T)))
+
+
+def _typed_bits(x):
+    return type(x), _bits(x)
+
+
+class TestSpectrumMatchesStackedReference:
+    """Writing rho_AB's spectrum into the caller's block and scaling it in place
+    changes no bit of U_b, S(sigma_3|B) or S(rho_AB)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x_states())
+    @example((0.0, BELL_VERTICES))
+    @example(ChannelSpec("ad").evolve(BELL_VERTICES, 800.0))
+    @example(ChannelSpec("ad").evolve(BELL_VERTICES[2], 800.0))
+    @example((0.0, BELL_VERTICES[3]))
+    @example(ChannelSpec("ad").evolve(np.zeros((4, 0, 3)), np.zeros((4, 0))))
+    def test_bitwise_equal(self, rt):
+        r, t = rt
+        ub = M.xstate_lower_bound_Ub(r, t)
+        assert _typed_bits(ub) == _typed_bits(_stacked_lower_bound_Ub(r, t))
+        e = M.xstate_entropies(r, t)
+        s3_b, s_ab = _stacked_s3_b_s_ab(r, t)
+        assert _typed_bits(e.s3_b) == _typed_bits(s3_b)
+        assert _typed_bits(e.s_ab) == _typed_bits(s_ab)
+        assert _bits(e.s_ab) == _bits(ub)  # one spectrum, two blocks
+
+    def test_the_examples_are_pure_states_and_the_r_minus_1_limit(self):
+        assert ChannelSpec("ad").evolve(BELL_VERTICES, 800.0)[0] == -1.0
+        assert M.xstate_lower_bound_Ub(0.0, BELL_VERTICES).tolist() == [0.0] * 4

@@ -61,6 +61,10 @@ ENTROPY_KERNELS = ("binary_entropy", "shannon_entropy")
 ENTROPY_CALLERS = {"linalg", "metrics", "oracles"}
 # the closed-form channel map without the checks of ChannelSpec.evolve
 UNCHECKED_MAP = "unchecked_map"
+# np.errstate hides a floating-point warning: only the ordered sum of
+# linalg.shannon_entropy, which lets an overflow read inf and names it, and the
+# sweep grid of SweepConfig, which rejects an overflow, may use it
+ERRSTATE_SITES = ["linalg._sum_last", "scenarios.__post_init__"]
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
@@ -177,6 +181,20 @@ def test_only_evolve_and_the_sweep_call_the_unchecked_map():
         if UNCHECKED_MAP in {getattr(node, "attr", None), getattr(node, "id", None)}
     )
     assert sites == ["channels.evolve", "scenarios.run_time_sweep"], sites
+
+
+def test_errstate_only_in_the_ordered_sum_and_the_sweep_grid():
+    # the fast tests of the entropy kernels bound every entry by 1, so no sum
+    # they take can overflow and none needs errstate
+    sites = sorted(
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(parse(path))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and "errstate" in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "name", None))
+    )
+    assert sites == ERRSTATE_SITES, sites
 
 
 def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
