@@ -6,7 +6,9 @@ entropy calls, and U and M select from it. A Pauli pair is an ``ObservablePair``
 of two axes (``check_pair``), and any two distinct axes have eigenbases of
 overlap c = 1/2. The density-matrix routes that check the closed forms live in
 ``eurnoise.oracles``; the brute-force minimizer for M stays here until the
-benchmark, which reads it at this path, is repointed.
+benchmark, which reads it at this path, is repointed. It assumes no X structure:
+it checks a (..., 4, 4) batch of densities, reads their Pauli correlations (a, b, T)
+and scans measurements of B in the real Bloch form, all states at once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, binary_entropy, is_axis, shannon_entropy, _stack_last
+from eurnoise.linalg import (
+    DomainError, binary_entropy, check_count, is_axis, shannon_entropy, _stack_last,
+)
 from eurnoise.states import BellDiagonalState, check_one_bd
 from eurnoise.channels import ChannelSpec
 
@@ -58,82 +62,97 @@ def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -
     return bool(abs(c[5 - pair.q - pair.r] + c[pair.q - 1] * c[pair.r - 1]) <= tol)
 
 
-def _measurement_kets(theta, xi):
-    """Projective-measurement basis {cos t|0> + e^{i xi} sin t|1>,
-    e^{-i xi} sin t|0> - cos t|1>} for array-valued angles."""
-    theta = np.asarray(theta, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
-    phase = np.exp(1j * xi)
-    b0 = np.stack([ct + 0j, phase * st], axis=-1)
-    b1 = np.stack([np.conj(phase) * st, -ct + 0j], axis=-1)
-    return np.stack([b0, b1], axis=-2)  # (..., outcome, component)
+# the density check: oracles.HERMITICITY_TOL and EIGENVALUE_CLAMP, restated, since
+# the runtime never imports the oracles
+_HERMITICITY_TOL = 1e-12
+_EIGENVALUE_CLAMP = 1e-9
 
 
-def _avg_conditional_entropy(rho_t: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """sum_k q_k S(rho_A^k) for a batch of measurement bases on B.
+def _check_density(rho) -> np.ndarray:
+    """rho as a complex (..., 4, 4) array of density matrices, or DomainError naming the fault."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise DomainError(f"density must have shape (..., 4, 4), got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise DomainError("density has a NaN or infinite entry")
+    if (np.abs(rho - np.swapaxes(rho, -1, -2).conj()) > _HERMITICITY_TOL).any():
+        raise DomainError(f"density is not Hermitian within {_HERMITICITY_TOL}")
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(trace - 1.0) > 1e-9
+    if off.any():
+        raise DomainError(f"density has trace {trace[off].flat[0]}, not 1")
+    low = np.linalg.eigvalsh(rho)[..., 0].min(initial=0.0)
+    if low < -_EIGENVALUE_CLAMP:
+        raise DomainError(f"density has eigenvalue {low} below -{_EIGENVALUE_CLAMP}")
+    return rho
 
-    rho_t: density reshaped to (2, 2, 2, 2) as (a, b, a', b').
-    kets: (..., 2 outcomes, 2 components). Returns shape (...,).
+
+# sigma_m x sigma_n (sigma_0 = I, A the most-significant qubit) has one nonzero entry
+# per column c, in row _ROW[m, n, c], of value _PHASE[m, n, c] in {+-1, +-i}
+_SIGMA = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_KRON = np.einsum("mac,nbd->mnabcd", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
+_ROW = np.abs(_KRON).argmax(-2)
+_PHASE = np.take_along_axis(_KRON, _ROW[..., None, :], -2)[..., 0, :]
+
+
+def _pauli_correlations(rho):
+    """tr(rho sigma_m x sigma_n) = [[1, b], [a, T]]: four exact terms, one order for any batch."""
+    terms = (rho[..., np.arange(4), _ROW] * _PHASE).real
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+
+
+def _conditional_entropy(r, theta, xi):
+    """sum_+- p+- H_bin((1 + |v+-|)/2) for B measured along n(theta, xi), angles (..., g),
+    on the (..., 4, 4) Pauli correlations r = [[1, b], [a, T]]. Outcome +- along n is
+    outcome + along +-n, and r (1, n) = (2p, 2p v) = (1 + b.n, a + T n)."""
+    s = np.sin(2 * theta)
+    n = np.stack([s * np.cos(xi), s * np.sin(xi), np.cos(2 * theta)])
+    n = np.concatenate([n, -n], -1)[..., None]  # (3, ..., 2g, 1): +n, then -n
+    r = r[..., None, :, :]
+    u = r[..., 0] + r[..., 1] * n[0] + r[..., 2] * n[1] + r[..., 3] * n[2]  # (..., 2g, 4)
+    # p = 0 adds 0; the density check's windows let 2p and |v| stray a hair past [0, 1]
+    two_p = np.maximum(u[..., 0], 0.0)
+    v = np.sqrt(np.square(u[..., 1]) + np.square(u[..., 2]) + np.square(u[..., 3]))
+    v = np.minimum(np.divide(v, two_p, out=np.zeros_like(v), where=two_p > 0), 1.0)
+    h = two_p * binary_entropy((1 + v) / 2) / 2
+    return h[..., : theta.shape[-1]] + h[..., theta.shape[-1] :]
+
+
+def minimal_missing_info_bruteforce(rho: np.ndarray, grid: tuple[int, int] = (181, 361)):
+    """Minimize sum_k q_k S(rho_A^k) over measurements of B along n(theta, xi) = (sin 2theta
+    cos xi, sin 2theta sin xi, cos 2theta): (M, (theta, xi)), floats for one (4, 4) density,
+    arrays (...) for a (..., 4, 4) batch. A coarse (theta, xi) grid, whose ties within rounding
+    noise break toward the smallest (theta, xi); then a 5x5 grid around each state's best
+    point, its step halved on every pass from half the coarse spacing down to 1e-9 rad (an
+    angle error d costs O(d^2) in M). The best point moves only on a strict improvement.
     """
-    m = np.einsum("...kb,abcd,...kd->...kac", kets.conj(), rho_t, kets)
-    q = np.einsum("...kaa->...k", m).real
-    m00 = m[..., 0, 0].real
-    m11 = m[..., 1, 1].real
-    rad = np.sqrt(np.clip(0.25 * (m00 - m11) ** 2 + np.abs(m[..., 0, 1]) ** 2, 0.0, None))
-    lam_hi = 0.5 * q + rad
-    lam_lo = np.clip(0.5 * q - rad, 0.0, None)
-
-    def xlog2x(v):
-        out = np.zeros_like(v)
-        nz = v > 0.0
-        out[nz] = v[nz] * np.log2(v[nz])
-        return out
-
-    # sum_k q_k S(rho_A^k) with rho_A^k = m_k / q_k:
-    # q S(m/q) = q log2 q - lam_hi log2 lam_hi - lam_lo log2 lam_lo
-    contrib = xlog2x(q) - xlog2x(lam_hi) - xlog2x(lam_lo)
-    contrib[q < 1e-14] = 0.0
-    return np.sum(contrib, axis=-1)
-
-
-def minimal_missing_info_bruteforce(
-    rho: np.ndarray, grid: tuple[int, int] = (181, 361)
-) -> tuple[float, tuple[float, float]]:
-    """Minimize sum_k q_k S(rho_A^k) over projective measurements on B.
-
-    A coarse (theta, xi) grid, whose ties within rounding noise break toward
-    the lexicographically smallest (theta, xi); then a 5x5 grid around the
-    best point, its step halved on every pass from half the coarse spacing
-    down to 1e-9 rad (an angle error d costs O(d^2) in M). The best point
-    moves only on a strict improvement.
-    """
+    if np.ndim(grid) != 1 or len(grid) != 2:
+        raise DomainError(f"grid must be two counts (n_theta, n_xi), got {grid!r}")
+    for n in grid:
+        check_count(n, "grid points per angle", 64)
     n_theta, n_xi = grid
-    if n_theta < 64 or n_xi < 64:
-        raise DomainError(f"grid {grid} too coarse; need >= 64 points per angle")
-    rho_t = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    rho = _check_density(rho)
+    r = _pauli_correlations(rho)
     thetas = np.linspace(0.0, np.pi, n_theta)
     xis = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
-    vals = np.empty((n_theta, n_xi))
+    vals = np.empty(r.shape[:-2] + (n_theta * n_xi,))
     for i in range(0, n_theta, 4):  # 4 theta rows at a time: temporaries stay under 1 MB
         tg, xg = np.meshgrid(thetas[i : i + 4], xis, indexing="ij")
-        vals[i : i + 4] = _avg_conditional_entropy(rho_t, _measurement_kets(tg, xg))
+        vals[..., i * n_xi : (i + 4) * n_xi] = _conditional_entropy(r, tg.ravel(), xg.ravel())
     # ties within rounding noise break toward the smallest (theta, xi)
-    flat = int(np.flatnonzero(vals.ravel() <= vals.min() + 1e-12)[0])
-    ti, xi_i = divmod(flat, n_xi)
-    best_theta, best_xi = float(thetas[ti]), float(xis[xi_i])
-    best = float(vals[ti, xi_i])
-
-    stencil_t, stencil_x = np.meshgrid(np.arange(-2.0, 3.0), np.arange(-2.0, 3.0))
+    k = np.argmax(vals <= vals.min(-1, keepdims=True) + 1e-12, -1, keepdims=True)
+    best = np.stack([np.take_along_axis(vals, k, -1), thetas[k // n_xi], xis[k % n_xi]])[..., 0]
+    stencil_t, stencil_x = (g.ravel() for g in np.meshgrid(*[np.arange(-2.0, 3.0)] * 2))
     d_theta, d_xi = (thetas[1] - thetas[0]) / 2, (xis[1] - xis[0]) / 2
     while max(d_theta, d_xi) > 1e-9:
-        tg, xg = best_theta + d_theta * stencil_t, best_xi + d_xi * stencil_x
-        vals = _avg_conditional_entropy(rho_t, _measurement_kets(tg, xg))
-        k = int(np.argmin(vals))
-        if vals.flat[k] < best:
-            best, best_theta, best_xi = float(vals.flat[k]), float(tg.flat[k]), float(xg.flat[k])
+        tg, xg = best[1, ..., None] + d_theta * stencil_t, best[2, ..., None] + d_xi * stencil_x
+        vals = _conditional_entropy(r, tg, xg)
+        k = np.argmin(vals, -1, keepdims=True)[None]
+        point = np.take_along_axis(np.stack([vals, tg, xg]), k, -1)[..., 0]
+        best = np.where(point[0] < best[0], point, best)
         d_theta, d_xi = d_theta / 2, d_xi / 2
-    return best, (best_theta, best_xi)
+    m, theta, xi = best if best.ndim > 1 else best.tolist()  # (M, theta, xi), floats for one rho
+    return m, (theta, xi)
 
 
 def witness_discord_from_U(

@@ -97,46 +97,52 @@ def test_criterion_4_witness_consistency():
         records = run_time_sweep(
             SweepConfig(FIG_STATE, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 201)
         )
-        for r in records:
+        rhos = [bd_to_density(evolve_bd_flip(FIG_STATE, 3, pd_equivalent_eta(r.t))) for r in records]
+        m_bf, _ = M.minimal_missing_info_bruteforce(np.array(rhos), COARSE)
+        for r, rho, m in zip(records, rhos, m_bf, strict=True):
             d_witness = M.witness_discord_from_U(FIG_STATE, PAIR_13, r.u, noise_axis=3)
-            evolved = evolve_bd_flip(FIG_STATE, 3, pd_equivalent_eta(r.t))
-            rho = bd_to_density(evolved)
-            m_bf, _ = M.minimal_missing_info_bruteforce(rho, COARSE)
-            d_bf = -O.conditional_entropy(rho) + m_bf
+            d_bf = -O.conditional_entropy(rho) + m
             assert abs(d_witness - d_bf) <= 1e-9
+
+
+def _bruteforce_m_of_ad_states(states, rng):
+    """Each state amplitude-damped to its own seeded Gamma*t, with the closed form and
+    the brute-force M of all of them in one batched call."""
+    gts = [float(rng.uniform(0.0, 5.0)) for _ in states]
+    rhos = np.array([evolve_bd_amplitude(s, gt) for s, gt in zip(states, gts)])
+    m_bf, _ = M.minimal_missing_info_bruteforce(rhos, COARSE)
+    return [M.minimal_missing_info_ad(s, gt) for s, gt in zip(states, gts)], m_bf
 
 
 def test_criterion_5_closed_form_m():
     with criterion(5, "closed-form M formulas agree with the brute-force minimizer"):
         # minimizer's own fixtures
-        m_mixed, _ = M.minimal_missing_info_bruteforce(np.eye(4, dtype=complex) / 4, COARSE)
+        vertices = [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, -1, -1)]
+        fixtures = [np.eye(4, dtype=complex) / 4]
+        fixtures += [bd_to_density(BellDiagonalState(*vertex)) for vertex in vertices]
+        (m_mixed, *m_bells), _ = M.minimal_missing_info_bruteforce(np.array(fixtures), COARSE)
         assert m_mixed == pytest.approx(1.0, abs=1e-12)
-        for vertex in [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, -1, -1)]:
-            rho = bd_to_density(BellDiagonalState(*vertex))
-            m_bell, _ = M.minimal_missing_info_bruteforce(rho, COARSE)
+        for m_bell in m_bells:
             assert m_bell == pytest.approx(0.0, abs=1e-9)
 
         rng = np.random.default_rng(20260824)
-        for s in random_bd_states(200, rng):
-            m_bf, _ = M.minimal_missing_info_bruteforce(bd_to_density(s), COARSE)
-            assert abs(m_bf - M.xstate_entropies(0.0, s).m) <= 1e-9
+        states = random_bd_states(200, rng)
+        m_bf, _ = M.minimal_missing_info_bruteforce(
+            np.array([bd_to_density(s) for s in states]), COARSE
+        )
+        for s, m in zip(states, m_bf, strict=True):
+            assert abs(m - M.xstate_entropies(0.0, s).m) <= 1e-9
         applicable = [s for s in random_bd_states(600, rng) if abs(s[0]) >= abs(s[1])][:200]
         assert len(applicable) == 200
-        for s in applicable:
-            gt = float(rng.uniform(0.0, 5.0))
-            res = M.minimal_missing_info_ad(s, gt)
+        for res, m in zip(*_bruteforce_m_of_ad_states(applicable, rng), strict=True):
             assert not res.used_fallback
-            m_bf, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(s, gt), COARSE)
-            assert abs(m_bf - res.m) <= 1e-9
+            assert abs(m - res.m) <= 1e-9
         # |c1| < |c2|: covered through the S x S symmetry, no fallback
         swapped = [s for s in random_bd_states(600, rng) if abs(s[0]) < abs(s[1])][:200]
         assert len(swapped) == 200
-        for s in swapped:
-            gt = float(rng.uniform(0.0, 5.0))
-            res = M.minimal_missing_info_ad(s, gt)
+        for res, m in zip(*_bruteforce_m_of_ad_states(swapped, rng), strict=True):
             assert not res.used_fallback
-            m_bf, _ = M.minimal_missing_info_bruteforce(evolve_bd_amplitude(s, gt), COARSE)
-            assert abs(m_bf - res.m) <= 1e-9
+            assert abs(m - res.m) <= 1e-9
 
 
 def test_criterion_6_unital_monotonicity():

@@ -292,6 +292,151 @@ class TestMinimalMissingInfo:
         assert m == pytest.approx(M.xstate_entropies(0.0, s).m, abs=1e-9)
 
 
+def _general_densities(rng, n):
+    """Seeded densities G G^dag / tr of rank 1 to 4, with b != 0 almost surely."""
+    out = []
+    for k in rng.integers(1, 5, size=n):
+        g = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+        rho = g @ g.conj().T
+        out.append(rho / np.trace(rho).real)
+    return np.array(out)
+
+
+def _b_pure_densities(rng):
+    """rho_A x |psi><psi| for B in |0>, |1> and |+>, so one outcome along +-z or +-x has p = 0."""
+    kets = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / np.sqrt(2)]
+    rho_a = _general_densities(rng, 3)[:, :2, :2]  # a 2x2 block of a density, not normalized
+    rho_a = rho_a / np.trace(rho_a, axis1=1, axis2=2)[:, None, None]
+    return np.array([np.kron(a, np.outer(k, k.conj())) for a in rho_a for k in kets])
+
+
+def _oracle_conditional_entropy(rho, theta, xi):
+    """sum_k q_k S(rho_A^k) from eurnoise.oracles alone: the projectors I x (I +- n.sigma)/2
+    built from PAULI, then partial_trace and von_neumann_entropy."""
+    n = (np.sin(2 * theta) * np.cos(xi), np.sin(2 * theta) * np.sin(xi), np.cos(2 * theta))
+    total = 0.0
+    for sign in (1, -1):
+        proj = (O.IDENTITY_2 + sign * sum(c * O.PAULI[j] for j, c in zip((1, 2, 3), n))) / 2
+        big = O.tensor_product(O.IDENTITY_2, proj)
+        rho_a = O.partial_trace(big @ rho @ big, "A")
+        q = np.trace(rho_a).real
+        if q > 1e-12:  # an outcome of probability q adds at most q (S <= 1 bit)
+            total += q * O.von_neumann_entropy(rho_a / q)
+    return total
+
+
+# fixed measurements: +z, -z, +x, -x and +y, then seeded angles
+FIXED_THETA = np.concatenate([[0.0, np.pi / 2, np.pi / 4, np.pi / 4, np.pi / 4],
+                              np.random.default_rng(151).uniform(0, np.pi, 8)])
+FIXED_XI = np.concatenate([[0.0, 0.0, 0.0, np.pi, np.pi / 2],
+                           np.random.default_rng(152).uniform(0, 2 * np.pi, 8)])
+
+
+@pytest.mark.filterwarnings("error")
+class TestBruteForceBlochForm:
+    """The real Bloch form of the brute force against routes built from the oracles."""
+
+    def test_tolerances_restate_the_oracles(self):
+        assert M._HERMITICITY_TOL == O.HERMITICITY_TOL
+        assert M._EIGENVALUE_CLAMP == O.EIGENVALUE_CLAMP
+
+    def test_pauli_correlations_match_traces(self):
+        rng = np.random.default_rng(153)
+        for rho in _general_densities(rng, 20):
+            r = M._pauli_correlations(rho)
+            for m, n in itertools.product(range(4), repeat=2):
+                sm = O.IDENTITY_2 if m == 0 else O.PAULI[m]
+                sn = O.IDENTITY_2 if n == 0 else O.PAULI[n]
+                expected = np.trace(rho @ O.tensor_product(sm, sn)).real
+                assert r[m, n] == pytest.approx(expected, abs=1e-15)
+            assert np.abs(r[0, 1:]).max() > 1e-3  # b != 0
+
+    @pytest.mark.parametrize("family", ["general", "b_pure"])
+    def test_conditional_entropy_matches_oracle_route(self, family):
+        rng = np.random.default_rng(154)
+        states = _general_densities(rng, 40) if family == "general" else _b_pure_densities(rng)
+        for rho in states:
+            got = M._conditional_entropy(M._pauli_correlations(rho), FIXED_THETA, FIXED_XI)
+            expected = [_oracle_conditional_entropy(rho, t, x) for t, x in zip(FIXED_THETA, FIXED_XI)]
+            assert np.abs(got - expected).max() <= 1e-12
+
+    def test_b_pure_states_hit_p_zero(self):
+        # |0>, |1> and |+> on B: along +z, -z and +x one outcome has probability 0
+        r = M._pauli_correlations(_b_pure_densities(np.random.default_rng(155)))
+        b = r[:, 0, 1:]
+        assert {tuple(np.round(v, 12)) for v in b} == {(0, 0, 1), (0, 0, -1), (1, 0, 0)}
+
+    def test_product_states_give_s_of_a(self):
+        # a measurement on B of rho_A x rho_B leaves rho_A whatever the outcome
+        rng = np.random.default_rng(156)
+        halves = _general_densities(rng, 10)[:, :2, :2]
+        halves = halves / np.trace(halves, axis1=1, axis2=2)[:, None, None]
+        rho = np.array([np.kron(a, b) for a, b in zip(halves[:5], halves[5:])])
+        m, _ = M.minimal_missing_info_bruteforce(rho, COARSE)
+        expected = [O.von_neumann_entropy(a) for a in halves[:5]]
+        assert np.abs(m - expected).max() <= 1e-12
+
+    def test_pure_states_give_zero(self):
+        # B measured in its Schmidt basis leaves A pure
+        g = np.random.default_rng(157).normal(size=(2, 20, 4))
+        psi = g[0] + 1j * g[1]
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        m, _ = M.minimal_missing_info_bruteforce(psi[:, :, None] * psi[:, None, :].conj(), COARSE)
+        assert np.abs(m).max() <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3), (0,)])
+    def test_batch_equals_one_at_a_time_bitwise(self, shape):
+        rng = np.random.default_rng(158)
+        n = int(np.prod(shape))
+        ad = [evolve_bd_amplitude(s, float(rng.uniform(0, 5))) for s in random_bd_states(n, rng)]
+        rho = np.array(ad[: n // 2] + list(_general_densities(rng, n - n // 2)))
+        m, (theta, xi) = M.minimal_missing_info_bruteforce(rho.reshape(shape + (4, 4)), COARSE)
+        assert m.shape == theta.shape == xi.shape == shape
+        for idx, one in zip(np.ndindex(shape), rho):
+            m1, (t1, x1) = M.minimal_missing_info_bruteforce(one, COARSE)
+            assert type(m1) is type(t1) is type(x1) is float
+            assert (m[idx], theta[idx], xi[idx]) == (m1, t1, x1)
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.full((4, 4), np.nan), "density has a NaN or infinite entry"),
+            (np.eye(4) / 4 + np.diag([np.inf, 0, 0, 0]), "density has a NaN or infinite entry"),
+            (np.eye(4), "density has trace 4.0, not 1"),
+            (np.diag([1.75, -0.25, -0.25, -0.25]), "density has eigenvalue -0.25 below -1e-09"),
+            (np.eye(3) / 3, r"density must have shape \(\.\.\., 4, 4\), got shape \(3, 3\)"),
+            (np.full(16, 1 / 16), r"got shape \(16,\)"),
+            (np.eye(4) / 4 + np.diag([1e-9] * 3, 1), "density is not Hermitian within 1e-12"),
+            (np.array([np.eye(4) / 4, np.diag([1.75, -0.25, -0.25, -0.25])]),
+             "density has eigenvalue -0.25 below -1e-09"),
+        ],
+        ids=["nan", "inf", "identity", "negative", "3x3", "flat", "not-hermitian", "batch"],
+    )
+    def test_rejects_a_bad_density(self, rho, message):
+        with pytest.raises(DomainError, match=message):
+            M.minimal_missing_info_bruteforce(rho, COARSE)
+
+    def test_accepts_a_density_within_the_windows(self):
+        rho = np.diag([0.5 + 5e-10, 0.5 + 4e-10, -5e-10, 0.0]).astype(complex)
+        rho[0, 1] += 5e-13
+        m, _ = M.minimal_missing_info_bruteforce(rho, COARSE)
+        assert 0.0 <= m <= 1.0
+
+    @pytest.mark.parametrize("grid", [(64.5, 64), (64, 64.5), (True, 64), (64, False), (63, 64)])
+    def test_grid_entries_follow_the_count_rule(self, grid):
+        with pytest.raises(DomainError, match="grid points per angle must be an integer >= 64"):
+            M.minimal_missing_info_bruteforce(np.eye(4) / 4, grid)
+
+    @pytest.mark.parametrize("grid", [(64, 64, 64), (64,), 64, ()])
+    def test_grid_is_two_counts(self, grid):
+        with pytest.raises(DomainError, match="grid must be two counts"):
+            M.minimal_missing_info_bruteforce(np.eye(4) / 4, grid)
+
+    def test_numpy_integer_grid(self):
+        m, _ = M.minimal_missing_info_bruteforce(np.eye(4) / 4, (np.int64(64), np.int32(65)))
+        assert m == pytest.approx(1.0, abs=1e-12)
+
+
 OUTSIDE_STATES = [
     BellDiagonalState(0.9, 0.9, 0.9),
     BellDiagonalState(np.nan, 0.0, 0.0),

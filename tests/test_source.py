@@ -45,11 +45,18 @@ MOVED = {
     "states": ("bd_to_density",),
 }
 # names deleted outright: a Pauli pair is two axis integers, c = 1/2 a constant;
-# U and M are selections from xstate_entropies, and metrics.check_pair is the pair rule
+# U and M are selections from xstate_entropies, and metrics.check_pair is the pair rule;
+# the brute force is one real Bloch-form route, not kets and 2x2 eigenvalues
 DELETED = (
     "PauliObservable", "pauli_observable", "_EIGENBASES",
     "uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_bd", "discord_bd",
     "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
+    "_measurement_kets", "_avg_conditional_entropy",
+)
+# the brute-force route for M, in metrics until the benchmark is repointed at the oracles
+BRUTE_FORCE = (
+    "_check_density", "_pauli_correlations", "_conditional_entropy",
+    "minimal_missing_info_bruteforce",
 )
 # the only runtime names eurnoise.oracles may import
 ORACLE_IMPORTS = {
@@ -209,7 +216,8 @@ def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
 
 def test_metrics_takes_the_sweep_entropies_in_two_calls():
     # one stacked call per kernel in xstate_entropies; U_b alone keeps its own
-    # call, and the witness's H_bin of the initial state its own
+    # call, the witness's H_bin of the initial state its own, and the brute-force
+    # oracle, which stays in metrics until the benchmark is repointed, its own
     calls = sorted(
         (scope, node.func.id)
         for scope, node in scoped_nodes(parse(SRC / "metrics.py"))
@@ -218,6 +226,7 @@ def test_metrics_takes_the_sweep_entropies_in_two_calls():
         and node.func.id in ENTROPY_KERNELS
     )
     assert calls == [
+        ("_conditional_entropy", "binary_entropy"),
         ("witness_discord_from_U", "binary_entropy"),
         ("xstate_entropies", "binary_entropy"),
         ("xstate_entropies", "shannon_entropy"),
@@ -242,6 +251,21 @@ def test_oracles_never_call_the_closed_forms():
     assert "minimal_missing_info_bruteforce" in names  # the walk sees imports and calls
     used = sorted(n for n in names if "xstate_" in n or n in CLOSED_FORMS)
     assert not used, f"oracles.py references closed forms: {used}"
+
+
+def test_the_brute_force_in_metrics_names_no_closed_form():
+    # the brute force is the oracle for every closed-form M: its functions name no
+    # closed form and call no other function of metrics
+    tree = parse(SRC / "metrics.py")
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert set(BRUTE_FORCE) <= set(defs), sorted(set(BRUTE_FORCE) - set(defs))
+    names = {name for f in BRUTE_FORCE for name in referenced_names(defs[f])}
+    assert "_conditional_entropy" in names  # the walk sees the calls
+    used = sorted(
+        n for n in names
+        if "xstate_" in n or n in CLOSED_FORMS or (n in defs and n not in BRUTE_FORCE)
+    )
+    assert not used, f"the brute force names closed forms or other metrics functions: {used}"
 
 
 def test_cli_import_leaves_the_oracles_unloaded():
