@@ -4,11 +4,12 @@ verdict splits it, alongside an SPMC-surface sample for plotting."""
 
 import argparse
 import pathlib
+from itertools import chain
 
 import numpy as np
 
 from eurnoise.metrics import pauli_pair
-from eurnoise.scenarios import classify_longtime_ad, sample_spmc_surface
+from eurnoise.scenarios import classify_longtime_ad, csv_body, sample_spmc_surface
 from eurnoise.states import random_bd_states
 
 
@@ -17,22 +18,20 @@ def run(n_samples: int, seed: int, out_dir: pathlib.Path) -> None:
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_samples, rng)
     res = classify_longtime_ad(states)  # one call for every state
-    columns = zip(states.tolist(), res.verdict, res.u_b_initial, res.u_b_limit)
-    rows = ["c1,c2,c3,verdict,u_b_initial,u_b_limit"]
-    rows += [f"{c1:.12f},{c2:.12f},{c3:.12f},{v},{u0:.12f},{u1:.12f}"
-             for (c1, c2, c3), v, u0, u1 in columns]
+    # the verdict column goes between the two numeric blocks, row by row
+    states_rows = csv_body(states).splitlines()
+    u_b_rows = csv_body(np.column_stack([res.u_b_initial, res.u_b_limit])).splitlines()
+    rows = [b"c1,c2,c3,verdict,u_b_initial,u_b_limit"]
+    rows += map(b",".join, zip(states_rows, map(str.encode, res.verdict), u_b_rows))
     counts = {v: res.verdict.count(v) for v in ("Decrease", "Increase", "Boundary")}
     dest = out_dir / "longtime_verdicts.csv"
-    dest.write_text("\n".join(rows) + "\n")
+    dest.write_bytes(b"\n".join(rows) + b"\n")
     print(f"wrote {dest}: {counts}")
 
     surface = sample_spmc_surface(pauli_pair(1, 3), 41)
     dest = out_dir / "spmc_surface.csv"
-    dest.write_text(
-        "c1,c2,c3\n"
-        + "\n".join(f"{s.c1:.12f},{s.c2:.12f},{s.c3:.12f}" for s in surface)
-        + "\n"
-    )
+    cells = np.fromiter(chain.from_iterable(surface), float, 3 * len(surface)).reshape(-1, 3)
+    dest.write_bytes(b"c1,c2,c3\n" + csv_body(cells))
     print(f"wrote {dest}: {len(surface)} surface points")
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
+
+import numpy as np
 
 from eurnoise.linalg import DomainError
 from eurnoise.states import BellDiagonalState, parse_state_literal
@@ -19,6 +22,7 @@ from eurnoise.scenarios import (
     FIG_STATE,
     SweepConfig,
     classify_longtime_ad,
+    csv_body,
     emit_csv,
     property_check_unital,
     run_time_sweep,
@@ -95,8 +99,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_surface(args) -> int:
     states = sample_spmc_surface(_parse_pair(args.pair), args.resolution)
-    lines = ["c1,c2,c3", *("%.12f,%.12f,%.12f" % s for s in states)]
-    _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.out)
+    cells = np.fromiter(chain.from_iterable(states), float, 3 * len(states)).reshape(-1, 3)
+    _write_output(b"c1,c2,c3\n" + csv_body(cells), args.out)
     return 0
 
 

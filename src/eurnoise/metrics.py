@@ -125,6 +125,7 @@ def minimal_missing_info_bruteforce(rho: np.ndarray, grid: tuple[int, int] = (18
     noise break toward the smallest (theta, xi); then a 5x5 grid around each state's best
     point, its step halved on every pass from half the coarse spacing down to 1e-9 rad (an
     angle error d costs O(d^2) in M). The best point moves only on a strict improvement.
+    The angles returned lie on [0, pi] x [0, 2 pi).
     """
     if np.ndim(grid) != 1 or len(grid) != 2:
         raise DomainError(f"grid must be two counts (n_theta, n_xi), got {grid!r}")
@@ -151,8 +152,17 @@ def minimal_missing_info_bruteforce(rho: np.ndarray, grid: tuple[int, int] = (18
         point = np.take_along_axis(np.stack([vals, tg, xg]), k, -1)[..., 0]
         best = np.where(point[0] < best[0], point, best)
         d_theta, d_xi = d_theta / 2, d_xi / 2
-    m, theta, xi = best if best.ndim > 1 else best.tolist()  # (M, theta, xi), floats for one rho
+    m, (theta, xi) = best[0], _fold_angles(best[1], best[2])  # the steps may pass the edges
+    if best.ndim == 1:  # floats for one rho
+        return m.item(), (theta.item(), xi.item())
     return m, (theta, xi)
+
+
+def _fold_angles(theta, xi):
+    """(theta, xi) folded onto [0, pi] x [0, 2 pi), which leaves n(theta, xi) as it is:
+    theta mod pi and xi mod 2 pi, where a tiny negative xi, rounded up to 2 pi, reads 0."""
+    xi = np.mod(xi, 2.0 * np.pi)
+    return np.mod(theta, np.pi), np.where(xi < 2.0 * np.pi, xi, 0.0)
 
 
 def witness_discord_from_U(

@@ -103,6 +103,37 @@ def test_surface(capsys):
         assert c2 == pytest.approx(-c1 * c3, abs=1e-12)
 
 
+# sha256 of `eurnoise surface --pair P --resolution R` on stdout, by (P, R)
+SURFACE_SHA256 = {
+    ("1,2", 41): "4a663dc5a2434d378964cf6068e6516a11e02c4e882e422743318d915ef443fc",
+    ("1,2", 401): "6a39c8f7659c9aa492a76baad968c5ed19950d4584457748381f3a8427f97def",
+    ("1,3", 41): "31ce42c9850a01eb063ab0915009c883f21ca5a35abf874bbc03b8dcf71a59b3",
+    ("1,3", 401): "37a36515e0a933f0b0d772ecf364bbe8415a3441b3150cf15682df6a3885da29",
+    ("2,3", 41): "966c1886434e26dd810ab414981fc0abdad9407f72723a4b6b7d55930317da8a",
+    ("2,3", 401): "7ebbbe95296e39bc6f452726e87fab279f8e627459571a0ef6319bbbe5bae844",
+}
+
+
+@pytest.mark.parametrize("pair, resolution", SURFACE_SHA256)
+def test_surface_bytes_unchanged(pair, resolution, tmp_path):
+    dest = tmp_path / "surface.csv"
+    argv = ["surface", "--pair", pair, "--resolution", str(resolution), "--out", str(dest)]
+    assert main(argv) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == SURFACE_SHA256[pair, resolution]
+
+
+@pytest.mark.parametrize("points", [3, 40])
+def test_sweep_prints_wide_cells(points, capsys):
+    # Gamma*t up to 1e300 is a valid sweep: its t cells print all 301 digits, on
+    # the template (18 cells) and on the vectorized writer (240 cells)
+    argv = ["sweep", "--state", "bd:-0.5,0.4,0.8", "--channel", "ad", "--pair", "1,3",
+            "--t-max", "1e300", "--points", str(points)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == [f"{t:.12f}" for t in np.linspace(0.0, 1e300, points)]
+    assert len(rows[-1][0]) == 301 + 13
+
+
 def test_check_unital(capsys):
     assert main(["check-unital", "--trials", "20", "--seed", "5"]) == 0
     out = capsys.readouterr().out

@@ -397,6 +397,30 @@ class TestBruteForceBlochForm:
             assert type(m1) is type(t1) is type(x1) is float
             assert (m[idx], theta[idx], xi[idx]) == (m1, t1, x1)
 
+    def test_angles_lie_on_the_convention_and_give_m(self):
+        # the refinement steps past the grid's edges; the angles come back folded
+        # onto [0, pi] x [0, 2 pi), where n(theta, xi) gives the returned M
+        rng = np.random.default_rng(159)
+        rho = np.array([evolve_bd_amplitude(s, float(rng.uniform(0, 5)))
+                        for s in random_bd_states(60, rng)])
+        m, (theta, xi) = M.minimal_missing_info_bruteforce(rho, COARSE)
+        assert ((0.0 <= theta) & (theta <= np.pi)).all(), theta[(theta < 0) | (theta > np.pi)]
+        assert ((0.0 <= xi) & (xi < 2 * np.pi)).all(), xi[(xi < 0) | (xi >= 2 * np.pi)]
+        at = M._conditional_entropy(M._pauli_correlations(rho), theta[:, None], xi[:, None])
+        assert np.abs(at[:, 0] - m).max() <= 1e-15
+
+    def test_fold_angles(self):
+        theta = np.array([-1e-17, -0.25, np.pi + 0.5, 0.0, np.pi, 1.0])
+        xi = np.array([-1e-17, -0.25, 2 * np.pi + 0.5, 2 * np.pi, 0.0, 1.0])
+        t, x = M._fold_angles(theta, xi)
+        assert ((0.0 <= t) & (t <= np.pi)).all() and ((0.0 <= x) & (x < 2 * np.pi)).all()
+        assert x[0] == 0.0  # -1e-17 mod 2 pi rounds up to 2 pi
+        assert t[3:].tolist() == [0.0, 0.0, 1.0] and x[3:].tolist() == [0.0, 0.0, 1.0]
+        s, c = np.sin(2 * theta), np.cos(2 * theta)
+        n = np.stack([s * np.cos(xi), s * np.sin(xi), c])
+        s, c = np.sin(2 * t), np.cos(2 * t)
+        assert np.abs(np.stack([s * np.cos(x), s * np.sin(x), c]) - n).max() <= 1e-15
+
     @pytest.mark.parametrize(
         "rho, message",
         [

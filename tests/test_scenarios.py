@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eurnoise import linalg
 from eurnoise import scenarios as SC
@@ -631,3 +634,84 @@ class TestEmitCsv:
                 lines = ["t," + ",".join(outputs)]
                 lines += [",".join(f"{x:.12f}" for x in row) for row in rows]
                 assert SC.emit_csv(records, outputs) == ("\n".join(lines) + "\n").encode()
+
+    def test_rejects_a_non_finite_cell(self):
+        records = SC.run_time_sweep(fig_config("pd", n_points=3))
+        records[1] = records[1]._replace(d=float("nan"))
+        with pytest.raises(DomainError, match=r"CSV cell \(row 1, column 3\) is nan, not finite"):
+            SC.emit_csv(records)
+
+
+def _percent_reference(a):
+    return "".join(",".join(f"{x:.12f}" for x in row) + "\n" for row in a.tolist()).encode()
+
+
+# cells where the 12-decimal rounding is hard: signed zeros and tiny values, exact
+# ties (multiples of 2**-13 and 2**-41) and floats nearest a tie, the edge of the
+# vectorized digits near 2**51 / 1e12, wide cells, and plain floats
+HARD_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 999.25, -999.25, 1e20, -1e20, 1e300, -1e300]),
+    st.floats(-1e-11, 1e-11),
+    st.integers(-3 * 2**13, 3 * 2**13 - 1).map(lambda i: i / 2**13),
+    st.integers(-(2**44), 2**44).map(lambda i: i * 2.0**-41),
+    st.integers(-(2 * 10**15), 2 * 10**15).map(lambda k: (k + 0.5) / 1e12),
+    st.floats(2240.0, 2260.0).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestCsvBody:
+    """The one writer against `%`, on both sides of its size cutoff (the suite
+    makes every RuntimeWarning an error)."""
+
+    @settings(deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 60), st.integers(1, 6)), elements=HARD_CELLS,
+                  fill=st.nothing()))
+    @example(np.array([[2**-13, -(2**-13), 3 * 2**-41, 2251.7998, 2251.8, -0.0]]))
+    def test_bytes_match_percent(self, a):
+        want = _percent_reference(a)
+        assert SC.csv_body(a) == want
+        assert SC._vector_body(a) == want  # the vectorized route on small tables too
+
+    def test_the_cutoff_sits_between_the_benchmark_tables(self):
+        # 3-point sweeps (18 cells) stay on the template, 201-point ones (1206) do not
+        assert 18 < SC._VECTOR_MIN_CELLS <= 1206
+        a = np.random.default_rng(16).uniform(-1, 1, (201, 6))
+        assert SC.csv_body(a) == _percent_reference(a) == SC._template_body(a)
+
+    def test_every_edge_cell_of_a_large_table(self):
+        ties = np.arange(-3 * 2**13, 3 * 2**13) / 2**13
+        edges = [0.0, -0.0, 1e-13, -1e-13, 5e-13, -5e-13, 9999.0, -9999.9999999995, 1e4, 5e-324]
+        # the floats at and next to (k + 1/2) / 1e12, for k up to 2e15: x 1e12 rounds
+        # onto the tie or across it, where np.rint of it may round otherwise than `%`
+        k = np.floor(10 ** np.random.default_rng(17).uniform(0, 15.3, 2000))
+        near = (k + 0.5) / 1e12
+        near = np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)])
+        a = np.concatenate([ties, edges, np.nextafter(ties, np.inf), near, -near]).reshape(-1, 2)
+        want = _percent_reference(a)
+        assert SC.csv_body(a) == want
+
+        def rint_only(x):  # the digits without the tie fallback
+            q = int(np.rint(abs(x) * 1e12))
+            return "-" * bool(np.signbit(x)) + f"{q // 10**12}.{q % 10**12:012d}"
+
+        cells = want.decode().replace("\n", ",").split(",")[:-1]
+        assert sum(rint_only(x) != c for x, c in zip(a.ravel().tolist(), cells)) > 1000
+
+    def test_empty_tables(self):
+        assert SC.csv_body(np.empty((0, 3))) == b""
+        assert SC.csv_body(np.empty((2, 0))) == b"\n\n"
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_rejects_a_table_that_is_not_2d(self, shape):
+        with pytest.raises(DomainError, match="a CSV table must have shape"):
+            SC.csv_body(np.zeros(shape))
+
+    @pytest.mark.parametrize("rows", [3, 201])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_the_first_non_finite_cell(self, rows, bad):
+        a = np.zeros((rows, 6))
+        a[2, 4] = a[rows - 1, 5] = bad
+        with pytest.raises(DomainError, match=rf"\(row 2, column 4\) is {bad}, not finite"):
+            SC.csv_body(a)

@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 
-from test_cli import PRESET_SHA256
+from test_cli import PRESET_SHA256, SURFACE_SHA256
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -32,8 +32,8 @@ def test_longtime_geometry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     verdicts = (out / "longtime_verdicts.csv").read_text().splitlines()
     assert verdicts[0] == "c1,c2,c3,verdict,u_b_initial,u_b_limit" and len(verdicts) == 51
-    surface = (out / "spmc_surface.csv").read_text().splitlines()
-    assert surface[0] == "c1,c2,c3" and len(surface) == 1 + 41**2
+    surface = (out / "spmc_surface.csv").read_bytes()
+    assert hashlib.sha256(surface).hexdigest() == SURFACE_SHA256["1,3", 41]
 
 
 # sha256 of longtime_verdicts.csv for --samples 2000 --seed 0: the sampled

@@ -55,7 +55,7 @@ DELETED = (
 )
 # the brute-force route for M, in metrics until the benchmark is repointed at the oracles
 BRUTE_FORCE = (
-    "_check_density", "_pauli_correlations", "_conditional_entropy",
+    "_check_density", "_pauli_correlations", "_conditional_entropy", "_fold_angles",
     "minimal_missing_info_bruteforce",
 )
 # the only runtime names eurnoise.oracles may import
@@ -72,6 +72,10 @@ UNCHECKED_MAP = "unchecked_map"
 # linalg.shannon_entropy, which lets an overflow read inf and names it, and the
 # sweep grid of SweepConfig, which rejects an overflow, may use it
 ERRSTATE_SITES = ["linalg._sum_last", "scenarios.__post_init__"]
+# the 12-decimal CSV format is written once, in the writer's module-level constant
+# scenarios._CELL; the one-line classify report is the one other place
+FIXED12_SITES = ["cli._cmd_classify", "scenarios.<module>"]
+SCRIPTS = SRC.parents[1] / "scripts"
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
@@ -202,6 +206,31 @@ def test_errstate_only_in_the_ordered_sum_and_the_sweep_grid():
                            getattr(node, "name", None))
     )
     assert sites == ERRSTATE_SITES, sites
+
+
+def test_the_12_decimal_format_is_written_once():
+    # every CSV goes through scenarios.csv_body: a second "%.12f" or ":.12f" in the
+    # package or the scripts is a second writer; docstrings may name the format
+    paths = sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    assert len(paths) >= 9, f"sources missing under {SRC} or {SCRIPTS}"
+    sites = []
+    for path in paths:
+        tree = parse(path)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        sites += [
+            f"{path.stem}.{scope}"
+            for scope, node in scoped_nodes(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+            and (".12f" in node.value if isinstance(node.value, str) else b".12f" in node.value)
+            and id(node) not in docstrings
+        ]
+    assert sites.count("scenarios.<module>") == 1, sites
+    assert sorted(set(sites)) == FIXED12_SITES, sites
 
 
 def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
