@@ -4,7 +4,6 @@ verdict splits it, alongside an SPMC-surface sample for plotting."""
 
 import argparse
 import pathlib
-from itertools import chain
 
 import numpy as np
 
@@ -30,8 +29,7 @@ def run(n_samples: int, seed: int, out_dir: pathlib.Path) -> None:
 
     surface = sample_spmc_surface(pauli_pair(1, 3), 41)
     dest = out_dir / "spmc_surface.csv"
-    cells = np.fromiter(chain.from_iterable(surface), float, 3 * len(surface)).reshape(-1, 3)
-    dest.write_bytes(b"c1,c2,c3\n" + csv_body(cells))
+    dest.write_bytes(b"c1,c2,c3\n" + csv_body(surface.table))
     print(f"wrote {dest}: {len(surface)} surface points")
 
 

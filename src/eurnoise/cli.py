@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
-
-import numpy as np
 
 from eurnoise.linalg import DomainError
 from eurnoise.states import BellDiagonalState, parse_state_literal
@@ -54,11 +51,6 @@ def _write_output(data: bytes, out: str | None) -> None:
             raise DomainError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _sweep_and_emit(cfg: SweepConfig, out: str | None) -> None:
-    records = run_time_sweep(cfg)
-    _write_output(emit_csv(records, cfg.outputs), out)
-
-
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig(
         initial=parse_state_literal(args.state),
@@ -70,7 +62,7 @@ def _cmd_sweep(args) -> int:
         spacing=args.spacing,
         outputs=tuple(args.columns.split(",")),
     )
-    _sweep_and_emit(cfg, args.out)
+    _write_output(emit_csv(run_time_sweep(cfg), cfg.outputs), args.out)
     return 0
 
 
@@ -84,7 +76,7 @@ PRESETS = {  # name: (initial state, channel kind, help)
 def _cmd_preset(args) -> int:
     state, kind, _ = PRESETS[args.command]
     cfg = SweepConfig(state, ChannelSpec(kind), pauli_pair(1, 3), 0.0, 10.0, 201)
-    _sweep_and_emit(cfg, args.out)
+    _write_output(emit_csv(run_time_sweep(cfg), cfg.outputs), args.out)
     return 0
 
 
@@ -98,8 +90,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    states = sample_spmc_surface(_parse_pair(args.pair), args.resolution)
-    cells = np.fromiter(chain.from_iterable(states), float, 3 * len(states)).reshape(-1, 3)
+    cells = sample_spmc_surface(_parse_pair(args.pair), args.resolution).table
     _write_output(b"c1,c2,c3\n" + csv_body(cells), args.out)
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import (
-    DomainError, binary_entropy, check_count, is_axis, shannon_entropy, _stack_last,
+    DomainError, FLOAT_MAX, binary_entropy, check_count, is_axis, shannon_entropy, _stack_last,
 )
 from eurnoise.states import BellDiagonalState, check_one_bd
 from eurnoise.channels import ChannelSpec
@@ -56,8 +56,10 @@ def check_pair(pair) -> None:
 
 def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -> bool:
     """State-preparation-and-measurement-choice test: the coefficient on the
-    unmeasured axis must equal minus the product of the measured two."""
+    unmeasured axis must equal minus the product of the measured two, within tol."""
     check_pair(pair)
+    if not 0.0 <= tol <= FLOAT_MAX:  # NaN fails both comparisons
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
     c = check_one_bd(s)  # c[5 - q - r] is the unmeasured axis
     return bool(abs(c[5 - pair.q - pair.r] + c[pair.q - 1] * c[pair.r - 1]) <= tol)
 

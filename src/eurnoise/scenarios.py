@@ -1,19 +1,17 @@
 """Time sweeps, long-time classification, surface sampling, the
 unital-monotonicity property suite, and ``csv_body``, the one CSV writer. A
 sweep checks its state and strengths once, in ``SweepConfig``, and
-``run_time_sweep`` maps what passed."""
+``run_time_sweep`` maps what passed. Sweeps and surfaces come back as ``Rows``:
+one float table, whose per-point records are built only when read."""
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, check_count
+from eurnoise.linalg import DomainError, check_count, is_integer, _stack_last
 from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, random_bd_states
 from eurnoise.channels import ChannelSpec, amplitude_damping_factors
 from eurnoise.metrics import (
@@ -25,8 +23,8 @@ FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)  # the paper's figure state
 
 
 def _check_columns(cols: tuple[str, ...]) -> None:
-    """Output columns must be a non-empty run of distinct names from ALL_COLUMNS."""
-    if not cols or len(set(cols)) < len(cols) or not set(cols) <= set(ALL_COLUMNS):
+    """Output columns must be a non-empty run of distinct names from ALL_COLUMNS, not a str."""
+    if isinstance(cols, str) or not cols or len(cols) != len(set(cols) & set(ALL_COLUMNS)):
         raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
 
 
@@ -76,6 +74,32 @@ class SweepConfig:
         return self._grid
 
 
+class Rows:
+    """A read-only (n, k) float table whose rows read as records of a k-field named
+    tuple, each built only when read; ``np.asarray(rows)`` is the table, no copy."""
+
+    def __init__(self, table: np.ndarray, record: type):
+        table = np.asarray(table, dtype=float).view()  # a view: the caller's flags stay
+        if table.ndim != 2 or table.shape[1] != len(record._fields):
+            raise DomainError(f"{record.__name__} rows cannot have shape {table.shape}")
+        table.flags.writeable = False
+        self.table, self.record = table, record
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i):
+        if not is_integer(i):  # a slice would make one record out of k lists
+            raise DomainError(f"rows take an integer index, got {i!r}")
+        return self.record._make(self.table[i].tolist())
+
+    def __iter__(self):
+        return map(self.record._make, self.table.tolist())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.table, dtype=dtype, copy=copy)
+
+
 class SweepRecord(NamedTuple):
     t: float
     u: float
@@ -85,17 +109,17 @@ class SweepRecord(NamedTuple):
     m: float
 
 
-def run_time_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def run_time_sweep(cfg: SweepConfig) -> Rows:
     """Evolve the initial state along the grid (Gamma*t for the damping
     channels, eta for the flips) and evaluate every column over the whole
-    grid at once, every entropy from one ``xstate_entropies``. The config
-    checked the state and the grid, so the channel maps them unchecked."""
+    grid at once, every entropy from one ``xstate_entropies``, into ``SweepRecord``
+    rows. The config checked the state and the grid, so the channel maps them unchecked."""
     t = cfg.grid()
     r, corr = cfg.channel.unchecked_map(cfg._state, t)
     e = xstate_entropies(r, corr)
     u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, e.m  # U_b = S(rho_AB)
-    columns = (t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
-    return list(map(tuple.__new__, repeat(SweepRecord), zip(*(c.tolist() for c in columns))))
+    table = _stack_last(t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
+    return Rows(table, SweepRecord)
 
 
 @dataclass(frozen=True)
@@ -128,34 +152,19 @@ def classify_longtime_ad(c) -> ClassificationResult:
     return ClassificationResult(_VERDICTS[code].tolist(), u_b0.tolist(), u_b_limit.tolist())
 
 
-def sample_spmc_surface(pair: ObservablePair, resolution: int) -> list[BellDiagonalState]:
+def sample_spmc_surface(pair: ObservablePair, resolution: int) -> Rows:
     """Grid the measured-axes square and close each point with the SPMC
     value on the unmeasured axis. Every cell lies in the tetrahedron: its
-    Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4.
-
-    The records are built with the cyclic GC paused, because CPython never
-    untracks named-tuple records and would walk them all on every collection;
-    the caller's GC setting is restored on every path. The pause is
-    process-wide while the call runs."""
+    Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4. The cells come in
+    row-major order over (c_j, c_k), as ``BellDiagonalState`` rows."""
     check_pair(pair)
     check_count(resolution, "resolution", 2)
-    enabled = gc.isenabled()
-    gc.disable()  # the records hold only floats, so they form no cycles
-    try:
-        j, k = pair.q, pair.r
-        a = np.linspace(-1.0, 1.0, resolution)
-        vals = a.tolist()  # shared by the states of each row and column
-        # c_i(p, q) == c_i(q, p) to the bit: row p reuses the floats of rows q < p
-        upper = [(-v * a[p:]).tolist() for p, v in enumerate(vals)]
-        # a list, not a generator: zip leaves it unfinished, and closing a
-        # generator allocates, which would start a collection inside the call
-        rows = [chain(map(getitem, upper[:p], range(p, 0, -1)), r) for p, r in enumerate(upper)]
-        c = {j: chain(*map(repeat, vals, repeat(resolution))), k: chain(*repeat(vals, resolution))}
-        c[6 - j - k] = chain.from_iterable(rows)  # the unmeasured axis
-        return list(map(tuple.__new__, repeat(BellDiagonalState), zip(c[1], c[2], c[3])))
-    finally:
-        if enabled:
-            gc.enable()
+    a = np.linspace(-1.0, 1.0, resolution)
+    cells = np.empty((resolution, resolution, 3))
+    cells[..., pair.q - 1] = a[:, None]
+    cells[..., pair.r - 1] = a
+    cells[..., 5 - pair.q - pair.r] = -a[:, None] * a  # the unmeasured axis
+    return Rows(cells.reshape(-1, 3), BellDiagonalState)
 
 
 @dataclass(frozen=True)
@@ -289,17 +298,14 @@ def csv_body(cells) -> bytes:
     return body
 
 
-def emit_csv(records: list[SweepRecord], outputs: tuple[str, ...] = ALL_COLUMNS) -> bytes:
-    """Render sweep records as deterministic CSV bytes (12-decimal fixed
-    format, LF endings, UTF-8). The records are gathered into one array, whose
-    body ``csv_body`` writes: at ``_VECTOR_MIN_CELLS`` cells or more in numpy, with
-    the cells near a rounding tie and the wide cells left to `%`; below that
-    cutoff, one row template in one `%` pass. A non-finite cell raises."""
+def emit_csv(rows: Rows, outputs: tuple[str, ...] = ALL_COLUMNS) -> bytes:
+    """Render the ``Rows`` of a sweep as deterministic CSV bytes (12-decimal fixed
+    format, LF endings, UTF-8): ``csv_body`` writes the table, and raises on a non-finite cell."""
     _check_columns(outputs)
-    if not records:
-        raise DomainError("no records to emit")
-    k = 1 + len(ALL_COLUMNS)
-    table = np.fromiter(chain.from_iterable(records), float, k * len(records)).reshape(-1, k)
+    if not isinstance(rows, Rows) or rows.record is not SweepRecord:
+        got = getattr(rows, "record", type(rows)).__name__
+        raise DomainError(f"emit_csv takes the SweepRecord rows of run_time_sweep, not {got}")
+    table = rows.table
     if outputs != ALL_COLUMNS:
         table = table[:, [0, *(1 + ALL_COLUMNS.index(c) for c in outputs)]]
     return ("t," + ",".join(outputs) + "\n").encode() + csv_body(table)

@@ -204,6 +204,17 @@ class TestSpmc:
     def test_fig_state_pair_12_fails(self, fig_state):
         assert not M.spmc_holds(fig_state, M.pauli_pair(1, 2))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12, -0.5], ids=repr)
+    def test_rejects_a_tol_that_is_not_finite_and_non_negative(self, fig_state, tol):
+        # a NaN tol made every state fail the test, silently
+        with pytest.raises(DomainError, match="tol must be a finite number >= 0"):
+            M.spmc_holds(fig_state, PAIR_13, tol=tol)
+
+    def test_a_zero_tol_asks_for_equality(self):
+        assert M.spmc_holds(BellDiagonalState(0, 0, 0), PAIR_13, tol=0.0)
+        assert M.spmc_holds(BellDiagonalState(-1, 1, 1), PAIR_13, tol=-0.0)
+        assert not M.spmc_holds(BellDiagonalState(0, 1e-300, 0), PAIR_13, tol=0.0)
+
     def test_record_tuple_and_array_agree(self, fig_state):
         for c in [fig_state, (-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
             for jk in [(1, 3), (3, 1), (1, 2), (2, 3)]:

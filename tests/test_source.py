@@ -76,6 +76,16 @@ ERRSTATE_SITES = ["linalg._sum_last", "scenarios.__post_init__"]
 # scenarios._CELL; the one-line classify report is the one other place
 FIXED12_SITES = ["cli._cmd_classify", "scenarios.<module>"]
 SCRIPTS = SRC.parents[1] / "scripts"
+# the functions that carry a sweep or a surface to CSV as a table, by module stem
+TABLE_PATHS = {
+    "scenarios": {"run_time_sweep", "sample_spmc_surface", "emit_csv"},
+    "cli": {"_cmd_surface"},
+    "longtime_geometry": {"run"},
+}
+# the calls that turn a table into per-point Python objects, or back
+RECORD_BUILDERS = ("tolist", "fromiter", "_make")
+# the one place that builds records: the two readers of scenarios.Rows
+RECORD_MAKERS = {("scenarios", "__getitem__"), ("scenarios", "__iter__")}
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
@@ -139,16 +149,37 @@ def test_source_lines_fit_the_limit():
     assert not long, f"lines longer than {MAX_LINE} characters: {long}"
 
 
-def test_gc_is_paused_only_by_the_surface_builder():
-    # each pause of the cyclic GC is a measured case; a second site needs its own
-    imports, uses = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = parse(path)
-        imports += [f"{path.name}: {m}" for m in imported_modules(tree) if m.split(".")[0] == "gc"]
-        uses += [f"{path.stem}.{scope}" for scope in enclosing_defs(tree, "gc")]
-    assert imports == ["scenarios.py: gc"], f"gc imported outside scenarios.py: {imports}"
-    assert uses, "sample_spmc_surface no longer pauses the GC"
-    assert set(uses) == {"scenarios.sample_spmc_surface"}, f"gc used elsewhere: {uses}"
+def test_gc_is_imported_nowhere():
+    # sweeps and surfaces build no per-point objects, so no code pauses or tunes
+    # the cyclic GC for them
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 8, f"sources missing under {SRC}"
+    imports = [
+        f"{path.name}: {m}"
+        for path in paths
+        for m in imported_modules(parse(path))
+        if m.split(".")[0] == "gc"
+    ]
+    assert not imports, f"gc imported in {imports}"
+
+
+def test_the_sweep_and_surface_paths_build_no_records():
+    # a sweep or a surface goes to its CSV as one float table; only scenarios.Rows
+    # builds per-point records, when a caller reads them
+    found, sites = set(), []
+    for path in sorted(SRC.glob("*.py")) + [SCRIPTS / "longtime_geometry.py"]:
+        table_paths = TABLE_PATHS.get(path.stem, set())
+        for scope, node in scoped_nodes(parse(path)):
+            if isinstance(node, ast.FunctionDef) and node.name in table_paths:
+                found.add(f"{path.stem}.{node.name}")
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if scope in table_paths and name in RECORD_BUILDERS:
+                sites.append(f"{path.stem}.{scope}: {name}")
+            if name == "_make" and (path.stem, scope) not in RECORD_MAKERS:
+                sites.append(f"{path.stem}.{scope}: _make")
+    want = {f"{stem}.{scope}" for stem, scopes in TABLE_PATHS.items() for scope in scopes}
+    assert found == want, f"table paths not found: {sorted(want - found)}"
+    assert not sites, f"records built outside Rows: {sites}"
 
 
 def test_the_axis_rule_is_written_once():
