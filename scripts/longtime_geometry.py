@@ -16,13 +16,13 @@ def run(n_samples: int, seed: int, out_dir: pathlib.Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_samples, rng)
-    res = classify_longtime_ad(states)  # one call for every state
+    res = classify_longtime_ad(states)  # one call for every state, numpy columns out
     # the verdict column goes between the two numeric blocks, row by row
     states_rows = csv_body(states).splitlines()
     u_b_rows = csv_body(np.column_stack([res.u_b_initial, res.u_b_limit])).splitlines()
     rows = [b"c1,c2,c3,verdict,u_b_initial,u_b_limit"]
     rows += map(b",".join, zip(states_rows, map(str.encode, res.verdict), u_b_rows))
-    counts = {v: res.verdict.count(v) for v in ("Decrease", "Increase", "Boundary")}
+    counts = {v: int(np.sum(res.verdict == v)) for v in ("Decrease", "Increase", "Boundary")}
     dest = out_dir / "longtime_verdicts.csv"
     dest.write_bytes(b"\n".join(rows) + b"\n")
     print(f"wrote {dest}: {counts}")

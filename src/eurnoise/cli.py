@@ -18,6 +18,7 @@ from eurnoise.scenarios import (
     ALL_COLUMNS,
     FIG_STATE,
     SweepConfig,
+    check_columns,
     classify_longtime_ad,
     csv_body,
     emit_csv,
@@ -60,9 +61,10 @@ def _cmd_sweep(args) -> int:
         t_end=args.t_max,
         n_points=args.points,
         spacing=args.spacing,
-        outputs=tuple(args.columns.split(",")),
     )
-    _write_output(emit_csv(run_time_sweep(cfg), cfg.outputs), args.out)
+    columns = tuple(args.columns.split(","))
+    check_columns(columns)  # before the sweep: a bad column costs no work
+    _write_output(emit_csv(run_time_sweep(cfg), columns), args.out)
     return 0
 
 
@@ -76,7 +78,7 @@ PRESETS = {  # name: (initial state, channel kind, help)
 def _cmd_preset(args) -> int:
     state, kind, _ = PRESETS[args.command]
     cfg = SweepConfig(state, ChannelSpec(kind), pauli_pair(1, 3), 0.0, 10.0, 201)
-    _write_output(emit_csv(run_time_sweep(cfg), cfg.outputs), args.out)
+    _write_output(emit_csv(run_time_sweep(cfg)), args.out)
     return 0
 
 

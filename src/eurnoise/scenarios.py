@@ -1,8 +1,8 @@
 """Time sweeps, long-time classification, surface sampling, the
-unital-monotonicity property suite, and ``csv_body``, the one CSV writer. A
-sweep checks its state and strengths once, in ``SweepConfig``, and
-``run_time_sweep`` maps what passed. Sweeps and surfaces come back as ``Rows``:
-one float table, whose per-point records are built only when read."""
+unital-monotonicity property suite, and ``csv_body``, the one CSV writer.
+``SweepConfig`` checks a sweep's state and strengths once and keeps the checked
+arrays, which ``run_time_sweep`` maps. Sweeps and surfaces come back as ``Rows``,
+one float table; a classification comes back as numpy columns."""
 
 from __future__ import annotations
 
@@ -22,29 +22,27 @@ ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in ord
 FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)  # the paper's figure state
 
 
-def _check_columns(cols: tuple[str, ...]) -> None:
+def check_columns(cols: tuple[str, ...]) -> None:
     """Output columns must be a non-empty run of distinct names from ALL_COLUMNS, not a str."""
     if isinstance(cols, str) or not cols or len(cols) != len(set(cols) & set(ALL_COLUMNS)):
         raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepConfig:
     """A sweep's inputs, each checked once, here: the state by ``check_one_bd`` and
-    the channel with the grid's endpoints by ``ChannelSpec.check``. The config
-    keeps the state and the grid as read-only float arrays, so that
-    ``run_time_sweep`` checks nothing again."""
+    the channel with the grid's endpoints by ``ChannelSpec.check``. Then ``initial``
+    is the checked state, a read-only (3,) float copy, and ``grid`` the read-only
+    strengths; ``run_time_sweep`` checks nothing again. Equality is identity."""
 
-    initial: BellDiagonalState
+    initial: np.ndarray  # any (3,) state in; its checked copy after __post_init__
     channel: ChannelSpec
     pair: ObservablePair
     t_start: float = 0.0
     t_end: float = 10.0
     n_points: int = 201
     spacing: str = "linear"
-    outputs: tuple[str, ...] = ALL_COLUMNS
-    _state: np.ndarray = field(init=False, repr=False, compare=False)
-    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = check_one_bd(np.array(self.initial, dtype=float))  # a copy: the caller's may change
@@ -57,7 +55,6 @@ class SweepConfig:
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and self.t_start <= 0:
             raise DomainError("log spacing needs t_start > 0")
-        _check_columns(self.outputs)
         space = np.geomspace if self.spacing == "log" else np.linspace
         with np.errstate(over="ignore"):
             t = space(self.t_start, self.t_end, self.n_points)
@@ -65,13 +62,9 @@ class SweepConfig:
         # inner points of a log grid that ends near FLOAT_MAX to inf
         if not np.isfinite(t).all():
             raise DomainError(f"log grid from {self.t_start} to {self.t_end} overflows")
-        for name, a in (("_state", c), ("_grid", t)):
+        for name, a in (("initial", c), ("grid", t)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    def grid(self) -> np.ndarray:
-        """The strengths of the sweep, a read-only array made once, at construction."""
-        return self._grid
 
 
 class Rows:
@@ -114,19 +107,19 @@ def run_time_sweep(cfg: SweepConfig) -> Rows:
     channels, eta for the flips) and evaluate every column over the whole
     grid at once, every entropy from one ``xstate_entropies``, into ``SweepRecord``
     rows. The config checked the state and the grid, so the channel maps them unchecked."""
-    t = cfg.grid()
-    r, corr = cfg.channel.unchecked_map(cfg._state, t)
+    t = cfg.grid
+    r, corr = cfg.channel.unchecked_map(cfg.initial, t)
     e = xstate_entropies(r, corr)
     u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, e.m  # U_b = S(rho_AB)
     table = _stack_last(t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
     return Rows(table, SweepRecord)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:  # scalar fields for one state, length-N lists for N
-    verdict: str  # 'Decrease' | 'Increase' | 'Boundary'
-    u_b_initial: float
-    u_b_limit: float
+@dataclass(frozen=True, eq=False)
+class ClassificationResult:  # numpy scalars for one state, (N,) arrays for N
+    verdict: np.ndarray  # 'Decrease' | 'Increase' | 'Boundary'
+    u_b_initial: np.ndarray
+    u_b_limit: np.ndarray
 
 
 LONGTIME_GAMMA_T = 50.0
@@ -149,7 +142,7 @@ def classify_longtime_ad(c) -> ClassificationResult:
     u_b0, u_b_limit = xstate_lower_bound_Ub(_LONGTIME_R, c[..., None, :] * _LONGTIME_F).T
     # an np.intp on the left keeps this on numpy's fast scalar path for one state
     code = np.intp(2) * (u_b0 < u_b_limit - BOUNDARY_BAND) + (u_b0 > u_b_limit + BOUNDARY_BAND)
-    return ClassificationResult(_VERDICTS[code].tolist(), u_b0.tolist(), u_b_limit.tolist())
+    return ClassificationResult(_VERDICTS[code], u_b0, u_b_limit)
 
 
 def sample_spmc_surface(pair: ObservablePair, resolution: int) -> Rows:
@@ -176,10 +169,6 @@ class UnitalCheckReport:
     counterexample_state: BellDiagonalState | None = None
     counterexample_gamma_t: float | None = None
     counterexample_ub_drop: tuple[float, float] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.n_violations == 0 and self.counterexample_state is not None
 
 
 FLIP_ETA_GRID = tuple(np.linspace(0.0, 0.5, 10))
@@ -301,7 +290,7 @@ def csv_body(cells) -> bytes:
 def emit_csv(rows: Rows, outputs: tuple[str, ...] = ALL_COLUMNS) -> bytes:
     """Render the ``Rows`` of a sweep as deterministic CSV bytes (12-decimal fixed
     format, LF endings, UTF-8): ``csv_body`` writes the table, and raises on a non-finite cell."""
-    _check_columns(outputs)
+    check_columns(outputs)
     if not isinstance(rows, Rows) or rows.record is not SweepRecord:
         got = getattr(rows, "record", type(rows)).__name__
         raise DomainError(f"emit_csv takes the SweepRecord rows of run_time_sweep, not {got}")

@@ -1,9 +1,9 @@
 """Bell-diagonal and X-state two-qubit state representations.
 
 A Bell-diagonal state is fixed by three real correlation coefficients
-(c1, c2, c3), many states by a (..., 3) array of them; validity is membership
-in the tetrahedron of states with all four Bell-basis eigenvalues non-negative.
-"""
+(c1, c2, c3), a checked one by a (3,) float array, many states by a (..., 3) array
+of them; validity is membership in the tetrahedron of states with all four
+Bell-basis eigenvalues non-negative."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, check_count, is_axis
+from eurnoise.linalg import DomainError, check_count
 
 TETRAHEDRON_TOL = 1e-12
 # signs of (c1, c2, c3), by row, in the Bell weights of (Phi+, Phi-, Psi+, Psi-)
@@ -20,7 +20,7 @@ _FLOOR = -4 * TETRAHEDRON_TOL  # w/4 >= -tol iff w >= -4 tol: scaling by 4 is ex
 
 
 class BellDiagonalState(NamedTuple):
-    """Immutable (c1, c2, c3) in iteration order; s[1..3] index by Pauli axis."""
+    """Immutable (c1, c2, c3), a plain tuple in every other respect."""
 
     c1: float
     c2: float
@@ -28,11 +28,6 @@ class BellDiagonalState(NamedTuple):
 
     def as_tuple(self) -> tuple[float, float, float]:
         return tuple(self)
-
-    def __getitem__(self, axis: int) -> float:
-        if is_axis(axis):
-            return tuple.__getitem__(self, axis - 1)
-        raise DomainError(f"Pauli axis must be 1, 2 or 3, got {axis!r}")
 
 
 def _four_weights(c) -> tuple[np.ndarray, np.ndarray]:
@@ -87,20 +82,18 @@ def x_state_density(r: float, t) -> np.ndarray:
     return rho / 4
 
 
-def parse_state_literal(text: str) -> BellDiagonalState:
-    """Parse the CLI literal ``bd:c1,c2,c3``."""
+def parse_state_literal(text: str) -> np.ndarray:
+    """Parse the CLI literal ``bd:c1,c2,c3`` into the (3,) array of ``check_one_bd``."""
     if not text.startswith("bd:"):
         raise DomainError(f"state literal {text!r} must start with 'bd:'")
     parts = text[3:].split(",")
     if len(parts) != 3:
         raise DomainError(f"state literal {text!r} needs three comma-separated reals")
     try:
-        c1, c2, c3 = (float(p) for p in parts)
+        c = [float(p) for p in parts]
     except ValueError as exc:
         raise DomainError(f"state literal {text!r}: {exc}") from exc
-    s = BellDiagonalState(c1, c2, c3)
-    check_bd(s)
-    return s
+    return check_one_bd(c)
 
 
 def random_bd_states(n: int, rng: np.random.Generator) -> np.ndarray:

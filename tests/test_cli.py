@@ -200,10 +200,16 @@ def test_channel_literal_with_strength_rejected(literal, capsys):
     assert_one_error_line(code, *capsys.readouterr())
 
 
-@pytest.mark.parametrize("columns", ["", "U,U", "U,Ub,U", "U,"])
-def test_bad_columns_rejected(columns, capsys):
+@pytest.mark.parametrize("columns", ["", "U,U", "U,Ub,U", "U,", "U,X", "UM"])
+def test_bad_columns_rejected(columns, capsys, monkeypatch):
+    def no_sweep(cfg):
+        raise AssertionError("swept before the columns were checked")
+
+    monkeypatch.setattr(cli, "run_time_sweep", no_sweep)
     code = main(SWEEP + ["--channel", "pd", "--columns", columns])
-    assert_one_error_line(code, *capsys.readouterr())
+    out, err = capsys.readouterr()
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: output columns")
 
 
 def test_negative_seed_is_one_error_line():

@@ -739,7 +739,7 @@ def _ref_entropies(r, t):
 
 def _ref_sweep(cfg):
     """Rows (t, U, U_b, D, E, M) of a sweep, its entropies from the reference."""
-    t = cfg.grid()
+    t = cfg.grid
     r, corr = cfg.channel.evolve(cfg.initial, t)
     u = _ref_conditional_entropy(r, corr, cfg.pair.q) + _ref_conditional_entropy(r, corr, cfg.pair.r)
     u_b = _ref_joint_entropy(r, corr)
@@ -794,7 +794,7 @@ class TestEntropiesMatchPerColumnReference:
 
     def test_m_is_the_smaller_of_m_x_and_m_z_bitwise(self):
         for cfg in _reference_configs():
-            e = M.xstate_entropies(*cfg.channel.evolve(cfg.initial, cfg.grid()))
+            e = M.xstate_entropies(*cfg.channel.evolve(cfg.initial, cfg.grid))
             assert _bits(e.m) == _bits(np.minimum(e.m_x, e.m_z)), cfg
 
     @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import sys
@@ -48,20 +49,29 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             fig_config("pd", n_points=1)
 
-    def test_rejects_unknown_column(self):
-        with pytest.raises(DomainError):
-            fig_config("pd", outputs=("U", "X"))
+    @pytest.mark.parametrize(
+        "initial",
+        [(-0.5, 0.4, 0.8), [-0.5, 0.4, 0.8], np.array([-0.5, 0.4, 0.8]), FIG_STATE],
+        ids=lambda c: type(c).__name__,
+    )
+    def test_any_state_sequence_gives_a_hashable_config_of_its_checked_copy(self, initial):
+        want = SC.run_time_sweep(fig_config("ad", initial=(-0.5, 0.4, 0.8), n_points=11))
+        cfg = fig_config("ad", initial=initial, n_points=11)
+        assert hash(cfg) == hash(cfg) and cfg == cfg and cfg != fig_config("ad", n_points=11)
+        assert type(cfg.initial) is np.ndarray and cfg.initial.shape == (3,)
+        assert not cfg.initial.flags.writeable and not cfg.grid.flags.writeable
+        if isinstance(initial, (list, np.ndarray)):
+            initial[:] = [0.9, 0.9, 0.9]  # outside the tetrahedron, after the check
+        assert cfg.initial.tolist() == [-0.5, 0.4, 0.8]
+        got = SC.run_time_sweep(cfg)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert SC.emit_csv(got) == SC.emit_csv(want)
 
-    @pytest.mark.parametrize("outputs", ["UM", "EM", "U", "M", "Ub", "U,M"])
-    def test_rejects_columns_given_as_one_str(self, outputs):
-        # a str is not read as its characters, as a run of one-letter names
-        with pytest.raises(DomainError, match="output columns"):
-            fig_config("pd", outputs=outputs)
-
-    @pytest.mark.parametrize("outputs", [(), ("",), ("U", "U"), ("U", "Ub", "U")])
-    def test_rejects_empty_or_duplicate_columns(self, outputs):
-        with pytest.raises(DomainError):
-            fig_config("pd", outputs=outputs)
+    def test_keeps_only_what_it_checks(self):
+        settable = [f.name for f in dataclasses.fields(SC.SweepConfig) if f.init]
+        assert settable == ["initial", "channel", "pair", "t_start", "t_end", "n_points", "spacing"]
+        with pytest.raises(TypeError):
+            fig_config("pd", outputs=("U",))
 
     @pytest.mark.parametrize(
         "spec",
@@ -106,7 +116,7 @@ class TestSweepConfig:
         fig_config("flip", channel=ChannelSpec("flip", axis=3), t_end=1.0)
 
     def test_log_spacing(self):
-        grid = fig_config("pd", t_start=0.1, spacing="log").grid()
+        grid = fig_config("pd", t_start=0.1, spacing="log").grid
         assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(10.0)
 
     def test_log_spacing_from_zero_rejected_by_constructor(self):
@@ -244,17 +254,8 @@ class TestSweepChecksOnce:
             assert check_calls == [] and len(records) == n
             assert np.array(records).tobytes() == _sweep_columns(cfg).tobytes()
 
-    def test_sweeps_the_state_it_checked(self):
-        c = np.array([-0.5, 0.4, 0.8])
-        cfg = fig_config("ad", initial=c, n_points=11)
-        c[:] = 0.9  # outside the tetrahedron, after the check
-        fresh = fig_config("ad", n_points=11)
-        records, want = SC.run_time_sweep(cfg), SC.run_time_sweep(fresh)
-        assert np.array(records).tobytes() == np.array(want).tobytes()
-        assert SC.emit_csv(records) == SC.emit_csv(want)
-
     def test_grid_is_read_only(self):
-        grid = fig_config("pd", n_points=5).grid()
+        grid = fig_config("pd", n_points=5).grid
         assert grid.tolist() == [0.0, 2.5, 5.0, 7.5, 10.0]
         with pytest.raises(ValueError, match="read-only"):
             grid[1] = 20.0
@@ -341,18 +342,24 @@ class TestClassifyManyStates:
     def test_columns_equal_single_calls_bitwise(self):
         states = random_bd_states(1500, np.random.default_rng(77))
         many = SC.classify_longtime_ad(states)
-        assert [len(col) for col in (many.verdict, many.u_b_initial, many.u_b_limit)] == [1500] * 3
-        assert {"Decrease", "Increase"} <= set(many.verdict)
+        assert [col.shape for col in (many.verdict, many.u_b_initial, many.u_b_limit)] == [(1500,)] * 3
+        assert {"Decrease", "Increase"} <= set(many.verdict.tolist())
         single = [SC.classify_longtime_ad(s) for s in states]
-        assert many.verdict == [res.verdict for res in single]
-        assert np.array(many.u_b_initial).tobytes() == np.array([r.u_b_initial for r in single]).tobytes()
-        assert np.array(many.u_b_limit).tobytes() == np.array([r.u_b_limit for r in single]).tobytes()
+        assert np.array_equal(many.verdict, [res.verdict for res in single])
+        assert many.u_b_initial.tobytes() == np.array([r.u_b_initial for r in single]).tobytes()
+        assert many.u_b_limit.tobytes() == np.array([r.u_b_limit for r in single]).tobytes()
 
-    def test_one_state_gives_plain_scalars(self):
-        for c in [FIG_STATE, (-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
+    def test_one_state_gives_numpy_scalars(self):
+        fig = SC.classify_longtime_ad(FIG_STATE)
+        for c in [FIG_STATE, (-0.5, 0.4, 0.8), [-0.5, 0.4, 0.8], np.array([-0.5, 0.4, 0.8])]:
             res = SC.classify_longtime_ad(c)
-            assert type(res.verdict) is str and type(res.u_b_initial) is float
-            assert type(res.u_b_limit) is float and res == SC.classify_longtime_ad(FIG_STATE)
+            assert type(res.verdict) is np.str_ and res.verdict == "Decrease"
+            assert type(res.u_b_initial) is np.float64 and type(res.u_b_limit) is np.float64
+            assert (res.u_b_initial, res.u_b_limit) == (fig.u_b_initial, fig.u_b_limit)
+        for n in (1, 2, 37):
+            res = SC.classify_longtime_ad(random_bd_states(n, np.random.default_rng(n)))
+            for col, kind in zip((res.verdict, res.u_b_initial, res.u_b_limit), "Uff"):
+                assert type(col) is np.ndarray and col.shape == (n,) and col.dtype.kind == kind
 
     def test_boundary_band(self, monkeypatch):
         # U_b exactly at the limit, or within the band of it, is a boundary
@@ -360,11 +367,11 @@ class TestClassifyManyStates:
             [[1.0, 1.0], [1.0 + 1e-9, 1.0], [1.0 - 1e-9, 1.0], [1.0 + 3e-9, 1.0], [0.5, 1.0]]
         ))
         res = SC.classify_longtime_ad(np.zeros((5, 3)))
-        assert res.verdict == ["Boundary", "Boundary", "Boundary", "Decrease", "Increase"]
+        assert res.verdict.tolist() == ["Boundary", "Boundary", "Boundary", "Decrease", "Increase"]
 
     def test_empty_and_outside(self):
         res = SC.classify_longtime_ad(np.zeros((0, 3)))
-        assert (res.verdict, res.u_b_initial, res.u_b_limit) == ([], [], [])
+        assert [col.shape for col in (res.verdict, res.u_b_initial, res.u_b_limit)] == [(0,)] * 3
         with pytest.raises(DomainError, match=r"state \(0\.9, 0\.9, 0\.9\) lies outside"):
             SC.classify_longtime_ad(np.array([[0.0, 0.0, 0.0], [0.9, 0.9, 0.9]]))
         with pytest.raises(DomainError, match=r"shape \(3,\) or \(N, 3\)"):
@@ -373,7 +380,7 @@ class TestClassifyManyStates:
 
 def _sweep_columns(cfg):
     """Reference rows: the xstate_* columns over the grid, stacked."""
-    t = cfg.grid()
+    t = cfg.grid
     r, corr = cfg.channel.evolve(cfg.initial, t)
     e = xstate_entropies(r, corr)
     u, u_b, m = e.uncertainty(cfg.pair), xstate_lower_bound_Ub(r, corr), e.m
@@ -554,10 +561,11 @@ class TestUnitalPropertyCheck:
 
     def test_counterexample_found(self):
         report = SC.property_check_unital(5, seed=3)
+        assert report.n_violations == 0 and report.violations == ()
         assert report.counterexample_state is not None
+        assert report.counterexample_gamma_t == SC.AD_PROBE_GAMMA_T
         ub0, ub1 = report.counterexample_ub_drop
         assert ub1 < ub0 - 1e-9
-        assert report.passed
 
     @pytest.mark.parametrize("trials, seed", [(5, 3), (200, 11), (1, 10)])
     def test_counterexample_is_a_record_of_a_sampled_row(self, trials, seed):
@@ -648,7 +656,9 @@ class TestEmitCsv:
             SC.emit_csv([])
 
     @pytest.mark.parametrize(
-        "outputs", [(), ("U", "U"), ("U", "Ub", "U"), ("X",), ("U", "u"), "EM", "UM", "U"]
+        "outputs",
+        [(), ("",), ("U", "U"), ("U", "Ub", "U"), ("X",), ("U", "X"), ("U", "u")]
+        + ["EM", "UM", "U", "M", "Ub", "U,M"],  # a str is not read as its characters
     )
     def test_rejects_bad_columns(self, outputs):
         records = SC.run_time_sweep(fig_config("pd", n_points=2))

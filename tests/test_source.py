@@ -76,9 +76,9 @@ ERRSTATE_SITES = ["linalg._sum_last", "scenarios.__post_init__"]
 # scenarios._CELL; the one-line classify report is the one other place
 FIXED12_SITES = ["cli._cmd_classify", "scenarios.<module>"]
 SCRIPTS = SRC.parents[1] / "scripts"
-# the functions that carry a sweep or a surface to CSV as a table, by module stem
+# the functions that carry a sweep, a surface or a classification as arrays, by module stem
 TABLE_PATHS = {
-    "scenarios": {"run_time_sweep", "sample_spmc_surface", "emit_csv"},
+    "scenarios": {"run_time_sweep", "sample_spmc_surface", "emit_csv", "classify_longtime_ad"},
     "cli": {"_cmd_surface"},
     "longtime_geometry": {"run"},
 }
@@ -164,8 +164,9 @@ def test_gc_is_imported_nowhere():
 
 
 def test_the_sweep_and_surface_paths_build_no_records():
-    # a sweep or a surface goes to its CSV as one float table; only scenarios.Rows
-    # builds per-point records, when a caller reads them
+    # a sweep or a surface goes to its CSV as one float table, and a classification
+    # comes back as numpy columns; only scenarios.Rows builds per-point records,
+    # when a caller reads them
     found, sites = set(), []
     for path in sorted(SRC.glob("*.py")) + [SCRIPTS / "longtime_geometry.py"]:
         table_paths = TABLE_PATHS.get(path.stem, set())
