@@ -3,8 +3,7 @@
 Flips and phase damping scale the correlations T; amplitude damping relaxes
 the population of A toward |1> (r = e^{-Gt} - 1). ``ChannelSpec`` names a
 channel family and holds the one rule for a valid kind, axis and strength;
-its ``evolve`` is those checks plus the closed-form map, ``unchecked_map``,
-which only a sweep whose config already checked its inputs calls directly.
+``factors`` is its one closed-form map, and ``evolve`` is those checks plus it.
 """
 
 from __future__ import annotations
@@ -20,14 +19,6 @@ from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 def pd_equivalent_eta(gamma_t: float) -> float:
     """Phase-flip probability equivalent to phase damping at Gamma*t."""
     return (1.0 - np.exp(-gamma_t / 2.0)) / 2.0
-
-
-def amplitude_damping_factors(gamma_t) -> tuple[np.ndarray, np.ndarray]:
-    """(r, f) of amplitude damping at Gamma*t, which maps correlations c to the
-    X state (r, T = c * f): r = e^{-Gt} - 1, f = (e^{-Gt/2}, e^{-Gt/2}, e^{-Gt})."""
-    gt = np.asarray(gamma_t, dtype=float)
-    e, eh = np.exp(-gt), np.exp(-gt / 2.0)
-    return e - 1.0, _stack_last(eh, eh, e)
 
 
 def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
@@ -71,22 +62,23 @@ class ChannelSpec:
     def evolve(self, c, t) -> tuple[np.ndarray, np.ndarray]:
         """(r, T) of correlations c (3,) or (..., 3) in the tetrahedron at strengths
         t, c[..., 0] broadcast against t: c[:, None, :] over K gives (N, K, 3). The
-        checks (``check``, then ``check_bd``), then ``unchecked_map``."""
-        t = self.check(t)
-        return self.unchecked_map(check_bd(c), t)
+        checks (``check``, then ``check_bd``), then the map of ``factors``."""
+        r, f = self.factors(self.check(t))
+        return r, check_bd(c) * f
 
-    def unchecked_map(self, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The closed-form map of ``evolve`` without its checks: c and t must be
-        the float arrays that ``check_bd`` and ``check`` returned. A flip scales
-        the two other axes by 1 - 2 eta; pd flips axis 3 at pd_equivalent_eta."""
+    def factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(r, f) at strengths t that ``check`` returned: correlations c go to the X
+        state (r, T = c * f). AD: r = e^{-Gt} - 1, f = (e^{-Gt/2}, e^{-Gt/2}, e^{-Gt}).
+        Else r = 0, a flip scales the two other axes by 1 - 2 eta, and pd is the
+        phase flip at pd_equivalent_eta."""
         if self.kind == "ad":
-            r, f = amplitude_damping_factors(t)
-        else:
-            axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
-            r, f = np.zeros_like(t), np.empty(eta.shape + (3,))
-            f[...] = (1.0 - 2.0 * eta)[..., None]
-            f[..., axis - 1] = 1.0
-        return r, c * f
+            e, eh = np.exp(-t), np.exp(-t / 2.0)
+            return e - 1.0, _stack_last(eh, eh, e)
+        axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
+        f = np.empty(eta.shape + (3,))
+        f[...] = (1.0 - 2.0 * eta)[..., None]
+        f[..., axis - 1] = 1.0
+        return np.zeros_like(t), f
 
 
 CHANNEL_LITERALS = ("flip:1", "flip:2", "flip:3", "pd", "ad")

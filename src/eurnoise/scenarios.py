@@ -13,7 +13,7 @@ import numpy as np
 
 from eurnoise.linalg import DomainError, check_count, is_integer, _stack_last
 from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, random_bd_states
-from eurnoise.channels import ChannelSpec, amplitude_damping_factors
+from eurnoise.channels import ChannelSpec
 from eurnoise.metrics import (
     ObservablePair, check_pair, xstate_concurrence, xstate_entropies, xstate_lower_bound_Ub,
 )
@@ -106,9 +106,10 @@ def run_time_sweep(cfg: SweepConfig) -> Rows:
     """Evolve the initial state along the grid (Gamma*t for the damping
     channels, eta for the flips) and evaluate every column over the whole
     grid at once, every entropy from one ``xstate_entropies``, into ``SweepRecord``
-    rows. The config checked the state and the grid, so the channel maps them unchecked."""
+    rows. The config checked the state and the grid, so they go straight to ``factors``."""
     t = cfg.grid
-    r, corr = cfg.channel.unchecked_map(cfg.initial, t)
+    r, f = cfg.channel.factors(t)
+    corr = cfg.initial * f
     e = xstate_entropies(r, corr)
     u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, e.m  # U_b = S(rho_AB)
     table = _stack_last(t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
@@ -125,7 +126,8 @@ class ClassificationResult:  # numpy scalars for one state, (N,) arrays for N
 LONGTIME_GAMMA_T = 50.0
 BOUNDARY_BAND = 1e-9
 # the map at Gamma*t = 0 (exactly the identity) and at the limit, computed once
-_LONGTIME_R, _LONGTIME_F = amplitude_damping_factors((0.0, LONGTIME_GAMMA_T))
+_AD = ChannelSpec("ad")
+_LONGTIME_R, _LONGTIME_F = _AD.factors(_AD.check((0.0, LONGTIME_GAMMA_T)))
 _VERDICTS = np.array(["Boundary", "Decrease", "Increase"])
 
 
@@ -156,7 +158,7 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> Rows:
     cells = np.empty((resolution, resolution, 3))
     cells[..., pair.q - 1] = a[:, None]
     cells[..., pair.r - 1] = a
-    cells[..., 5 - pair.q - pair.r] = -a[:, None] * a  # the unmeasured axis
+    np.multiply(-a[:, None], a, out=cells[..., 5 - pair.q - pair.r])  # the unmeasured axis
     return Rows(cells.reshape(-1, 3), BellDiagonalState)
 
 
@@ -177,6 +179,12 @@ AD_PROBE_GAMMA_T = 20.0
 # each unital family on its own strength grid: eta for the flips, Gamma*t for pd
 UNITAL_FAMILIES = tuple((ChannelSpec("flip", a), FLIP_ETA_GRID) for a in (1, 2, 3))
 UNITAL_FAMILIES += ((ChannelSpec("pd"), PD_GAMMA_T_GRID),)
+_MOVES = tuple((spec, x) for spec, grid in UNITAL_FAMILIES for x in grid)
+# the (r, f) of every move, each grid checked once: the state as it is (pd at
+# Gamma*t = 0 is exactly r = 0, f = 1), the unital moves, then the AD probe
+_MAPS = [spec.factors(spec.check(grid)) for spec, grid in
+         ((ChannelSpec("pd"), (0.0,)), *UNITAL_FAMILIES, (_AD, (AD_PROBE_GAMMA_T,)))]
+_MOVE_R, _MOVE_F = (np.concatenate(column) for column in zip(*_MAPS))
 
 
 def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
@@ -187,23 +195,20 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     10 eta values and phase damping at 10 Gamma*t values; S and U_b must
     not drop by more than 1e-9; a violation is (state, spec, strength, U_b
     before, U_b after). Amplitude damping at Gamma*t = 20 is then scanned for
-    a state whose U_b decreases.
+    a state whose U_b decreases. Every move of every state is one core call.
     """
     check_count(n_trials, "n_trials", 1)
     check_count(seed, "seed", 0)
     c = np.concatenate([random_bd_states(n_trials, np.random.default_rng(seed)), [FIG_STATE]])
-    ub0 = xstate_lower_bound_Ub(0.0, c)
+    ub = xstate_lower_bound_Ub(_MOVE_R, check_bd(c)[:, None, :] * _MOVE_F)
     # for Bell-diagonal states S(rho) and U_b coincide; check both against
-    # the pre-noise values
-    moves = [(spec, x) for spec, grid in UNITAL_FAMILIES for x in grid]
-    evolved = (spec.evolve(c[:-1, None, :], grid) for spec, grid in UNITAL_FAMILIES)
-    ub1 = np.concatenate([xstate_lower_bound_Ub(r, t) for r, t in evolved], axis=-1)
+    # the pre-noise values, over the sampled states only
+    ub0, ub1, ub_ad = ub[:, 0], ub[:-1, 1:-1], ub[:, -1]
     violations = [
-        (BellDiagonalState(*c[n].tolist()), *moves[k], float(ub0[n]), float(ub1[n, k]))
+        (BellDiagonalState(*c[n].tolist()), *_MOVES[k], float(ub0[n]), float(ub1[n, k]))
         for n, k in zip(*np.nonzero(ub1 < ub0[:-1, None] - 1e-9))
     ]
 
-    ub_ad = xstate_lower_bound_Ub(*ChannelSpec("ad").evolve(c, AD_PROBE_GAMMA_T))
     drops = np.flatnonzero(ub_ad < ub0 - 1e-9)
     counter = (None, None, None)  # state, Gamma*t, (U_b before, U_b after)
     if drops.size:

@@ -7,7 +7,7 @@ from eurnoise import channels as C
 from eurnoise import oracles as O
 from eurnoise.linalg import DomainError
 from eurnoise.oracles import bd_to_density
-from eurnoise.states import BellDiagonalState, random_bd_states
+from eurnoise.states import BellDiagonalState, check_bd, random_bd_states
 
 from conftest import bd_states
 
@@ -332,6 +332,59 @@ class TestFlipFactorsThroughEvolve:
         r, t = C.ChannelSpec("pd").evolve(c, gt)
         flip = C.ChannelSpec("flip", 3).evolve(c, C.pd_equivalent_eta(gt))[1]
         assert t.tobytes() == flip.tobytes() and r.tolist() == [0.0] * 7
+
+
+def _factors_formula(spec, t):
+    """(r, f) of each channel written out: AD r = e^{-Gt} - 1, f = (e^{-Gt/2},
+    e^{-Gt/2}, e^{-Gt}); else r = 0, f = 1 on the kept axis and 1 - 2 eta on the
+    others, with eta = (1 - e^{-Gt/2}) / 2 for pd."""
+    if spec.kind == "ad":
+        return np.exp(-t) - 1.0, np.stack([np.exp(-t / 2.0)] * 2 + [np.exp(-t)], axis=-1)
+    eta = t if spec.kind == "flip" else (1.0 - np.exp(-t / 2.0)) / 2.0
+    f = np.repeat(np.asarray(1.0 - 2.0 * eta)[..., None], 3, axis=-1)
+    f[..., (spec.axis or 3) - 1] = 1.0
+    return np.zeros_like(t), f
+
+
+def _bits(x):
+    return np.shape(x), np.asarray(x).tobytes()
+
+
+def _strengths(literal):
+    """A scalar or a short array of strengths: eta in [0, 1], Gamma*t in [0, 800]."""
+    one = st.floats(0.0, 1.0 if literal.startswith("flip") else 800.0)
+    return st.one_of(one, st.lists(one, min_size=1, max_size=6).map(np.array))
+
+
+class TestFactors:
+    """ChannelSpec.factors is the one closed-form map. evolve(c, t) is check, then
+    check_bd, then (r, c * f) of factors, bit for bit, and (r, f) is each channel's
+    formula written out."""
+
+    def _check(self, literal, s, t):
+        spec = C.parse_channel_literal(literal)
+        r, f = spec.factors(spec.check(t))
+        got_r, got_t = spec.evolve(s, t)
+        assert _bits(got_r) == _bits(r)
+        assert _bits(got_t) == _bits(check_bd(s) * f)
+        want_r, want_f = _factors_formula(spec, np.asarray(t, dtype=float))
+        assert _bits(r) == _bits(want_r) and _bits(f) == _bits(want_f)
+        assert np.isfinite(r).all() and np.isfinite(f).all()
+
+    @pytest.mark.parametrize("literal", C.CHANNEL_LITERALS)
+    @settings(max_examples=40, deadline=None)
+    @given(s=bd_states(), data=st.data())
+    def test_evolve_is_the_map_of_factors(self, literal, s, data):
+        self._check(literal, s, data.draw(_strengths(literal)))
+
+    @pytest.mark.parametrize(
+        "literal, t",
+        [(lit, t) for lit in C.CHANNEL_LITERALS
+         for t in (0.0, 1.0, np.array([0.0, 1.0]), np.array([[1.0], [0.0]]))]
+        + [(lit, t) for lit in ("pd", "ad") for t in (800.0, 1e300, np.finfo(float).max)],
+    )
+    def test_at_the_ends_of_the_ranges(self, literal, t, fig_state):
+        self._check(literal, fig_state, t)
 
 
 def _seeded_correlations(n, seed):

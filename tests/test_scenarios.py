@@ -553,6 +553,33 @@ class TestSpmcSurface:
             assert spmc_holds(s, pauli_pair(2, 3), tol=1e-12)
 
 
+def _unital_reference(trials, seed, drop=0.0):
+    """The unital report's fields, built family by family as the check once did:
+    one ChannelSpec.evolve and one core call per family on its own grid, and U_b
+    before the moves and after amplitude damping each in a call of its own. Every
+    U_b after a unital move is then lowered by drop."""
+    c = np.concatenate([random_bd_states(trials, np.random.default_rng(seed)), [FIG_STATE]])
+    families = [(ChannelSpec("flip", a), np.linspace(0.0, 0.5, 10)) for a in (1, 2, 3)]
+    families.append((ChannelSpec("pd"), np.linspace(0.0, 10.0, 10)))
+    ub0 = xstate_lower_bound_Ub(0.0, c)
+    ub1 = np.concatenate(
+        [xstate_lower_bound_Ub(*spec.evolve(c[:-1, None, :], grid)) for spec, grid in families],
+        axis=-1,
+    ) - drop
+    moves = [(spec, x) for spec, grid in families for x in grid]
+    violations = tuple(
+        (BellDiagonalState(*c[n]), *moves[k], ub0[n], ub1[n, k])
+        for n, k in zip(*np.nonzero(ub1 < ub0[:-1, None] - 1e-9))
+    )
+    ub_ad = xstate_lower_bound_Ub(*ChannelSpec("ad").evolve(c, 20.0))
+    drops = np.flatnonzero(ub_ad < ub0 - 1e-9)
+    counter = (None, None, None)
+    if drops.size:
+        n = drops[0]
+        counter = (BellDiagonalState(*c[n]), 20.0, (float(ub0[n]), float(ub_ad[n])))
+    return (trials, ub1.size, len(violations), violations, *counter)
+
+
 class TestUnitalPropertyCheck:
     def test_no_violations(self):
         report = SC.property_check_unital(200, seed=11)
@@ -595,12 +622,15 @@ class TestUnitalPropertyCheck:
             SC.property_check_unital(trials, seed)
 
     def test_violation_names_spec_and_strength_on_its_own_grid(self, monkeypatch):
-        # a core that reports every evolved U_b one bit lower makes every check
-        # a violation, in the order of UNITAL_FAMILIES and their grids
+        # a core that reports every U_b after a unital move (columns 1:-1 of the one
+        # call) one bit lower makes every check a violation, in the order of
+        # UNITAL_FAMILIES and their grids
         core = SC.xstate_lower_bound_Ub
 
         def lowered(r, t):
-            return core(r, t) - (1.0 if np.ndim(t) == 3 else 0.0)
+            ub = core(r, t)
+            ub[..., 1:-1] -= 1.0
+            return ub
 
         monkeypatch.setattr(SC, "xstate_lower_bound_Ub", lowered)
         report = SC.property_check_unital(2, seed=4)
@@ -615,6 +645,62 @@ class TestUnitalPropertyCheck:
         assert pd_strengths == list(SC.PD_GAMMA_T_GRID) and pd_strengths[-1] == 10.0
         ub0, ub1 = report.violations[0][3:]
         assert ub1 == pytest.approx(ub0 - 1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 2, 37, 200])
+    def test_one_core_call(self, monkeypatch, trials):
+        # the sampled states and the figure state, each moved 42 ways: as it is,
+        # the 40 unital moves, and the amplitude-damping probe
+        shapes = []
+        core = SC.xstate_lower_bound_Ub
+
+        def counted(r, t):
+            shapes.append(np.shape(t))
+            return core(r, t)
+
+        monkeypatch.setattr(SC, "xstate_lower_bound_Ub", counted)
+        SC.property_check_unital(trials, seed=7)
+        assert shapes == [(trials + 1, 42, 3)]
+
+    @pytest.mark.parametrize("trials", [1, 37])
+    def test_checks_its_states_once_and_no_strength_again(self, check_calls, trials):
+        # every grid went through ChannelSpec.check when the move table was built
+        SC.property_check_unital(trials, seed=7)
+        assert check_calls == ["check_bd"]
+
+    @pytest.mark.parametrize("trials", [1, 37])
+    def test_one_shannon_call(self, entropy_calls, trials):
+        SC.property_check_unital(trials, seed=7)
+        assert entropy_calls == [("shannon_entropy", (trials + 1, 42, 4))]
+
+    @pytest.mark.parametrize("drop", [0.0, 1.0], ids=["as_is", "unital_moves_lowered"])
+    @pytest.mark.parametrize(
+        "trials, seed", [(1, 0), (1, 10), (2, 4), (57, 3), (50, 77), (400, 9), (1000, 123)]
+    )
+    def test_report_equals_the_family_by_family_route_bitwise(
+        self, monkeypatch, trials, seed, drop
+    ):
+        # lowered, every unital check is a violation, so the violations are compared too
+        core = SC.xstate_lower_bound_Ub
+
+        def lowered(r, t):
+            ub = core(r, t)
+            ub[..., 1:-1] -= drop
+            return ub
+
+        monkeypatch.setattr(SC, "xstate_lower_bound_Ub", lowered)
+        got, want = SC.property_check_unital(trials, seed), _unital_reference(trials, seed, drop)
+        assert got.n_violations == (got.n_checks if drop else 0)
+        assert (got.n_trials, got.n_checks, got.n_violations) == want[:3]
+        assert got.violations == want[3]
+        # == on floats cannot tell -0.0 from 0.0; the hex strings can
+        hexes = [[x.hex() for x in v[3:]] for v in got.violations]
+        assert hexes == [[float(x).hex() for x in v[3:]] for v in want[3]]
+        state, gamma_t, drop = want[4:]
+        assert got.counterexample_state == state and got.counterexample_gamma_t == gamma_t
+        if drop is None:
+            assert got.counterexample_ub_drop is None
+        else:
+            assert [x.hex() for x in got.counterexample_ub_drop] == [x.hex() for x in drop]
 
     def test_figure_state_is_defined_once(self):
         from eurnoise import cli

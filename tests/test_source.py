@@ -11,9 +11,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "eurnoise"
 WORKLOADS = SRC.parents[1] / "bench" / "workloads.py"
 MAX_LINE = 99
 ORACLES = "eurnoise.oracles"
-# the closed forms an oracle checks, besides every name containing "xstate_"
+# the closed forms an oracle checks, besides every name containing "xstate_";
+# "factors" is ChannelSpec.factors, the one closed-form channel map
 CLOSED_FORMS = {
-    "amplitude_damping_factors",
+    "factors",
     "check_bd",
     "is_valid",
     "evolve_bd_flip",
@@ -46,12 +47,14 @@ MOVED = {
 }
 # names deleted outright: a Pauli pair is two axis integers, c = 1/2 a constant;
 # U and M are selections from xstate_entropies, and metrics.check_pair is the pair rule;
-# the brute force is one real Bloch-form route, not kets and 2x2 eigenvalues
+# the brute force is one real Bloch-form route, not kets and 2x2 eigenvalues;
+# ChannelSpec.factors is the one closed-form channel map
 DELETED = (
     "PauliObservable", "pauli_observable", "_EIGENBASES",
     "uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_bd", "discord_bd",
     "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
     "_measurement_kets", "_avg_conditional_entropy",
+    "amplitude_damping_factors", "unchecked_map",
 )
 # the brute-force route for M, in metrics until the benchmark is repointed at the oracles
 BRUTE_FORCE = (
@@ -66,8 +69,11 @@ ORACLE_IMPORTS = {
 # the two checked entropy kernels, and the only modules that may name them
 ENTROPY_KERNELS = ("binary_entropy", "shannon_entropy")
 ENTROPY_CALLERS = {"linalg", "metrics", "oracles"}
-# the closed-form channel map without the checks of ChannelSpec.evolve
-UNCHECKED_MAP = "unchecked_map"
+# the closed-form channel map, ChannelSpec.factors, without the checks of evolve
+CHANNEL_MAP = "factors"
+# its callers: evolve after its checks, a sweep whose config checked its inputs, and
+# the scenarios' module constants, each built from strengths that went through check
+CHANNEL_MAP_SITES = {"channels.evolve", "scenarios.run_time_sweep", "scenarios.<module>"}
 # np.errstate hides a floating-point warning: only the ordered sum of
 # linalg.shannon_entropy, which lets an overflow read inf and names it, and the
 # sweep grid of SweepConfig, which rejects an overflow, may use it
@@ -214,16 +220,17 @@ def test_the_pair_rule_is_written_once():
     assert sites == ["metrics.check_pair"], f"the pair rule is written out at {sites}"
 
 
-def test_only_evolve_and_the_sweep_call_the_unchecked_map():
-    # ChannelSpec.unchecked_map skips the state and strength checks: evolve
-    # runs them first, and a sweep's config ran them at construction
-    sites = sorted(
+def test_only_checked_inputs_reach_the_channel_map():
+    # ChannelSpec.factors skips the strength check and never sees a state: evolve
+    # runs both checks, a sweep's config ran them at construction, and the module
+    # constants of scenarios pass each grid through ChannelSpec.check
+    sites = {
         f"{path.stem}.{scope}"
         for path in sorted(SRC.glob("*.py"))
         for scope, node in scoped_nodes(parse(path))
-        if UNCHECKED_MAP in {getattr(node, "attr", None), getattr(node, "id", None)}
-    )
-    assert sites == ["channels.evolve", "scenarios.run_time_sweep"], sites
+        if CHANNEL_MAP in {getattr(node, "attr", None), getattr(node, "id", None)}
+    }
+    assert sites == CHANNEL_MAP_SITES, sorted(sites)
 
 
 def test_errstate_only_in_the_ordered_sum_and_the_sweep_grid():
@@ -367,7 +374,13 @@ def test_deleted_names_resolve_nowhere():
         if path.stem not in ("__init__", "oracles")
     ]
     assert len(modules) >= 7, f"runtime modules missing under {SRC}"
-    left = [f"{m.__name__}.{name}" for m in modules for name in DELETED if hasattr(m, name)]
+    # the classes each module defines, so that a deleted method cannot come back either
+    owners = modules + [
+        v for m in modules for v in vars(m).values()
+        if isinstance(v, type) and v.__module__ == m.__name__
+    ]
+    assert any(getattr(o, "__name__", None) == "ChannelSpec" for o in owners)
+    left = [f"{o.__name__}.{name}" for o in owners for name in DELETED if hasattr(o, name)]
     assert not left, f"deleted names still resolve: {left}"
 
 
