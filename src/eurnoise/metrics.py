@@ -1,11 +1,11 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
-Every quantity has a closed form over arrays of X states (``xstate_*``), the
-runtime route: ``xstate_entropies`` takes all that a sweep needs in two checked
-entropy calls, and U and M select from it. A Pauli pair is an ``ObservablePair``
-of two axes (``check_pair``), and any two distinct axes have eigenbases of
-overlap c = 1/2. The density-matrix routes that check the closed forms live in
-``eurnoise.oracles``; the brute-force minimizer for M stays here until the
+Every quantity has a closed form over arrays of X states (``xstate_*``), the runtime
+route: ``xstate_entropies`` takes all that a sweep needs in one binary call and U_b's
+one Shannon call (S(sigma_3|B) is M_z), and U and M select from it. A Pauli pair is
+an ``ObservablePair`` of two axes (``check_pair``), and any two distinct axes have
+eigenbases of overlap c = 1/2. The density-matrix routes that check the closed forms
+live in ``eurnoise.oracles``; the brute-force minimizer for M stays here until the
 benchmark, which reads it at this path, is repointed. It assumes no X structure:
 it checks a (..., 4, 4) batch of densities, reads their Pauli correlations (a, b, T)
 and scans measurements of B in the real Bloch form, all states at once.
@@ -214,17 +214,6 @@ def witness_discord_from_U(
 # Rau and Alber, PRA 81, 042105 (2010)).
 
 
-def _joint_spectrum(r, t1, t2, t3, out):
-    """Write 4 x the eigenvalues of rho_AB into out, a (..., 4) block (or view) that
-    the caller supplies and then scales by 1/4 in place, one ufunc call per column."""
-    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
-    up, down = 1 + t3, 1 - t3
-    np.add(up, rad_m, out[..., 0])
-    np.subtract(up, rad_m, out[..., 1])
-    np.add(down, rad_p, out[..., 2])
-    np.subtract(down, rad_p, out[..., 3])
-
-
 class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z")):
     """S(sigma_j|B) for j = 1, 2, 3, S(rho_AB), and M for an x (or y) and a z measurement on B."""
 
@@ -240,27 +229,30 @@ class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z
 
 
 def xstate_entropies(r, t) -> XStateEntropies:
-    """One H_bin call over (1 + u)/2, (1 + r +- T3)/2 and (1 + T_j)/2, one H call over
-    (1 +- r +- T3)/4 and rho_AB's spectrum; max(T1^2, T2^2) covers |c1| < |c2| by S x S."""
+    """One H_bin call over (1 + u)/2, (1 + r +- T3)/2 and (1 + T_j)/2, and U_b's H call;
+    max(T1^2, T2^2) covers |c1| < |c2| by S x S. A z outcome on B, each of weight 1/2,
+    leaves A diagonal with weights (1 + r +- T3)/2, so S(sigma_3|B) = M_z exactly."""
     t = np.asarray(t, dtype=float)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
-    z_up, z_down = 1 + r + t3, 1 + r - t3
-    h = binary_entropy(_stack_last(1.0 + u, z_up, z_down, 1.0 + t1, 1.0 + t2) / 2)
+    h = binary_entropy(_stack_last(1.0 + u, 1 + r + t3, 1 + r - t3, 1.0 + t1, 1.0 + t2) / 2)
     m_x, h_up, h_down, s1_b, s2_b = h.transpose(-1, *range(h.ndim - 1))
-    p = np.empty(u.shape + (2, 4))  # 4 x the sigma_3|B spectrum, then 4 x rho_AB's
-    _stack_last(z_up, z_down, 1 - r - t3, 1 - r + t3, out=p[..., 0, :])
-    _joint_spectrum(r, t1, t2, t3, p[..., 1, :])
-    h = shannon_entropy(np.divide(p, 4, out=p))
-    s3_b, s_ab = h.transpose(-1, *range(h.ndim - 1))
-    return XStateEntropies(s1_b, s2_b, s3_b - 1.0, s_ab, m_x, (h_up + h_down) / 2)
+    m_z = (h_up + h_down) / 2
+    return XStateEntropies(s1_b, s2_b, m_z, xstate_lower_bound_Ub(r, t), m_x, m_z)
 
 
 def xstate_lower_bound_Ub(r, t):
-    """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2)."""
+    """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2): 4 x rho_AB's
+    spectrum goes into one block, a ufunc call per column, and is scaled by 1/4 in place."""
     t = np.asarray(t, dtype=float)
-    p = np.empty(np.broadcast(r, t[..., 0]).shape + (4,))
-    _joint_spectrum(r, t[..., 0], t[..., 1], t[..., 2], p)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
+    up, down = 1 + t3, 1 - t3
+    p = np.empty(rad_m.shape + (4,))
+    np.add(up, rad_m, p[..., 0])
+    np.subtract(up, rad_m, p[..., 1])
+    np.add(down, rad_p, p[..., 2])
+    np.subtract(down, rad_p, p[..., 3])
     return shannon_entropy(np.divide(p, 4, out=p))
 
 

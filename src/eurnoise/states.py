@@ -3,7 +3,8 @@
 A Bell-diagonal state is fixed by three real correlation coefficients
 (c1, c2, c3), a checked one by a (3,) float array, many states by a (..., 3) array
 of them; validity is membership in the tetrahedron of states with all four
-Bell-basis eigenvalues non-negative."""
+Bell-basis eigenvalues non-negative, each weight (1 + c1 - c2 + c3 and so on)
+summed left to right as written."""
 
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ import numpy as np
 from eurnoise.linalg import DomainError, check_count
 
 TETRAHEDRON_TOL = 1e-12
-# signs of (c1, c2, c3), by row, in the Bell weights of (Phi+, Phi-, Psi+, Psi-)
-_SIGNS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]], dtype=float)
 _FLOOR = -4 * TETRAHEDRON_TOL  # w/4 >= -tol iff w >= -4 tol: scaling by 4 is exact
 
 
@@ -31,13 +30,15 @@ class BellDiagonalState(NamedTuple):
 
 
 def _four_weights(c) -> tuple[np.ndarray, np.ndarray]:
-    """c as a float array (..., 3), and 4 x its Bell weights (..., 4), each
-    summed left to right as written, 1 + c1 - c2 + c3 and so on."""
+    """c as a float array (..., 3), and 4 x its Bell weights (..., 4) of (Phi+, Phi-,
+    Psi+, Psi-), each summed left to right as written. The weights are a view of one
+    (4, ...) block, so a min over them is elementwise over whole columns."""
     c = np.asarray(c, dtype=float)
     if c.shape[-1:] != (3,):
         raise DomainError(f"correlations must have shape (..., 3), got shape {c.shape}")
-    x = c[..., :, None] * _SIGNS  # a - b == a + (-b) exactly
-    return c, np.add.reduce(x, axis=-2, initial=1.0)  # ((1 + x0) + x1) + x2
+    c1, c2, c3 = c.transpose(-1, *range(c.ndim - 1))  # numpy scalars for one state
+    w = np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3])
+    return c, w.transpose(*range(1, c.ndim), 0)
 
 
 def bell_eigenvalues(c) -> np.ndarray:

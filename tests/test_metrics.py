@@ -705,11 +705,19 @@ class TestXStateCoreVsOracles:
 
 
 def _ref_conditional_entropy(r, t, index):
-    """S(sigma_index|B): H{(1 +- r +- T3)/4} - 1 for sigma_3, else H_bin((1 + T_index)/2)."""
+    """S(sigma_index|B): M_z = (H_bin((1 + r + T3)/2) + H_bin((1 + r - T3)/2))/2 for
+    sigma_3, else H_bin((1 + T_index)/2)."""
     t = np.asarray(t, dtype=float)
     if index != 3:
         return binary_entropy((1.0 + t[..., index - 1]) / 2.0)
     t3 = t[..., 2]
+    return (binary_entropy((1 + r + t3) / 2) + binary_entropy((1 + r - t3) / 2)) / 2
+
+
+def _old_s3_b_row(r, t):
+    """S(sigma_3|B) as H{(1 +- r +- T3)/4} - 1, the four-entry row the core once took it
+    from; kept only to check that the core still rejects every input this row rejects."""
+    t3 = np.asarray(t, dtype=float)[..., 2]
     up, down = 1 + r, 1 - r
     return shannon_entropy(np.stack([up + t3, up - t3, down - t3, down + t3], axis=-1) / 4) - 1.0
 
@@ -732,7 +740,7 @@ def _ref_m_x_m_z(r, t):
 
 
 def _ref_entropies(r, t):
-    """(S(sigma_1|B), S(sigma_2|B), S(sigma_3|B), S(rho_AB), M_x, M_z) in seven calls."""
+    """(S(sigma_1|B), S(sigma_2|B), S(sigma_3|B), S(rho_AB), M_x, M_z) in eight calls."""
     conditional = [_ref_conditional_entropy(r, t, j) for j in (1, 2, 3)]
     return (*conditional, _ref_joint_entropy(r, t), *_ref_m_x_m_z(r, t))
 
@@ -785,7 +793,7 @@ def _reference_configs():
 
 class TestEntropiesMatchPerColumnReference:
     """xstate_entropies takes in two stacked calls what the reference takes in
-    seven: every entry still meets its own check, and every value keeps its bits."""
+    eight: every entry still meets its own check, and every value keeps its bits."""
 
     def test_sweep_records_bitwise_equal_reference(self):
         for cfg in _reference_configs():
@@ -807,6 +815,9 @@ class TestEntropiesMatchPerColumnReference:
         r, t = (rt[0, 0], rt[0, 1:]) if one_state else (rt[:, 0], rt[:, 1:])
         got, want = _or_domain_error(M.xstate_entropies, r, t), _or_domain_error(_ref_entropies, r, t)
         assert (got is DomainError) == (want is DomainError)
+        # the binary window on (1 + r +- T3)/2 is the stricter one: no input check was lost
+        if _or_domain_error(_old_s3_b_row, r, t) is DomainError:
+            assert got is DomainError
         lower = _or_domain_error(M.xstate_lower_bound_Ub, r, t)
         want_lower = _or_domain_error(_ref_joint_entropy, r, t)
         assert (lower is DomainError) == (want_lower is DomainError)
@@ -822,9 +833,9 @@ class TestEntropiesMatchPerColumnReference:
 
 
 # ---- the spectrum reference: the four sums of rho_AB's spectrum, stacked and
-# then divided by 4, as written before _joint_spectrum wrote its columns into
-# the caller's block and scaled it in place. np.stack is the stacking helper
-# the route used, without its shortcut.
+# then divided by 4, as written before xstate_lower_bound_Ub wrote its columns
+# into one block and scaled it in place. np.stack is the stacking helper the
+# route used, without its shortcut.
 
 
 def _stacked_joint_spectrum(r, t1, t2, t3):  # 4 x the eigenvalues of rho_AB
@@ -837,17 +848,6 @@ def _stacked_lower_bound_Ub(r, t):
     t = np.asarray(t, dtype=float)
     cols = _stacked_joint_spectrum(r, t[..., 0], t[..., 1], t[..., 2])
     return shannon_entropy(np.stack(cols, axis=-1) / 4)
-
-
-def _stacked_s3_b_s_ab(r, t):
-    """S(sigma_3|B) and S(rho_AB) from one Shannon call over the (..., 2, 4) block."""
-    t = np.asarray(t, dtype=float)
-    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    cols = (1 + r + t3, 1 + r - t3, 1 - r - t3, 1 - r + t3, *_stacked_joint_spectrum(r, t1, t2, t3))
-    p = np.stack(cols, axis=-1)
-    h = shannon_entropy(p.reshape(p.shape[:-1] + (2, 4)) / 4)
-    s3_b, s_ab = h.transpose(-1, *range(h.ndim - 1))
-    return s3_b - 1.0, s_ab
 
 
 # the pure Bell states (Phi+, Phi-, Psi+, Psi-) as correlations, one per row
@@ -877,8 +877,8 @@ def _typed_bits(x):
 
 
 class TestSpectrumMatchesStackedReference:
-    """Writing rho_AB's spectrum into the caller's block and scaling it in place
-    changes no bit of U_b, S(sigma_3|B) or S(rho_AB)."""
+    """Writing rho_AB's spectrum into one block and scaling it in place changes
+    no bit of U_b or S(rho_AB)."""
 
     @settings(max_examples=300, deadline=None)
     @given(x_states())
@@ -892,11 +892,31 @@ class TestSpectrumMatchesStackedReference:
         ub = M.xstate_lower_bound_Ub(r, t)
         assert _typed_bits(ub) == _typed_bits(_stacked_lower_bound_Ub(r, t))
         e = M.xstate_entropies(r, t)
-        s3_b, s_ab = _stacked_s3_b_s_ab(r, t)
-        assert _typed_bits(e.s3_b) == _typed_bits(s3_b)
-        assert _typed_bits(e.s_ab) == _typed_bits(s_ab)
-        assert _bits(e.s_ab) == _bits(ub)  # one spectrum, two blocks
+        assert _typed_bits(e.s_ab) == _typed_bits(ub)  # S(rho_AB) is U_b's call
 
     def test_the_examples_are_pure_states_and_the_r_minus_1_limit(self):
         assert ChannelSpec("ad").evolve(BELL_VERTICES, 800.0)[0] == -1.0
         assert M.xstate_lower_bound_Ub(0.0, BELL_VERTICES).tolist() == [0.0] * 4
+
+
+class TestSigma3GivenBIsMz:
+    """In every X state of the core a z outcome on B, each of weight 1/2, leaves A
+    diagonal with weights (1 + r +- T3)/2: S(sigma_3|B) is M_z exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x_states())
+    @example((0.0, BELL_VERTICES))
+    @example(ChannelSpec("ad").evolve(BELL_VERTICES, 800.0))
+    def test_s3_b_is_m_z_bitwise(self, rt):
+        e = M.xstate_entropies(*rt)
+        assert _typed_bits(e.s3_b) == _typed_bits(e.m_z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bd_states(), st.none() | st.floats(0.0, 800.0) | st.sampled_from([40.0, 800.0]))
+    def test_matches_the_pinching_oracle(self, s, gamma_t):
+        r, t, rho = 0.0, s, bd_to_density(s)
+        if gamma_t is not None:  # amplitude-damped
+            r, t = ChannelSpec("ad").evolve(s, gamma_t)
+            rho = O.apply_local_A(O.channel_at(ChannelSpec("ad"), gamma_t), rho)
+        want = O.conditional_entropy(O.post_measurement_state(rho, 3))
+        assert float(M.xstate_entropies(r, t).s3_b) == pytest.approx(want, abs=1e-10)

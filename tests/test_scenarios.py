@@ -314,7 +314,8 @@ def entropy_calls(monkeypatch):
 
 class TestEntropyCallCounts:
     """A sweep takes every entropy in one binary and one Shannon call, stacked
-    over its grid; a long-time classification takes U_b alone, in one call."""
+    over its grid (the Shannon call is U_b's, since S(sigma_3|B) is M_z); a
+    long-time classification takes U_b alone, in one call."""
 
     @pytest.mark.parametrize("literal", CHANNEL_LITERALS)
     def test_sweep_makes_one_call_per_kernel(self, entropy_calls, literal):
@@ -325,7 +326,7 @@ class TestEntropyCallCounts:
                 entropy_calls.clear()
                 cfg = fig_config("pd", channel=spec, pair=pauli_pair(*pair), t_end=t_end, n_points=n)
                 SC.run_time_sweep(cfg)
-                assert entropy_calls == [("binary_entropy", (n, 5)), ("shannon_entropy", (n, 2, 4))]
+                assert entropy_calls == [("binary_entropy", (n, 5)), ("shannon_entropy", (n, 4))]
 
     def test_one_state_classify_makes_one_shannon_call(self, entropy_calls):
         SC.classify_longtime_ad(FIG_STATE)
@@ -333,6 +334,27 @@ class TestEntropyCallCounts:
         entropy_calls.clear()
         SC.classify_longtime_ad(random_bd_states(37, np.random.default_rng(1)))
         assert entropy_calls == [("shannon_entropy", (37, 2, 4))]
+
+
+# the two ad-longtime states of the benchmark, on its 101-point log grid to Gamma*t = 800
+LONGTIME_STATES = [(-0.5, 0.4, 0.8), (0.6, -0.3, 0.2)]
+
+
+@pytest.mark.parametrize("initial", LONGTIME_STATES)
+def test_long_ad_sweeps_of_interior_states_skip_the_ordered_shannon_path(monkeypatch, initial):
+    # rho_AB's spectrum, the one Shannon argument, holds no negative entry here, where
+    # 1 + r rounds to 0. Two roads to an ordered path remain: a pure Bell vertex
+    # reaches this one, as hypot rounding leaves a -2.2e-16 entry in 4 x rho_AB's
+    # spectrum, and binary_entropy's own ordered path is still reached through
+    # (1 + r +- T3)/2 (ROADMAP item 5)
+    entered = []
+    ordered = linalg._sum_last
+    monkeypatch.setattr(linalg, "_sum_last", lambda p: entered.append(p.shape) or ordered(p))
+    for pair in ORDERED_PAIRS:
+        SC.run_time_sweep(
+            SC.SweepConfig(initial, ChannelSpec("ad"), pauli_pair(*pair), 0.01, 800.0, 101, "log")
+        )
+    assert entered == []
 
 
 class TestClassifyManyStates:

@@ -48,13 +48,14 @@ MOVED = {
 # names deleted outright: a Pauli pair is two axis integers, c = 1/2 a constant;
 # U and M are selections from xstate_entropies, and metrics.check_pair is the pair rule;
 # the brute force is one real Bloch-form route, not kets and 2x2 eigenvalues;
-# ChannelSpec.factors is the one closed-form channel map
+# ChannelSpec.factors is the one closed-form channel map; rho_AB's spectrum is
+# built in xstate_lower_bound_Ub alone, and the Bell weights are written out
 DELETED = (
     "PauliObservable", "pauli_observable", "_EIGENBASES",
     "uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_bd", "discord_bd",
     "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
     "_measurement_kets", "_avg_conditional_entropy",
-    "amplitude_damping_factors", "unchecked_map",
+    "amplitude_damping_factors", "unchecked_map", "_joint_spectrum", "_SIGNS",
 )
 # the brute-force route for M, in metrics until the benchmark is repointed at the oracles
 BRUTE_FORCE = (
@@ -283,21 +284,22 @@ def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
 
 
 def test_metrics_takes_the_sweep_entropies_in_two_calls():
-    # one stacked call per kernel in xstate_entropies; U_b alone keeps its own
-    # call, the witness's H_bin of the initial state its own, and the brute-force
-    # oracle, which stays in metrics until the benchmark is repointed, its own
+    # xstate_entropies makes one stacked binary call and takes S(rho_AB) from U_b's
+    # one Shannon call (S(sigma_3|B) is M_z); the witness's H_bin of the initial state
+    # keeps its own call, and so does the brute-force oracle, which stays in metrics
+    # until the benchmark is repointed
     calls = sorted(
         (scope, node.func.id)
         for scope, node in scoped_nodes(parse(SRC / "metrics.py"))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id in ENTROPY_KERNELS
+        and node.func.id in (*ENTROPY_KERNELS, "xstate_lower_bound_Ub")
     )
     assert calls == [
         ("_conditional_entropy", "binary_entropy"),
         ("witness_discord_from_U", "binary_entropy"),
         ("xstate_entropies", "binary_entropy"),
-        ("xstate_entropies", "shannon_entropy"),
+        ("xstate_entropies", "xstate_lower_bound_Ub"),
         ("xstate_lower_bound_Ub", "shannon_entropy"),
     ], calls
 
