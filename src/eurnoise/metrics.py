@@ -1,14 +1,13 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
-Every quantity has a closed form over arrays of X states (``xstate_*``), the runtime
-route: ``xstate_entropies`` takes all that a sweep needs in one binary call and U_b's
-one Shannon call (S(sigma_3|B) is M_z), and U and M select from it. A Pauli pair is
-an ``ObservablePair`` of two axes (``check_pair``), and any two distinct axes have
-eigenbases of overlap c = 1/2. The density-matrix routes that check the closed forms
-live in ``eurnoise.oracles``; the brute-force minimizer for M stays here until the
-benchmark, which reads it at this path, is repointed. It assumes no X structure:
-it checks a (..., 4, 4) batch of densities, reads their Pauli correlations (a, b, T)
-and scans measurements of B in the real Bloch form, all states at once.
+Every quantity has a closed form over arrays of X states (``xstate_*``), the runtime route:
+``xstate_entropies`` takes all that a sweep needs in one binary call and U_b's one Shannon
+call (S(sigma_3|B) is M_z), and U and M select from it. Each argument is one (n, ...) block of
+contiguous rows, handed over as its (..., n) view; linalg folds the terms in numpy's sum order,
+so no layout moves a bit. A Pauli pair is an ``ObservablePair`` of two axes (``check_pair``):
+any two distinct axes have eigenbases of overlap c = 1/2. The density-matrix routes that check
+the closed forms live in ``eurnoise.oracles``; the brute-force minimizer for M, which assumes
+no X structure, stays here until the benchmark, which reads it at this path, is repointed.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import (
-    DomainError, FLOAT_MAX, binary_entropy, check_count, is_axis, shannon_entropy, _stack_last,
-)
+from eurnoise.linalg import DomainError, FLOAT_MAX, binary_entropy, check_count, is_axis
+from eurnoise.linalg import shannon_entropy
 from eurnoise.states import BellDiagonalState, check_one_bd
 from eurnoise.channels import ChannelSpec
 
@@ -235,25 +233,26 @@ def xstate_entropies(r, t) -> XStateEntropies:
     t = np.asarray(t, dtype=float)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
-    h = binary_entropy(_stack_last(1.0 + u, 1 + r + t3, 1 + r - t3, 1.0 + t1, 1.0 + t2) / 2)
+    p = np.empty((5,) + u.shape)  # rows 1 + u, 1 + r +- T3 and 1 + T_j, the last broadcast
+    p[:3], p[3:] = (1.0 + u, 1 + r + t3, 1 + r - t3), (1.0 + t1, 1.0 + t2)
+    h = binary_entropy(np.multiply(p, 0.5, out=p).transpose(*range(1, p.ndim), 0))
     m_x, h_up, h_down, s1_b, s2_b = h.transpose(-1, *range(h.ndim - 1))
     m_z = (h_up + h_down) / 2
     return XStateEntropies(s1_b, s2_b, m_z, xstate_lower_bound_Ub(r, t), m_x, m_z)
 
 
 def xstate_lower_bound_Ub(r, t):
-    """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2): 4 x rho_AB's
-    spectrum goes into one block, a ufunc call per column, and is scaled by 1/4 in place."""
+    """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2), over rho_AB's spectrum."""
     t = np.asarray(t, dtype=float)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
     up, down = 1 + t3, 1 - t3
-    p = np.empty(rad_m.shape + (4,))
-    np.add(up, rad_m, p[..., 0])
-    np.subtract(up, rad_m, p[..., 1])
-    np.add(down, rad_p, p[..., 2])
-    np.subtract(down, rad_p, p[..., 3])
-    return shannon_entropy(np.divide(p, 4, out=p))
+    p = np.empty((4,) + rad_m.shape)  # 4 x the spectrum: a ufunc call per row, then 1/4 in place
+    np.add(up, rad_m, p[0, ...])
+    np.subtract(up, rad_m, p[1, ...])
+    np.add(down, rad_p, p[2, ...])
+    np.subtract(down, rad_p, p[3, ...])
+    return shannon_entropy(np.multiply(p, 0.25, out=p).transpose(*range(1, p.ndim), 0))
 
 
 def xstate_concurrence(r, t):

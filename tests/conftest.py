@@ -44,3 +44,23 @@ def hermitian_4x4():
         return m + m.conj().T
 
     return entries.map(build)
+
+
+# the memory layouts an array may reach a kernel in: C and F order; "rows", the
+# (..., n) view of one (n, ...) block that the X core hands its entropy kernels;
+# and "strided", a view with every stride doubled whose gaps hold NaN
+LAYOUTS = ("C", "F", "rows", "strided")
+
+
+def laid_out(a, layout: str) -> np.ndarray:
+    """A copy of a with the same shape and values, in the named layout."""
+    a = np.asarray(a, dtype=float)
+    if layout == "rows" and a.ndim:
+        block = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        return block.transpose(*range(1, a.ndim), 0)
+    if layout == "strided":
+        base = np.full(tuple(2 * n for n in a.shape), np.nan)
+        view = base[(..., *[slice(None, None, 2)] * a.ndim)]
+        view[...] = a
+        return view
+    return np.array(a, order="F" if layout == "F" else "C")

@@ -11,7 +11,7 @@ from eurnoise import oracles as O
 from eurnoise.oracles import bd_to_density
 from eurnoise.states import BellDiagonalState
 
-from conftest import hermitian_4x4
+from conftest import LAYOUTS, hermitian_4x4, laid_out
 
 # frozen oracle values: direct evaluation of the defining formulas
 H_BIN_09 = -0.9 * np.log2(0.9) - 0.1 * np.log2(0.1)  # 0.4689955935892812
@@ -219,10 +219,13 @@ def _outcome(kernel, p):
 
 
 def _checked(kernel, p):
-    """The kernel's outcome with every warning raised as an error."""
+    """The kernel's outcome with every warning raised as an error; p comes back unchanged."""
+    before = p.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _outcome(kernel, p)
+        outcome = _outcome(kernel, p)
+    assert p.tobytes() == before.tobytes()
+    return outcome
 
 
 def _around(*xs, ulps=2):
@@ -246,11 +249,12 @@ entry = st.one_of(
     st.sampled_from(EDGE_ENTRIES),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# last axes up to 7 long: numpy's own sum adds 2 to 7 entries left to right, in any layout
 shapes = st.one_of(
     st.just(()),
-    st.tuples(st.integers(0, 5)),
-    st.tuples(st.integers(0, 4), st.integers(0, 5)),
-    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 4)),
+    st.tuples(st.integers(0, 7)),
+    st.tuples(st.integers(0, 4), st.integers(0, 7)),
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 7)),
 )
 # sums at 1 and at the 1 +- 1e-9 edges, give or take a few ulps
 SUM_TARGETS = _around(1.0, 1.0 + 1e-9, 1.0 - 1e-9, ulps=4)
@@ -260,9 +264,9 @@ mixed_arrays = arrays(np.float64, shapes, elements=entry)
 
 
 row_shapes = st.one_of(  # no zero-size axis
-    st.tuples(st.integers(1, 5)),
-    st.tuples(st.integers(1, 4), st.integers(1, 5)),
-    st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 4)),
+    st.tuples(st.integers(1, 7)),
+    st.tuples(st.integers(1, 4), st.integers(1, 7)),
+    st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 7)),
 )
 # entries within 4 ulps of 0 (-0.0 and negative subnormals included) and of 1
 NEAR_0 = _around(0.0, ulps=4) + [-0.0]
@@ -304,45 +308,57 @@ def near_sum_rows(draw):
 
 
 class TestEntropyKernelsMatchReference:
-    """The one-test fast path changes no bits and no error: the kernels agree
-    with the reference on arrays mixing in-range, edge and non-finite
-    entries, and on rows summing to within a few ulps of the 1e-9 edges."""
+    """The one-test fast path and the slot-row sums change no bits and no error:
+    the kernels agree with the reference on arrays mixing in-range, edge and
+    non-finite entries, and on rows summing to within a few ulps of the 1e-9
+    edges, in every layout of ``LAYOUTS`` (the core's block views included)."""
 
     @settings(max_examples=400, deadline=None)
-    @given(mixed_arrays)
-    @example(np.array([-0.0, 0.0, 1.0]))
-    @example(np.array([[1 + 1e-12, -1e-12], [0.5, np.nan]]))
-    @example(np.array(np.nan))
-    def test_binary(self, p):
+    @given(mixed_arrays, st.sampled_from(LAYOUTS))
+    @example(np.array([-0.0, 0.0, 1.0]), "C")
+    @example(np.array([[1 + 1e-12, -1e-12], [0.5, np.nan]]), "C")
+    @example(np.array(np.nan), "C")
+    @example(np.array([[0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 0.0, 0.5, 0.9, 1e-300]]), "rows")
+    def test_binary(self, p, layout):
+        p = laid_out(p, layout)
         assert _checked(L.binary_entropy, p) == _outcome(_ref_binary_entropy, p)
 
     @settings(max_examples=400, deadline=None)
-    @given(mixed_arrays)
-    @example(np.array([1e308, 1e308]))
-    @example(np.array([np.inf, -np.inf]))
-    @example(np.array([[-1e-12, 1.0], [-0.0, 1.0]]))
-    @example(np.array(0.5))
-    def test_shannon(self, p):
+    @given(mixed_arrays, st.sampled_from(LAYOUTS))
+    @example(np.array([1e308, 1e308]), "C")
+    @example(np.array([np.inf, -np.inf]), "C")
+    @example(np.array([[-1e-12, 1.0], [-0.0, 1.0]]), "C")
+    @example(np.array(0.5), "C")
+    @example(np.array([[0.5, np.nan, 0.5, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, -0.4, 0.5, 0.3]]), "F")
+    def test_shannon(self, p, layout):
+        p = laid_out(p, layout)
         assert _checked(L.shannon_entropy, p) == _outcome(_ref_shannon_entropy, p)
 
     @settings(max_examples=400, deadline=None)
-    @given(near_sum_rows())
-    def test_shannon_at_the_sum_edges(self, p):
+    @given(near_sum_rows(), st.sampled_from(LAYOUTS))
+    @example(np.full((3, 7), 1 / 7), "rows")
+    @example(np.array([[0.1, 0.2, 0.05, 0.15, 0.3, 0.2], [1.0, 0, 0, 0, 0, 0]]), "strided")
+    def test_shannon_at_the_sum_edges(self, p, layout):
+        p = laid_out(p, layout)
         assert _checked(L.shannon_entropy, p) == _outcome(_ref_shannon_entropy, p)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(straddling_rows(), unit_edge_arrays))
-    @example(np.array([1.0 + 1e-9, -1e-12]))
-    @example(np.array([[-1e-12, 0.0, np.nextafter(1.0, 2.0)], [-0.0, 5e-324, 1.0]]))
-    @example(np.array([-5e-324, 1.0, -0.0]))
-    def test_shannon_at_the_unit_edges(self, p):
+    @given(st.one_of(straddling_rows(), unit_edge_arrays), st.sampled_from(LAYOUTS))
+    @example(np.array([1.0 + 1e-9, -1e-12]), "C")
+    @example(np.array([[-1e-12, 0.0, np.nextafter(1.0, 2.0)], [-0.0, 5e-324, 1.0]]), "C")
+    @example(np.array([-5e-324, 1.0, -0.0]), "C")
+    @example(np.array([[-1e-12, 0.0, 0.0, 0.0, 0.0, -0.0, 1.0 + 1e-12]] * 2), "rows")
+    def test_shannon_at_the_unit_edges(self, p, layout):
+        p = laid_out(p, layout)
         assert _checked(L.shannon_entropy, p) == _outcome(_ref_shannon_entropy, p)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(straddling_rows(), unit_edge_arrays))
-    @example(np.array([1.0 + 1e-9, -1e-12]))
-    @example(np.array([-0.0, -5e-324, np.nextafter(1.0, 2.0)]))
-    def test_binary_at_the_unit_edges(self, p):
+    @given(st.one_of(straddling_rows(), unit_edge_arrays), st.sampled_from(LAYOUTS))
+    @example(np.array([1.0 + 1e-9, -1e-12]), "C")
+    @example(np.array([-0.0, -5e-324, np.nextafter(1.0, 2.0)]), "C")
+    @example(np.array([[1.0 + 1e-12, -0.0, 5e-324, 0.5, 1.0]] * 3), "strided")
+    def test_binary_at_the_unit_edges(self, p, layout):
+        p = laid_out(p, layout)
         assert _checked(L.binary_entropy, p) == _outcome(_ref_binary_entropy, p)
 
 

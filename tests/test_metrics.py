@@ -14,7 +14,7 @@ from eurnoise.states import BellDiagonalState, random_bd_states
 from eurnoise.channels import ChannelSpec, evolve_bd_amplitude, evolve_bd_flip
 from eurnoise.scenarios import FIG_STATE, SweepConfig, classify_longtime_ad, run_time_sweep
 
-from conftest import bd_states
+from conftest import LAYOUTS, bd_states, laid_out
 
 PAIR_13 = M.pauli_pair(1, 3)
 ALL_PAIRS = [M.pauli_pair(1, 2), M.pauli_pair(1, 3), M.pauli_pair(2, 3)]
@@ -557,6 +557,9 @@ class TestMinimalMissingInfoAD:
 
     def test_log_two_values(self, fig_state):
         res = M.minimal_missing_info_ad(fig_state, np.log(2))
+        e = M.xstate_entropies(*ChannelSpec("ad").evolve(fig_state, np.log(2)))
+        assert [type(x) for x in (res.m, res.m_x, res.m_z)] == [float] * 3  # the core's, as floats
+        assert (res.m, res.m_x, res.m_z) == (float(e.m), float(e.m_x), float(e.m_z))
         u = np.sqrt(0.375)
         assert res.m_x == pytest.approx(binary_entropy((1 + u) / 2), abs=1e-12)
         assert res.m_z == pytest.approx(
@@ -852,7 +855,7 @@ def _stacked_lower_bound_Ub(r, t):
 
 # the pure Bell states (Phi+, Phi-, Psi+, Psi-) as correlations, one per row
 BELL_VERTICES = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
-SPECTRUM_SHAPES = [(), (5,), (4, 5), (0,), (0, 5), (4, 0)]
+SPECTRUM_SHAPES = [(), (5,), (4, 5), (2, 3, 4), (0,), (0, 5), (4, 0)]
 # e^{-800} underflows to 0, so Gamma*t = 800 gives the r = -1 limit exactly
 GAMMA_T = st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 800.0, 1e6]))
 
@@ -861,15 +864,23 @@ GAMMA_T = st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 800.0, 1e6]))
 def x_states(draw):
     """(r, t) over a drawn batch shape: Bell-diagonal states at r = 0, or their
     amplitude-damped images. Weights of 0 and 1 are drawn often, so many
-    states are pure Bell states, and many strengths give r = -1."""
+    states are pure Bell states, and many strengths give r = -1. t comes in a
+    drawn memory layout, and so does an array r."""
     shape = draw(st.sampled_from(SPECTRUM_SHAPES))
     weight = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
     w = draw(arrays(np.float64, shape + (4,), elements=weight))
     w[..., 0] += w.sum(axis=-1) == 0.0
     c = (w / w.sum(axis=-1, keepdims=True)) @ BELL_VERTICES
+    layout = draw(st.sampled_from(LAYOUTS))
     if draw(st.booleans()):
-        return 0.0, c
-    return ChannelSpec("ad").evolve(c, draw(arrays(np.float64, shape, elements=GAMMA_T)))
+        return 0.0, laid_out(c, layout)
+    r, t = ChannelSpec("ad").evolve(c, draw(arrays(np.float64, shape, elements=GAMMA_T)))
+    return laid_out(r, layout), laid_out(t, layout)
+
+
+def _core_bits(r, t):
+    """dtype, shape and bytes of the six fields of xstate_entropies and of U_b."""
+    return [_bits(x) for x in (*M.xstate_entropies(r, t), M.xstate_lower_bound_Ub(r, t))]
 
 
 def _typed_bits(x):
@@ -877,8 +888,9 @@ def _typed_bits(x):
 
 
 class TestSpectrumMatchesStackedReference:
-    """Writing rho_AB's spectrum into one block and scaling it in place changes
-    no bit of U_b or S(rho_AB)."""
+    """Writing rho_AB's spectrum into the rows of one block and scaling it in place
+    changes no bit of U_b or S(rho_AB), whatever the layout of (r, t); and a batch
+    gives the bits of its rows and of its points, one call each."""
 
     @settings(max_examples=300, deadline=None)
     @given(x_states())
@@ -893,6 +905,23 @@ class TestSpectrumMatchesStackedReference:
         assert _typed_bits(ub) == _typed_bits(_stacked_lower_bound_Ub(r, t))
         e = M.xstate_entropies(r, t)
         assert _typed_bits(e.s_ab) == _typed_bits(ub)  # S(rho_AB) is U_b's call
+
+    @settings(max_examples=150, deadline=None)
+    @given(x_states(), st.sampled_from(["F", "strided"]))
+    @example((0.0, BELL_VERTICES), "F")
+    @example(ChannelSpec("ad").evolve(BELL_VERTICES[:, None], np.geomspace(0.01, 800, 7)), "strided")
+    def test_a_batch_is_its_rows_and_points(self, rt, layout):
+        r, t = rt
+        want = [np.asarray(x) for x in (*M.xstate_entropies(r, t), M.xstate_lower_bound_Ub(r, t))]
+        assert _core_bits(r, laid_out(t, layout)) == [_bits(x) for x in want]
+        rb = np.broadcast_to(r, t.shape[:-1])
+        for i in range(len(t) if t.ndim > 1 else 0):  # the (K, 3) rows of an (N, K, 3) block
+            assert _core_bits(rb[i], t[i]) == [_bits(x[i]) for x in want]
+        scalars = [np.float64] * 3 + [float] + [np.float64] * 2 + [float]  # S(rho_AB), U_b floats
+        for i in np.ndindex(t.shape[:-1]):  # each point
+            e, ub = M.xstate_entropies(rb[i], t[i]), M.xstate_lower_bound_Ub(rb[i], t[i])
+            assert [type(x) for x in (*e, ub)] == scalars
+            assert [_bits(x) for x in (*e, ub)] == [_bits(x[i]) for x in want]
 
     def test_the_examples_are_pure_states_and_the_r_minus_1_limit(self):
         assert ChannelSpec("ad").evolve(BELL_VERTICES, 800.0)[0] == -1.0

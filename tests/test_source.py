@@ -75,6 +75,10 @@ CHANNEL_MAP = "factors"
 # its callers: evolve after its checks, a sweep whose config checked its inputs, and
 # the scenarios' module constants, each built from strengths that went through check
 CHANNEL_MAP_SITES = {"channels.evolve", "scenarios.run_time_sweep", "scenarios.<module>"}
+# linalg._stack_last writes columns into a trailing axis: the channel map's (K, 3)
+# factors and the sweep's (n, 6) table use it, and the entropy path must not, since
+# the X core hands each kernel the (..., n) view of an (n, ...) block of rows
+STACK_LAST_CALLERS = {"channels", "scenarios"}
 # np.errstate hides a floating-point warning: only the ordered sum of
 # linalg.shannon_entropy, which lets an overflow read inf and names it, and the
 # sweep grid of SweepConfig, which rejects an overflow, may use it
@@ -281,6 +285,19 @@ def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
     }
     assert "metrics" in users  # the walk sees the calls
     assert users <= ENTROPY_CALLERS, f"entropy kernels named outside {ENTROPY_CALLERS}: {users}"
+
+
+def test_stack_last_is_called_only_in_channels_and_scenarios():
+    callers, named = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        if "_stack_last" in referenced_names(tree):
+            named.add(path.stem)
+        if any(isinstance(node, ast.Call) and "_stack_last" in referenced_names(node.func)
+               for node in ast.walk(tree)):
+            callers.add(path.stem)
+    assert callers == STACK_LAST_CALLERS, sorted(callers)
+    assert named - {"linalg"} == STACK_LAST_CALLERS, sorted(named)  # none imports it unused
 
 
 def test_metrics_takes_the_sweep_entropies_in_two_calls():
