@@ -121,11 +121,11 @@ def _conditional_entropy(r, theta, xi):
 def minimal_missing_info_bruteforce(rho: np.ndarray, grid: tuple[int, int] = (181, 361)):
     """Minimize sum_k q_k S(rho_A^k) over measurements of B along n(theta, xi) = (sin 2theta
     cos xi, sin 2theta sin xi, cos 2theta): (M, (theta, xi)), floats for one (4, 4) density,
-    arrays (...) for a (..., 4, 4) batch. A coarse (theta, xi) grid, whose ties within rounding
-    noise break toward the smallest (theta, xi); then a 5x5 grid around each state's best
-    point, its step halved on every pass from half the coarse spacing down to 1e-9 rad (an
-    angle error d costs O(d^2) in M). The best point moves only on a strict improvement.
-    The angles returned lie on [0, pi] x [0, 2 pi).
+    arrays (...) for a (..., 4, 4) batch. A coarse (theta, xi) grid, then the z, x and y axes (y
+    is on it only if 4 divides n_xi), whose ties within rounding noise break toward the earliest
+    point; then a 5x5 grid around each state's best point, its step halved on every pass from
+    half the coarse spacing down to 1e-9 rad (an angle error d costs O(d^2) in M). The best point
+    moves only on a strict improvement. The angles returned lie on [0, pi] x [0, 2 pi).
     """
     if np.ndim(grid) != 1 or len(grid) != 2:
         raise DomainError(f"grid must be two counts (n_theta, n_xi), got {grid!r}")
@@ -136,13 +136,13 @@ def minimal_missing_info_bruteforce(rho: np.ndarray, grid: tuple[int, int] = (18
     r = _pauli_correlations(rho)
     thetas = np.linspace(0.0, np.pi, n_theta)
     xis = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
-    vals = np.empty(r.shape[:-2] + (n_theta * n_xi,))
-    for i in range(0, n_theta, 4):  # 4 theta rows at a time: temporaries stay under 1 MB
-        tg, xg = np.meshgrid(thetas[i : i + 4], xis, indexing="ij")
-        vals[..., i * n_xi : (i + 4) * n_xi] = _conditional_entropy(r, tg.ravel(), xg.ravel())
-    # ties within rounding noise break toward the smallest (theta, xi)
+    tg = np.append(np.repeat(thetas, n_xi), [0.0, np.pi / 4, np.pi / 4])  # then z, x and y
+    xg = np.append(np.tile(xis, n_theta), [0.0, 0.0, np.pi / 2])
+    vals = np.empty(r.shape[:-2] + tg.shape)  # 4 theta rows at a time: temporaries under 1 MB
+    for at in np.split(np.arange(tg.size), range(4 * n_xi, tg.size, 4 * n_xi)):
+        vals[..., at] = _conditional_entropy(r, tg[at], xg[at])
     k = np.argmax(vals <= vals.min(-1, keepdims=True) + 1e-12, -1, keepdims=True)
-    best = np.stack([np.take_along_axis(vals, k, -1), thetas[k // n_xi], xis[k % n_xi]])[..., 0]
+    best = np.stack([np.take_along_axis(vals, k, -1), tg[k], xg[k]])[..., 0]
     stencil_t, stencil_x = (g.ravel() for g in np.meshgrid(*[np.arange(-2.0, 3.0)] * 2))
     d_theta, d_xi = (thetas[1] - thetas[0]) / 2, (xis[1] - xis[0]) / 2
     while max(d_theta, d_xi) > 1e-9:

@@ -285,6 +285,16 @@ class TestMinimalMissingInfo:
         assert m == pytest.approx(binary_entropy(0.9), abs=1e-10)
         assert theta == pytest.approx(0.0, abs=1e-6)  # sigma3 measurement
 
+    @pytest.mark.parametrize("grid", [(65, 65), (181, 361)])
+    def test_the_y_axis_off_the_grid_is_a_start(self, grid):
+        # neither grid holds xi = pi/2; T = diag(0, 0.5, -0.5 + 6e-8) makes the y-z circle a
+        # valley flat within 5e-8 whose end on the grid, the z axis, is not its minimum
+        s = evolve_bd_flip(BellDiagonalState(0.0, 0.5, -0.5), 2, 2.0**-24)
+        m, angles = M.minimal_missing_info_bruteforce(bd_to_density(s), grid)
+        assert M.xstate_entropies(0.0, s).m_z - m > 4e-8
+        assert m == pytest.approx(binary_entropy(0.75), abs=1e-15)
+        assert angles == pytest.approx((np.pi / 4, np.pi / 2), abs=1e-9)
+
     def test_grid_floor(self):
         with pytest.raises(DomainError):
             M.minimal_missing_info_bruteforce(np.eye(4) / 4, (32, 32))
@@ -681,6 +691,7 @@ class TestXStateCoreVsOracles:
 
     @settings(max_examples=40, deadline=None)
     @given(bd_states(), noise())
+    @example(BellDiagonalState(0.0, 0.5, -0.5), (ChannelSpec("flip", axis=2), 2.0**-24))
     def test_core_matches_oracles(self, s, spec_strength):
         spec, strength = spec_strength
         r, t = spec.evolve(s, strength)
