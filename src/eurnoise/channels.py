@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last, is_axis
+from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last, as_real, is_axis
 from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 
@@ -52,7 +52,7 @@ class ChannelSpec:
             raise DomainError(f"flip axis must be 1, 2, or 3, got {self.axis}")
         if self.kind != "flip" and self.axis is not None:
             raise DomainError(f"channel {self.kind!r} takes no axis, got {self.axis}")
-        t = np.asarray(strength, dtype=float)
+        t = as_real(strength, f"{self.kind} strength")
         bad = _first_outside(t, 0.0, 1.0 if self.kind == "flip" else FLOAT_MAX)
         if bad is not None:
             rule = "0 <= eta <= 1" if self.kind == "flip" else "0 <= gamma_t < inf"

@@ -1,9 +1,11 @@
-"""Entropy primitives over arrays, the domain error and the count rule.
+"""Entropy primitives over arrays, the domain error and the count and real-input rules.
 
 All entropies are in bits and broadcast over leading axes. Each checked kernel settles an
 in-range array with one cheap test; only an array that fails it pays for the ordered checks,
-which name the first bad value. The X core hands a kernel the (..., n) view of an (n, ...)
-block, a contiguous row per outcome; terms fold from +0.0 in order: numpy's sum order for 2 to 7.
+which name the first bad value. The tests and checks (``_check_binary``, ``_check_distribution``)
+are written once here and shared with the X core's one pass, which takes every p log2 p of a
+sweep in one ``_plogp`` call over a block of contiguous rows; Shannon terms fold from +0.0 in
+order: numpy's sum order for 2 to 7.
 """
 
 from __future__ import annotations
@@ -49,6 +51,16 @@ def _stack_last(*cols, out=None) -> np.ndarray:
     return out
 
 
+def as_real(x, name: str, copy=None) -> np.ndarray:
+    """The rule for real input: x as a float array (a copy for copy=True), or DomainError
+    where numpy raises TypeError or ValueError (a non-numeric str, a complex entry, a ragged
+    list); only a failed conversion pays for the message."""
+    try:
+        return np.array(x, dtype=float, copy=copy)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be real numbers, got {x!r}") from exc
+
+
 def _in_unit(p: np.ndarray) -> bool:
     """The kernels' fast test: entries in [0, 1] (NaN fails the min) cannot overflow a sum."""
     return p.size > 0 and np.minimum.reduce(p, None) >= 0.0 and np.maximum.reduce(p, None) <= 1.0
@@ -59,15 +71,21 @@ def _plogp(p: np.ndarray):  # of checked p >= 0: 0 log 0 = 0, the log seeing the
     return np.multiply(np.log2(m, out=m), p, out=m)
 
 
+def _check_binary(p: np.ndarray, out=None) -> np.ndarray:
+    """``binary_entropy``'s checks: p if it passes the fast test, else p clamped to [0, 1]
+    (into out) if every entry is within 1e-12 of it, else DomainError naming the first."""
+    if _in_unit(p):
+        return p
+    bad = _first_outside(p, -1e-12, 1 + 1e-12)
+    if bad is not None:
+        raise DomainError(f"binary entropy argument {bad} outside [0, 1]")
+    return np.minimum(np.maximum(p, 0.0, out=out), 1.0, out=out)
+
+
 def binary_entropy(p):
     """H_bin(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0; elementwise,
     and a float for scalar p."""
-    p = np.asarray(p, dtype=float)
-    if not _in_unit(p):
-        bad = _first_outside(p, -1e-12, 1 + 1e-12)
-        if bad is not None:
-            raise DomainError(f"binary entropy argument {bad} outside [0, 1]")
-        p = np.minimum(np.maximum(p, 0.0), 1.0)
+    p = _check_binary(as_real(p, "binary entropy argument"))
     h = 0.0 - (_plogp(p) + _plogp(1.0 - p))  # +0.0, never -0.0, on a pure state
     return float(h) if h.ndim == 0 else h
 
@@ -79,20 +97,26 @@ def _sum_last(p: np.ndarray) -> np.ndarray:
         return p.sum(axis=-1)
 
 
+def _check_distribution(p: np.ndarray, out=None) -> np.ndarray:
+    """``shannon_entropy``'s checks on the vectors along p's last axis: p if it passes the
+    fast test, else p with negatives set to 0 (into out) if every entry is finite and
+    >= -1e-12 and every sum within 1e-9 of 1, else DomainError naming the first entry or sum.
+    The fast test skips the clamp: on [0, 1] it turns only -0.0 into +0.0, the same bits."""
+    if _in_unit(p) and np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9:
+        return p
+    bad = _first_outside(p, -1e-12, FLOAT_MAX)
+    if bad is not None:
+        raise DomainError(f"probability {bad} is negative or not finite")
+    total = _sum_last(p)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
+    return np.maximum(p, 0.0, out=out)
+
+
 def shannon_entropy(p):
     """Shannon entropy in bits over the last axis, with 0 log 0 = 0; a float
     for a single probability vector."""
-    p = np.asarray(p, dtype=float)
-    # the clamp is skipped on the fast test: on [0, 1] it would only turn -0.0
-    # into +0.0, which the fold below maps to the same bits
-    if not (_in_unit(p) and np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9):
-        bad = _first_outside(p, -1e-12, FLOAT_MAX)
-        if bad is not None:
-            raise DomainError(f"probability {bad} is negative or not finite")
-        total = _sum_last(p)
-        off = np.abs(total - 1.0) > 1e-9
-        if off.any():
-            raise DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
-        p = np.maximum(p, 0.0)
-    h = np.subtract.reduce(_plogp(p), -1, initial=0.0)  # = 0.0 - ((l0 + l1) + ...): odd rounding
+    terms = _plogp(_check_distribution(as_real(p, "probabilities")))
+    h = np.subtract.reduce(terms, -1, initial=0.0)  # = 0.0 - ((l0 + l1) + ...): odd rounding
     return float(h) if h.ndim == 0 else h

@@ -1,13 +1,15 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
-Every quantity has a closed form over arrays of X states (``xstate_*``), the runtime route:
-``xstate_entropies`` takes all that a sweep needs in one binary call and U_b's one Shannon
-call (S(sigma_3|B) is M_z), and U and M select from it. Each argument is one (n, ...) block of
-contiguous rows, handed over as its (..., n) view; linalg folds the terms in numpy's sum order,
-so no layout moves a bit. A Pauli pair is an ``ObservablePair`` of two axes (``check_pair``):
-any two distinct axes have eigenbases of overlap c = 1/2. The density-matrix routes that check
-the closed forms live in ``eurnoise.oracles``; the brute-force minimizer for M, which assumes
-no X structure, stays here until the benchmark, which reads it at this path, is repointed.
+Every quantity has a closed form over arrays of X states (``xstate_*``), the runtime route.
+One pass (``_xstate_pass``) takes every entropy of a sweep: the five binary arguments, their
+complements and rho_AB's spectrum are the 14 contiguous rows of one block, checked by the
+kernels' own checks in linalg and taken in one p log2 p call (S(sigma_3|B) is M_z). A sweep's
+U, U_b, D, E and M go from it straight into the caller's table; ``xstate_entropies`` returns
+its six entropies, and U_b alone keeps one Shannon call. A Pauli pair is an ``ObservablePair``
+of two axes (``check_pair``): any two distinct axes have eigenbases of overlap c = 1/2. The
+density-matrix routes that check the closed forms live in ``eurnoise.oracles``; the brute-force
+minimizer for M, which assumes no X structure, stays here until the benchmark, which reads it
+at this path, is repointed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import DomainError, FLOAT_MAX, binary_entropy, check_count, is_axis
-from eurnoise.linalg import shannon_entropy
+from eurnoise.linalg import shannon_entropy, _check_binary, _check_distribution, _plogp
 from eurnoise.states import BellDiagonalState, check_one_bd
 from eurnoise.channels import ChannelSpec
 
@@ -226,43 +228,92 @@ class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z
         return np.minimum(self.m_x, self.m_z)
 
 
-def xstate_entropies(r, t) -> XStateEntropies:
-    """One H_bin call over (1 + u)/2, (1 + r +- T3)/2 and (1 + T_j)/2, and U_b's H call;
-    max(T1^2, T2^2) covers |c1| < |c2| by S x S. A z outcome on B, each of weight 1/2,
-    leaves A diagonal with weights (1 + r +- T3)/2, so S(sigma_3|B) = M_z exactly."""
+def _spectrum_rows(r, minus, plus, up, down, out=None) -> np.ndarray:
+    """rho_AB's spectrum from T1 -+ T2 and 1 +- T3, written into the rows of out (4, ...):
+    (up +- hypot(r, minus), down +- hypot(r, plus))/4, one ufunc call per row, then 1/4."""
+    rad_m, rad_p = np.hypot(r, minus), np.hypot(r, plus)
+    out = np.empty((4,) + rad_m.shape) if out is None else out
+    np.add(up, rad_m, out[0, ...])
+    np.subtract(up, rad_m, out[1, ...])
+    np.add(down, rad_p, out[2, ...])
+    np.subtract(down, rad_p, out[3, ...])
+    return np.multiply(out, 0.25, out=out)
+
+
+def _concurrence(r2, minus, plus, up, down, out=None):
+    """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) from r^2,
+    T1 -+ T2 and 1 +- T3."""
+    a = np.abs(plus) - np.sqrt(np.maximum(up**2 - r2, 0.0))
+    b = np.abs(minus) - np.sqrt(np.maximum(down**2 - r2, 0.0))
+    return np.maximum(np.maximum(a, b) / 2, 0.0, out=out)
+
+
+def _xstate_pass(r, t, s_ab=None):
+    """The ``XStateEntropies`` of X states (r, t), S(rho_AB) folded into s_ab if given, and
+    the concurrence's arguments r^2, T1 -+ T2, 1 +- T3. The binary arguments (1 + u)/2,
+    (1 + r +- T3)/2, (1 + T_j)/2, their complements and rho_AB's spectrum are the 14 rows of
+    one block; each group meets its kernel's checks on the (..., k) view the kernel would
+    see, binary first, then one ``_plogp`` call takes every term. max(T1^2, T2^2) covers
+    |c1| < |c2| by S x S. A z outcome on B, each of weight 1/2, leaves A diagonal with
+    weights (1 + r +- T3)/2, so S(sigma_3|B) = M_z exactly."""
     t = np.asarray(t, dtype=float)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
-    p = np.empty((5,) + u.shape)  # rows 1 + u, 1 + r +- T3 and 1 + T_j, the last broadcast
-    p[:3], p[3:] = (1.0 + u, 1 + r + t3, 1 + r - t3), (1.0 + t1, 1.0 + t2)
-    h = binary_entropy(np.multiply(p, 0.5, out=p).transpose(*range(1, p.ndim), 0))
-    m_x, h_up, h_down, s1_b, s2_b = h.transpose(-1, *range(h.ndim - 1))
+    r2 = np.square(r)
+    u = np.sqrt(r2 + np.maximum(t1 * t1, t2 * t2))
+    p = np.empty((14,) + u.shape)  # rows p (5), 1 - p (5), the spectrum (4); T_j broadcast
+    last = (*range(1, p.ndim), 0)  # the (..., k) view of a (k, ...) block of rows
+    row = p[0, ...]
+    np.add(1.0, np.minimum(u, 1.0, out=row), out=row)  # 1 + min(u, 1)
+    one_r = 1 + r
+    np.add(one_r, t3, out=p[1, ...])
+    np.subtract(one_r, t3, out=p[2, ...])
+    np.add(1.0, t1, out=p[3, ...])
+    np.add(1.0, t2, out=p[4, ...])
+    binary = np.multiply(p[:5], 0.5, out=p[:5]).transpose(last)
+    _check_binary(binary, out=binary)
+    np.subtract(1.0, p[:5], out=p[5:10])
+    sums = (t1 - t2, t1 + t2, 1 + t3, 1 - t3)
+    spectrum = _spectrum_rows(r, *sums, out=p[10:]).transpose(last)
+    _check_distribution(spectrum, out=spectrum)
+    terms = _plogp(p)
+    h = np.add(terms[:5], terms[5:10], out=terms[:5])
+    m_x, h_up, h_down, s1_b, s2_b = np.subtract(0.0, h, out=h)  # +0.0, never -0.0
     m_z = (h_up + h_down) / 2
-    return XStateEntropies(s1_b, s2_b, m_z, xstate_lower_bound_Ub(r, t), m_x, m_z)
+    s_ab = np.subtract.reduce(terms[10:].transpose(last), -1, initial=0.0, out=s_ab)
+    s_ab = float(s_ab) if s_ab.ndim == 0 else s_ab
+    return XStateEntropies(s1_b, s2_b, m_z, s_ab, m_x, m_z), (r2, *sums)
+
+
+def xstate_entropies(r, t) -> XStateEntropies:
+    """S(sigma_j|B) for j = 1, 2, 3, S(rho_AB), M_x and M_z of the X states (r, t), all
+    from the one checked p log2 p pass of ``_xstate_pass``."""
+    return _xstate_pass(r, t)[0]
+
+
+def _xstate_columns(r, t, pair: ObservablePair, out: np.ndarray) -> None:
+    """A sweep's columns U for the checked pair, U_b, D = M - (U_b - 1), E and M of the X
+    states (r, t), (n,) and (n, 3), written into the columns of out (n, 5) from one pass."""
+    u, u_b, d, e, m = out.T
+    ent, args = _xstate_pass(r, t, s_ab=u_b)  # U_b = S(rho_AB), folded into its column
+    np.add(ent[pair.q - 1], ent[pair.r - 1], out=u)
+    np.minimum(ent.m_x, ent.m_z, out=m)
+    np.subtract(m, u_b - 1.0, out=d)
+    _concurrence(*args, out=e)
 
 
 def xstate_lower_bound_Ub(r, t):
     """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2), over rho_AB's spectrum."""
     t = np.asarray(t, dtype=float)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    rad_m, rad_p = np.hypot(r, t1 - t2), np.hypot(r, t1 + t2)
-    up, down = 1 + t3, 1 - t3
-    p = np.empty((4,) + rad_m.shape)  # 4 x the spectrum: a ufunc call per row, then 1/4 in place
-    np.add(up, rad_m, p[0, ...])
-    np.subtract(up, rad_m, p[1, ...])
-    np.add(down, rad_p, p[2, ...])
-    np.subtract(down, rad_p, p[3, ...])
-    return shannon_entropy(np.multiply(p, 0.25, out=p).transpose(*range(1, p.ndim), 0))
+    p = _spectrum_rows(r, t1 - t2, t1 + t2, 1 + t3, 1 - t3)
+    return shannon_entropy(p.transpose(*range(1, p.ndim), 0))
 
 
 def xstate_concurrence(r, t):
     """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))."""
     t = np.asarray(t, dtype=float)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    r2 = np.square(r)
-    a = np.abs(t1 + t2) - np.sqrt(np.maximum((1 + t3) ** 2 - r2, 0.0))
-    b = np.abs(t1 - t2) - np.sqrt(np.maximum((1 - t3) ** 2 - r2, 0.0))
-    return np.maximum(np.maximum(a, b) / 2, 0.0)
+    return _concurrence(np.square(r), t1 - t2, t1 + t2, 1 + t3, 1 - t3)
 
 
 # ---- the amplitude-damped entry point on the core --------------------------

@@ -1,8 +1,9 @@
 """Time sweeps, long-time classification, surface sampling, the
 unital-monotonicity property suite, and ``csv_body``, the one CSV writer.
 ``SweepConfig`` checks a sweep's state and strengths once and keeps the checked
-arrays, which ``run_time_sweep`` maps. Sweeps and surfaces come back as ``Rows``,
-one float table; a classification comes back as numpy columns."""
+arrays, which ``run_time_sweep`` maps; one pass of the X core writes every column into
+the sweep's table. Sweeps and surfaces come back as ``Rows``, one float table; a
+classification comes back as numpy columns."""
 
 from __future__ import annotations
 
@@ -11,21 +12,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, check_count, is_integer, _stack_last
+from eurnoise.linalg import DomainError, as_real, check_count, is_integer
 from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, random_bd_states
 from eurnoise.channels import ChannelSpec
-from eurnoise.metrics import (
-    ObservablePair, check_pair, xstate_concurrence, xstate_entropies, xstate_lower_bound_Ub,
-)
+from eurnoise.metrics import ObservablePair, check_pair, xstate_lower_bound_Ub, _xstate_columns
 
 ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in order
 FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)  # the paper's figure state
 
 
-def check_columns(cols: tuple[str, ...]) -> None:
-    """Output columns must be a non-empty run of distinct names from ALL_COLUMNS, not a str."""
-    if isinstance(cols, str) or not cols or len(cols) != len(set(cols) & set(ALL_COLUMNS)):
-        raise DomainError(f"output columns {cols} must be distinct names from {ALL_COLUMNS}")
+def check_columns(cols) -> None:
+    """Output columns must be a non-empty tuple or list of distinct names from ALL_COLUMNS."""
+    try:
+        names = set(cols) if isinstance(cols, (tuple, list)) else None
+    except TypeError:  # an unhashable entry
+        names = None
+    if not names or len(names) != len(cols) or not names <= set(ALL_COLUMNS):
+        raise DomainError(f"output columns {cols!r} must be distinct names from {ALL_COLUMNS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,19 +48,19 @@ class SweepConfig:
     grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = check_one_bd(np.array(self.initial, dtype=float))  # a copy: the caller's may change
+        c = check_one_bd(as_real(self.initial, "initial state", copy=True))  # caller's may change
         check_pair(self.pair)
-        self.channel.check((self.t_start, self.t_end))
-        if not self.t_start < self.t_end:
+        t0, t1 = self.channel.check((self.t_start, self.t_end)).tolist()
+        if not t0 < t1:
             raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
         check_count(self.n_points, "n_points", 2)
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.spacing == "log" and self.t_start <= 0:
+        if self.spacing == "log" and t0 <= 0:
             raise DomainError("log spacing needs t_start > 0")
         space = np.geomspace if self.spacing == "log" else np.linspace
         with np.errstate(over="ignore"):
-            t = space(self.t_start, self.t_end, self.n_points)
+            t = space(t0, t1, self.n_points)
         # every point between checked endpoints is in range, but numpy takes the
         # inner points of a log grid that ends near FLOAT_MAX to inf
         if not np.isfinite(t).all():
@@ -105,14 +108,13 @@ class SweepRecord(NamedTuple):
 def run_time_sweep(cfg: SweepConfig) -> Rows:
     """Evolve the initial state along the grid (Gamma*t for the damping
     channels, eta for the flips) and evaluate every column over the whole
-    grid at once, every entropy from one ``xstate_entropies``, into ``SweepRecord``
+    grid at once, written into the table by one pass of the X core, as ``SweepRecord``
     rows. The config checked the state and the grid, so they go straight to ``factors``."""
     t = cfg.grid
     r, f = cfg.channel.factors(t)
-    corr = cfg.initial * f
-    e = xstate_entropies(r, corr)
-    u, u_b, m = e.uncertainty(cfg.pair), e.s_ab, e.m  # U_b = S(rho_AB)
-    table = _stack_last(t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m)
+    table = np.empty((len(t), 6))
+    table[:, 0] = t
+    _xstate_columns(r, cfg.initial * f, cfg.pair, table[:, 1:])
     return Rows(table, SweepRecord)
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, check_count
+from eurnoise.linalg import DomainError, as_real, check_count
 
 TETRAHEDRON_TOL = 1e-12
 _FLOOR = -4 * TETRAHEDRON_TOL  # w/4 >= -tol iff w >= -4 tol: scaling by 4 is exact
@@ -33,7 +33,7 @@ def _four_weights(c) -> tuple[np.ndarray, np.ndarray]:
     """c as a float array (..., 3), and 4 x its Bell weights (..., 4) of (Phi+, Phi-,
     Psi+, Psi-), each summed left to right as written. The weights are a view of one
     (4, ...) block, so a min over them is elementwise over whole columns."""
-    c = np.asarray(c, dtype=float)
+    c = as_real(c, "correlations")
     if c.shape[-1:] != (3,):
         raise DomainError(f"correlations must have shape (..., 3), got shape {c.shape}")
     c1, c2, c3 = c.transpose(-1, *range(c.ndim - 1))  # numpy scalars for one state
@@ -67,7 +67,7 @@ def check_bd(c) -> np.ndarray:
 
 def check_one_bd(c) -> np.ndarray:
     """The state rule of the one-state entry points: shape (3,), then ``check_bd``."""
-    c = np.asarray(c, dtype=float)
+    c = as_real(c, "correlations")
     if c.shape != (3,):
         raise DomainError(f"one state must have shape (3,), got shape {c.shape}")
     return check_bd(c)

@@ -9,7 +9,10 @@ from hypothesis.extra.numpy import arrays
 from eurnoise import linalg as L
 from eurnoise import oracles as O
 from eurnoise.oracles import bd_to_density
-from eurnoise.states import BellDiagonalState
+from eurnoise.channels import ChannelSpec
+from eurnoise.metrics import pauli_pair
+from eurnoise.scenarios import SweepConfig
+from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, is_valid
 
 from conftest import LAYOUTS, hermitian_4x4, laid_out
 
@@ -98,6 +101,55 @@ class TestEntropyEdgeCases:
             L.shannon_entropy(np.array([[0.5, 0.5], [0.5, 0.6]]))
         with pytest.raises(L.DomainError):
             L.binary_entropy(np.array([0.2, 1.5]))
+
+
+def _pd_sweep(**kw):
+    args = dict(initial=(0.1, 0.2, 0.3), channel=ChannelSpec("pd"), pair=pauli_pair(1, 3))
+    return SweepConfig(**{**args, **kw})
+
+
+# each float conversion on the sweep path, on input that is not real numbers: a str, a
+# complex entry, a ragged list
+NON_REAL = {
+    "check_bd_str": lambda: check_bd("abc"),
+    "check_bd_complex": lambda: check_bd([0.1j, 0, 0]),
+    "check_bd_ragged": lambda: check_bd([[0.1, 0.2, 0.3], [0.1, 0.2]]),
+    "check_one_bd_str": lambda: check_one_bd("c1,c2,c3"),
+    "is_valid_ragged": lambda: is_valid([[0.1, 0.2, 0.3], [0.1]]),
+    "sweep_state_str": lambda: _pd_sweep(initial="abc"),
+    "sweep_state_complex": lambda: _pd_sweep(initial=[0.1, 0.2, 0.3j]),
+    "sweep_t_start_str": lambda: _pd_sweep(t_start="abc"),
+    "sweep_t_end_complex": lambda: _pd_sweep(t_end=1j),
+    "evolve_strength_str": lambda: ChannelSpec("ad").evolve((0.1, 0.2, 0.3), "x"),
+    "evolve_strength_complex": lambda: ChannelSpec("pd").evolve((0.1, 0.2, 0.3), [0.5j]),
+    "check_ragged": lambda: ChannelSpec("flip", 1).check([[0.1], [0.1, 0.2]]),
+    "binary_str": lambda: L.binary_entropy("a"),
+    "binary_complex": lambda: L.binary_entropy([0.5, 0.5j]),
+    "shannon_complex": lambda: L.shannon_entropy([0.5 + 0j, 0.5]),
+    "shannon_ragged": lambda: L.shannon_entropy([[0.5, 0.5], [1.0]]),
+}
+
+
+class TestNonRealInput:
+    """One rule, linalg.as_real, turns every float conversion on the sweep path into a
+    DomainError for input that is not real numbers, where numpy raises TypeError or
+    ValueError."""
+
+    @pytest.mark.parametrize("call", NON_REAL.values(), ids=NON_REAL.keys())
+    def test_raises_domain_error(self, call):
+        with pytest.raises(L.DomainError, match="must be real numbers"):
+            call()
+
+    @pytest.mark.parametrize("x", [0.5, [0.25, 0.75], np.float32(0.5), np.array([1, 0]), True])
+    def test_real_input_passes_as_float(self, x):
+        a = L.as_real(x, "x")
+        assert a.dtype == np.float64 and a.tolist() == np.asarray(x, dtype=float).tolist()
+
+    def test_an_array_is_returned_as_it_is_unless_a_copy_is_asked_for(self):
+        x = np.array([0.1, 0.2, 0.3])
+        assert L.as_real(x, "x") is x
+        copy = L.as_real(x, "x", copy=True)
+        assert copy is not x and copy.tolist() == x.tolist()
 
 
 BINARY_BAD = [np.nan, np.inf, -np.inf, -0.5, 1.5, -1e-3, 1.25]

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eurnoise import linalg as L
 from eurnoise import metrics as M
 from eurnoise import oracles as O
 from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy
@@ -937,6 +938,106 @@ class TestSpectrumMatchesStackedReference:
     def test_the_examples_are_pure_states_and_the_r_minus_1_limit(self):
         assert ChannelSpec("ad").evolve(BELL_VERTICES, 800.0)[0] == -1.0
         assert M.xstate_lower_bound_Ub(0.0, BELL_VERTICES).tolist() == [0.0] * 4
+
+
+# ---- the one pass against the public calls it replaces ----------------------
+
+
+def _composed(r, t):
+    """(the six XStateEntropies fields, E) of X states from the public calls the pass
+    replaces: one binary_entropy over the five binary arguments stacked on a last axis,
+    then xstate_lower_bound_Ub and xstate_concurrence."""
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
+    args = np.broadcast_arrays(1.0 + u, 1 + r + t3, 1 + r - t3, 1.0 + t1, 1.0 + t2)
+    h = binary_entropy(np.stack(args, axis=-1) / 2)
+    m_x, h_up, h_down, s1_b, s2_b = np.moveaxis(h, -1, 0)
+    m_z = (h_up + h_down) / 2
+    return (s1_b, s2_b, m_z, M.xstate_lower_bound_Ub(r, t), m_x, m_z), M.xstate_concurrence(r, t)
+
+
+def _composed_columns(r, t, pair):
+    """A sweep's columns U, U_b, D, E and M, (n, 5), from ``_composed``."""
+    e, conc = _composed(r, t)
+    u_b, m = e[3], np.minimum(e[4], e[5])
+    return np.stack([e[pair.q - 1] + e[pair.r - 1], u_b, m - (u_b - 1.0), conc, m], axis=1)
+
+
+def _pass_columns(r, t, pair):
+    out = np.empty(np.broadcast(r, np.asarray(t)[..., 0]).shape + (5,))
+    M._xstate_columns(r, t, pair, out)
+    return out
+
+
+def _message(f, *args):
+    try:
+        f(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+# log AD grids to Gamma*t = 800, where 1 + r rounds to 0 and (1 + r +- T3)/2 takes the
+# binary ordered path, over seeded states and the Bell vertices, whose 4 rho_AB spectrum
+# keeps a -2.2e-16 entry from hypot rounding and takes the Shannon ordered path
+PASS_STATES = np.concatenate([random_bd_states(40, np.random.default_rng(2201)), BELL_VERTICES])
+LOG_AD = ChannelSpec("ad").factors(np.geomspace(0.01, 800.0, 101))
+
+
+class TestOnePassEqualsThePublicCalls:
+    """The X core's one checked pass gives, byte for byte and with the same messages,
+    what one binary_entropy call, xstate_lower_bound_Ub and xstate_concurrence give."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_sweep_columns_in_every_layout(self, monkeypatch, layout):
+        entered = {"binary": 0, "shannon": 0}
+        first_outside, sum_last = L._first_outside, L._sum_last
+        monkeypatch.setattr(L, "_first_outside", lambda x, lo, hi: entered.__setitem__(
+            "binary", entered["binary"] + (hi == 1 + 1e-12)) or first_outside(x, lo, hi))
+        monkeypatch.setattr(L, "_sum_last", lambda p: entered.__setitem__(
+            "shannon", entered["shannon"] + 1) or sum_last(p))
+        r, f = LOG_AD
+        for c in PASS_STATES:
+            rt = (laid_out(r, layout), laid_out(c * f, layout))
+            for pair in itertools.permutations((1, 2, 3), 2):
+                pair = M.pauli_pair(*pair)
+                assert _pass_columns(*rt, pair).tobytes() == _composed_columns(*rt, pair).tobytes()
+            e = M.xstate_entropies(*rt)
+            assert [_bits(x) for x in e] == [_bits(x) for x in _composed(*rt)[0]]
+        # both ordered paths were taken, by the pass and by the public calls alike
+        assert entered["binary"] >= 2 * len(PASS_STATES) and entered["shannon"] >= 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(x_states())
+    @example((0.0, BELL_VERTICES))
+    @example(ChannelSpec("ad").evolve(BELL_VERTICES, 800.0))
+    @example(ChannelSpec("ad").evolve(BELL_VERTICES[2], 800.0))
+    def test_entropies_of_any_shape_and_layout(self, rt):
+        got, (want, _) = M.xstate_entropies(*rt), _composed(*rt)
+        assert [_typed_bits(x) for x in got] == [_typed_bits(x) for x in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[coordinate] * 4), min_size=1, max_size=5), st.booleans())
+    @example([(0.0, 1.2, 0.0, 0.0)], True)  # both checks fail: the binary one speaks
+    @example([(0.0, 0.3, 0.3, 1.0 + 4e-12)], False)  # (1 + T3)/2 within the window
+    @example([(0.0, 0.9, 0.9, 0.9)], True)  # only the spectrum fails
+    @example([(0.3, 0.2, -0.1, 0.5), (1.2, 0.0, 0.0, 0.0)], False)
+    def test_messages_and_bits_of_any_input(self, rows, one_state):
+        rt = np.array(rows)
+        r, t = (rt[0, 0], rt[0, 1:]) if one_state else (rt[:, 0], rt[:, 1:])
+        want = _message(_composed, r, t)
+        assert _message(M.xstate_entropies, r, t) == want
+        if not one_state:
+            assert _message(_pass_columns, r, t, PAIR_13) == want
+        if want is None:
+            assert [_bits(x) for x in M.xstate_entropies(r, t)] == [_bits(x) for x in _composed(r, t)[0]]
+
+    def test_the_binary_message_comes_before_the_shannon_message(self):
+        r, t = 0.0, np.array([[0.3, 0.3, 0.3], [1.2, 0.0, 0.0]])
+        assert _message(M.xstate_lower_bound_Ub, r, t).startswith("probabilit")
+        for f in (M.xstate_entropies, _composed, lambda r, t: _pass_columns(r, t, PAIR_13)):
+            assert _message(f, r, t) == "binary entropy argument 1.1 outside [0, 1]"
 
 
 class TestSigma3GivenBIsMz:

@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from eurnoise import linalg
 from eurnoise import scenarios as SC
-from eurnoise.linalg import DomainError, binary_entropy
-from eurnoise.states import BellDiagonalState, random_bd_states
+from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy
+from eurnoise.states import BellDiagonalState, bell_eigenvalues, random_bd_states
 from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, parse_channel_literal
 from eurnoise.metrics import (
     pauli_pair,
@@ -212,6 +212,49 @@ class TestClassifyLongtime:
         assert res.u_b_initial == pytest.approx(2.0, abs=1e-12)
 
 
+# the pure Bell states (Phi+, Phi-, Psi+, Psi-) and the maximally mixed state
+VERTICES_AND_ORIGIN = np.array(
+    [[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1], [0, 0, 0]], dtype=float
+)
+
+
+@pytest.fixture(scope="class")
+def longtime_states():
+    """200,000 seeded states, then the vertices and the origin, with their classification."""
+    states = np.concatenate(
+        [random_bd_states(200_000, np.random.default_rng(2022)), VERTICES_AND_ORIGIN]
+    )
+    return states, SC.classify_longtime_ad(states)
+
+
+class TestExactLongTimeLimits:
+    """Amplitude damping takes every state to |1><1| x I/2: U_b -> 1, M -> 0, and U -> 1
+    for a pair with sigma_3, 2 for (1, 2). The limits are oracles for the evaluation at
+    Gamma*t = LONGTIME_GAMMA_T, which is computed, not assumed."""
+
+    def test_u_b_limit_is_exactly_one(self, longtime_states):
+        _, res = longtime_states
+        assert res.u_b_limit.tolist() == [1.0] * len(res.u_b_limit)
+
+    def test_verdict_is_the_sign_of_the_bell_entropy_minus_one(self, longtime_states):
+        states, res = longtime_states
+        s = shannon_entropy(bell_eigenvalues(states))
+        outside = np.abs(s - 1.0) > SC.BOUNDARY_BAND
+        assert outside.sum() >= len(states) - 5  # a vertex has S = 0, the origin S = 2
+        want = np.where(s > 1.0, "Decrease", "Increase")
+        assert np.array_equal(res.verdict[outside], want[outside])
+
+    @pytest.mark.parametrize("pair", ORDERED_PAIRS)
+    def test_the_sweep_ends_at_m_zero_and_u_one_or_two(self, pair):
+        states = [*random_bd_states(500, np.random.default_rng(50)), *VERTICES_AND_ORIGIN]
+        limit = 1.0 if 3 in pair else 2.0
+        for c in states:
+            cfg = SC.SweepConfig(c, ChannelSpec("ad"), pauli_pair(*pair), 0.0, SC.LONGTIME_GAMMA_T, 2)
+            t, u, u_b, d, e, m = np.asarray(SC.run_time_sweep(cfg))[-1]
+            assert (t, m, u_b, d) == (SC.LONGTIME_GAMMA_T, 0.0, 1.0, 0.0), c
+            assert abs(u - limit) <= 2.3e-16, c
+
+
 @pytest.fixture
 def check_calls(monkeypatch):
     """The name of every check_bd and ChannelSpec.check call, wherever a
@@ -312,21 +355,55 @@ def entropy_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def plogp_calls(monkeypatch):
+    """The shape of the argument of every linalg._plogp call, wherever a loaded
+    eurnoise module binds it."""
+    calls, plogp = [], linalg._plogp
+
+    def counted(p):
+        calls.append(np.shape(p))
+        return plogp(p)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "eurnoise" and getattr(mod, "_plogp", None) is plogp:
+            monkeypatch.setattr(mod, "_plogp", counted)
+    return calls
+
+
+@pytest.fixture
+def ordered_checks(monkeypatch):
+    """The shape of every array that failed a kernel's fast test and went on to the
+    ordered checks, which start by naming its first bad value."""
+    calls, first_outside = [], linalg._first_outside
+
+    def counted(x, lo, hi):
+        calls.append(np.shape(x))
+        return first_outside(x, lo, hi)
+
+    monkeypatch.setattr(linalg, "_first_outside", counted)
+    return calls
+
+
 class TestEntropyCallCounts:
-    """A sweep takes every entropy in one binary and one Shannon call, stacked
-    over its grid (the Shannon call is U_b's, since S(sigma_3|B) is M_z); a
-    long-time classification takes U_b alone, in one call."""
+    """A sweep takes every entropy in one p log2 p call over one (14, n) block of rows,
+    under the kernels' own checks, and calls neither kernel; a long-time
+    classification takes U_b alone, in one Shannon call."""
 
     @pytest.mark.parametrize("literal", CHANNEL_LITERALS)
-    def test_sweep_makes_one_call_per_kernel(self, entropy_calls, literal):
+    def test_sweep_makes_one_plogp_call_and_no_kernel_call(
+        self, entropy_calls, plogp_calls, ordered_checks, literal
+    ):
         spec = parse_channel_literal(literal)
         t_end = 1.0 if spec.kind == "flip" else 10.0
         for n in (2, 3, 17, 201):
             for pair in ORDERED_PAIRS:
-                entropy_calls.clear()
+                plogp_calls.clear()
                 cfg = fig_config("pd", channel=spec, pair=pauli_pair(*pair), t_end=t_end, n_points=n)
                 SC.run_time_sweep(cfg)
-                assert entropy_calls == [("binary_entropy", (n, 5)), ("shannon_entropy", (n, 4))]
+                assert plogp_calls == [(14, n)]
+        assert entropy_calls == []
+        assert ordered_checks == []  # every entry of an interior state is in range
 
     def test_one_state_classify_makes_one_shannon_call(self, entropy_calls):
         SC.classify_longtime_ad(FIG_STATE)
@@ -772,6 +849,24 @@ class TestEmitCsv:
         records = SC.run_time_sweep(fig_config("pd", n_points=2))
         with pytest.raises(DomainError, match="output columns"):
             SC.emit_csv(records, outputs)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: 5, lambda: iter(["U"]), lambda: [["U"]], lambda: {"U": 1}, lambda: {"U"},
+         lambda: np.array(["U", "M"]), lambda: [np.array("U")], lambda: None],
+        ids=["int", "iterator", "nested_list", "dict", "set", "array", "array_name", "none"],
+    )
+    def test_takes_only_a_tuple_or_list_of_names(self, make):
+        records = SC.run_time_sweep(fig_config("pd", n_points=2))
+        with pytest.raises(DomainError, match="output columns"):
+            SC.check_columns(make())
+        with pytest.raises(DomainError, match="output columns"):
+            SC.emit_csv(records, make())
+
+    def test_a_list_is_its_tuple(self):
+        records = SC.run_time_sweep(fig_config("pd", n_points=3))
+        for outputs in [SC.ALL_COLUMNS, ("M", "U"), ("Ub",)]:
+            assert SC.emit_csv(records, list(outputs)) == SC.emit_csv(records, outputs)
 
     def test_bytes_match_fstring_reference(self):
         rng = np.random.default_rng(11)

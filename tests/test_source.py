@@ -76,9 +76,11 @@ CHANNEL_MAP = "factors"
 # the scenarios' module constants, each built from strengths that went through check
 CHANNEL_MAP_SITES = {"channels.evolve", "scenarios.run_time_sweep", "scenarios.<module>"}
 # linalg._stack_last writes columns into a trailing axis: the channel map's (K, 3)
-# factors and the sweep's (n, 6) table use it, and the entropy path must not, since
-# the X core hands each kernel the (..., n) view of an (n, ...) block of rows
-STACK_LAST_CALLERS = {"channels", "scenarios"}
+# factors use it, and the entropy path must not, since the X core works on an (n, ...)
+# block of rows, nor the sweep, whose one pass writes every column into its table
+STACK_LAST_CALLERS = {"channels"}
+# the steps of a checked entropy, in linalg: each kernel's checks and p log2 p
+PASS_STEPS = ("_check_binary", "_check_distribution", "_plogp")
 # np.errstate hides a floating-point warning: only the ordered sum of
 # linalg.shannon_entropy, which lets an overflow read inf and names it, and the
 # sweep grid of SweepConfig, which rejects an overflow, may use it
@@ -287,7 +289,7 @@ def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
     assert users <= ENTROPY_CALLERS, f"entropy kernels named outside {ENTROPY_CALLERS}: {users}"
 
 
-def test_stack_last_is_called_only_in_channels_and_scenarios():
+def test_stack_last_is_called_only_in_channels():
     callers, named = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = parse(path)
@@ -300,25 +302,56 @@ def test_stack_last_is_called_only_in_channels_and_scenarios():
     assert named - {"linalg"} == STACK_LAST_CALLERS, sorted(named)  # none imports it unused
 
 
-def test_metrics_takes_the_sweep_entropies_in_two_calls():
-    # xstate_entropies makes one stacked binary call and takes S(rho_AB) from U_b's
-    # one Shannon call (S(sigma_3|B) is M_z); the witness's H_bin of the initial state
-    # keeps its own call, and so does the brute-force oracle, which stays in metrics
+def test_metrics_takes_the_sweep_entropies_in_one_pass():
+    # the X core's one pass takes every entropy of a sweep or of xstate_entropies in one
+    # p log2 p call, under the kernels' own checks, and calls no kernel; U_b keeps its one
+    # Shannon call for classify and the unital check; the witness's H_bin of the initial
+    # state keeps its own call, and so does the brute-force oracle, which stays in metrics
     # until the benchmark is repointed
+    tree = parse(SRC / "metrics.py")
+    called = (*ENTROPY_KERNELS, "xstate_lower_bound_Ub", "_xstate_pass", *PASS_STEPS)
     calls = sorted(
         (scope, node.func.id)
-        for scope, node in scoped_nodes(parse(SRC / "metrics.py"))
+        for scope, node in scoped_nodes(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id in (*ENTROPY_KERNELS, "xstate_lower_bound_Ub")
+        and node.func.id in called
     )
     assert calls == [
         ("_conditional_entropy", "binary_entropy"),
+        ("_xstate_columns", "_xstate_pass"),
+        ("_xstate_pass", "_check_binary"),
+        ("_xstate_pass", "_check_distribution"),
+        ("_xstate_pass", "_plogp"),
         ("witness_discord_from_U", "binary_entropy"),
-        ("xstate_entropies", "binary_entropy"),
-        ("xstate_entropies", "xstate_lower_bound_Ub"),
+        ("xstate_entropies", "_xstate_pass"),
         ("xstate_lower_bound_Ub", "shannon_entropy"),
     ], calls
+
+
+def test_each_kernel_check_is_written_once():
+    # the fast tests, ordered checks and p log2 p live in linalg; each kernel and the
+    # X core's pass call them, so the messages and clamps cannot drift apart
+    sites = sorted(
+        f"{path.stem}.{scope}: {node.func.id}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("_in_unit", *PASS_STEPS)
+    )
+    assert sites == [
+        "linalg._check_binary: _in_unit",
+        "linalg._check_distribution: _in_unit",
+        "linalg.binary_entropy: _check_binary",
+        "linalg.binary_entropy: _plogp",
+        "linalg.binary_entropy: _plogp",
+        "linalg.shannon_entropy: _check_distribution",
+        "linalg.shannon_entropy: _plogp",
+        "metrics._xstate_pass: _check_binary",
+        "metrics._xstate_pass: _check_distribution",
+        "metrics._xstate_pass: _plogp",
+    ], sites
 
 
 def test_runtime_never_imports_the_oracles():
