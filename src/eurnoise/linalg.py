@@ -10,9 +10,12 @@ order: numpy's sum order for 2 to 7.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 FLOAT_MAX = float(np.finfo(float).max)  # x <= FLOAT_MAX iff x is finite or -inf
+_FLOAT = np.dtype(float)  # native float64: the dtype of every array numpy makes of floats
 
 
 class DomainError(ValueError):
@@ -53,12 +56,19 @@ def _stack_last(*cols, out=None) -> np.ndarray:
 
 def as_real(x, name: str, copy=None) -> np.ndarray:
     """The rule for real input: x as a float array (a copy for copy=True), or DomainError
-    where numpy raises TypeError or ValueError (a non-numeric str, a complex entry, a ragged
-    list); only a failed conversion pays for the message."""
+    for anything but bools, integers and real floats at any nesting: a str or bytes, even
+    a numeric one, a complex entry, None, a ragged list. Numbers numpy keeps as objects
+    (a Fraction, an int past 64 bits) pass if every one is a ``numbers.Real``."""
     try:
-        return np.array(x, dtype=float, copy=copy)
+        a = np.array(x, copy=copy)  # no dtype: text and complex input keep their kind
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be real numbers, got {x!r}") from exc
+    if a.dtype is _FLOAT:  # the common case, settled by one identity test
+        return a
+    kind = a.dtype.kind
+    if kind in "biuf" or kind == "O" and all(isinstance(e, Real) for e in a.flat):
+        return a.astype(float)
+    raise DomainError(f"{name} must be real numbers, got {x!r}")
 
 
 def _in_unit(p: np.ndarray) -> bool:

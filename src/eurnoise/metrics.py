@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, binary_entropy, check_count, is_axis
+from eurnoise.linalg import DomainError, FLOAT_MAX, as_real, binary_entropy, check_count, is_axis
 from eurnoise.linalg import shannon_entropy, _check_binary, _check_distribution, _plogp
 from eurnoise.states import BellDiagonalState, check_one_bd
 from eurnoise.channels import ChannelSpec
@@ -58,10 +58,13 @@ def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -
     """State-preparation-and-measurement-choice test: the coefficient on the
     unmeasured axis must equal minus the product of the measured two, within tol."""
     check_pair(pair)
-    if not 0.0 <= tol <= FLOAT_MAX:  # NaN fails both comparisons
+    t = as_real(tol, "tol")
+    if t.ndim:
+        raise DomainError(f"tol must be a scalar, got shape {t.shape}")
+    if not 0.0 <= t <= FLOAT_MAX:  # NaN fails both comparisons
         raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
     c = check_one_bd(s)  # c[5 - q - r] is the unmeasured axis
-    return bool(abs(c[5 - pair.q - pair.r] + c[pair.q - 1] * c[pair.r - 1]) <= tol)
+    return bool(abs(c[5 - pair.q - pair.r] + c[pair.q - 1] * c[pair.r - 1]) <= t)
 
 
 # the density check: oracles.HERMITICITY_TOL and EIGENVALUE_CLAMP, restated, since
@@ -182,8 +185,10 @@ def witness_discord_from_U(
     """
     check_pair(pair)
     c = check_one_bd(s0)
-    if np.ndim(u):
-        raise DomainError(f"measured uncertainty must be a scalar, got shape {np.shape(u)}")
+    u = as_real(u, "measured uncertainty")
+    if u.ndim:
+        raise DomainError(f"measured uncertainty must be a scalar, got shape {u.shape}")
+    u = float(u)
     if not np.isfinite(u):
         raise DomainError(f"measured uncertainty {u} is not finite")
     measured = {pair.q, pair.r}

@@ -70,9 +70,14 @@ class SweepConfig:
             object.__setattr__(self, name, a)
 
 
+ROWS_BLOCK = 1024  # rows that one step of Rows iteration turns into Python floats
+
+
 class Rows:
     """A read-only (n, k) float table whose rows read as records of a k-field named
-    tuple, each built only when read; ``np.asarray(rows)`` is the table, no copy."""
+    tuple, each built only when read; ``np.asarray(rows)`` is the table, no copy.
+    Iteration reads the table ``ROWS_BLOCK`` rows at a time, so it holds one block of
+    Python floats, not the whole table, and a record is the row as its block was read."""
 
     def __init__(self, table: np.ndarray, record: type):
         table = np.asarray(table, dtype=float).view()  # a view: the caller's flags stay
@@ -90,7 +95,8 @@ class Rows:
         return self.record._make(self.table[i].tolist())
 
     def __iter__(self):
-        return map(self.record._make, self.table.tolist())
+        for i in range(0, len(self.table), ROWS_BLOCK):
+            yield from map(self.record._make, self.table[i : i + ROWS_BLOCK].tolist())
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.table, dtype=dtype, copy=copy)

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,8 +109,8 @@ def _pd_sweep(**kw):
     return SweepConfig(**{**args, **kw})
 
 
-# each float conversion on the sweep path, on input that is not real numbers: a str, a
-# complex entry, a ragged list
+# each float conversion on the sweep path, on input that is not real numbers: a str or bytes,
+# numeric or not, a complex entry or array, None, a ragged list
 NON_REAL = {
     "check_bd_str": lambda: check_bd("abc"),
     "check_bd_complex": lambda: check_bd([0.1j, 0, 0]),
@@ -127,20 +128,38 @@ NON_REAL = {
     "binary_complex": lambda: L.binary_entropy([0.5, 0.5j]),
     "shannon_complex": lambda: L.shannon_entropy([0.5 + 0j, 0.5]),
     "shannon_ragged": lambda: L.shannon_entropy([[0.5, 0.5], [1.0]]),
+    # numeric text and complex arrays, which a float conversion reads as numbers
+    "check_bd_numeric_str": lambda: check_bd(["0.1", "0.2", "0.3"]),
+    "check_bd_numeric_bytes": lambda: check_bd([b"0.1", b"0.2", b"0.3"]),
+    "check_bd_one_numeric_str": lambda: check_bd([[0.1, 0.2, 0.3], [0.1, "0.2", 0.3]]),
+    "check_bd_complex_array": lambda: check_bd(np.array([0.1 + 1j, 0.2, 0.3])),
+    "check_bd_real_complex_array": lambda: check_bd(np.zeros(3, dtype=complex)),
+    "check_bd_none": lambda: check_bd([0.1, None, 0.3]),
+    "sweep_state_numeric_str": lambda: _pd_sweep(initial=("0.1", "0.2", "0.3")),
+    "sweep_t_end_numeric_str": lambda: _pd_sweep(t_end="1"),
+    "evolve_strength_numeric_bytes": lambda: ChannelSpec("ad").evolve((0.1, 0.2, 0.3), b"0.5"),
+    "binary_numeric_str": lambda: L.binary_entropy("0.5"),
+    "binary_complex_scalar": lambda: L.binary_entropy(np.complex128(0.5)),
+    "shannon_numeric_str": lambda: L.shannon_entropy(["0.5", "0.5"]),
+    "shannon_complex_array": lambda: L.shannon_entropy(np.array([[0.5, 0.5j], [0.5, 0.5]])),
 }
 
 
 class TestNonRealInput:
     """One rule, linalg.as_real, turns every float conversion on the sweep path into a
-    DomainError for input that is not real numbers, where numpy raises TypeError or
-    ValueError."""
+    DomainError for input that is not real numbers, at any nesting, including numeric text
+    and complex arrays, which a float conversion would read as numbers."""
 
     @pytest.mark.parametrize("call", NON_REAL.values(), ids=NON_REAL.keys())
     def test_raises_domain_error(self, call):
         with pytest.raises(L.DomainError, match="must be real numbers"):
             call()
 
-    @pytest.mark.parametrize("x", [0.5, [0.25, 0.75], np.float32(0.5), np.array([1, 0]), True])
+    @pytest.mark.parametrize(
+        "x",
+        [0.5, [0.25, 0.75], np.float32(0.5), np.array([1, 0]), True, [True, 0.5], np.uint8(3),
+         2**70, [Fraction(1, 2), 1], np.array([0.5, 0.25], dtype=">f8")],
+    )
     def test_real_input_passes_as_float(self, x):
         a = L.as_real(x, "x")
         assert a.dtype == np.float64 and a.tolist() == np.asarray(x, dtype=float).tolist()

@@ -211,6 +211,16 @@ class TestSpmc:
         with pytest.raises(DomainError, match="tol must be a finite number >= 0"):
             M.spmc_holds(fig_state, PAIR_13, tol=tol)
 
+    @pytest.mark.parametrize("tol", ["1e-12", b"0", None, 1j, np.complex128(0.0), [0.0, "0"]], ids=repr)
+    def test_rejects_a_tol_that_is_not_real(self, fig_state, tol):
+        with pytest.raises(DomainError) as info:
+            M.spmc_holds(fig_state, PAIR_13, tol=tol)
+        assert str(info.value) == f"tol must be real numbers, got {tol!r}"
+
+    @pytest.mark.parametrize("tol", [0, 1, True, np.float32(1e-3), np.array(1e-12)], ids=repr)
+    def test_takes_any_real_tol(self, fig_state, tol):
+        assert M.spmc_holds(fig_state, PAIR_13, tol=tol)
+
     def test_a_zero_tol_asks_for_equality(self):
         assert M.spmc_holds(BellDiagonalState(0, 0, 0), PAIR_13, tol=0.0)
         assert M.spmc_holds(BellDiagonalState(-1, 1, 1), PAIR_13, tol=-0.0)
@@ -551,6 +561,13 @@ def test_witness_takes_one_measured_u(x, fig_state):
     assert str(info.value) == f"measured uncertainty must be a scalar, got shape {np.shape(x)}"
 
 
+@pytest.mark.parametrize("x", NOT_SCALARS, ids=lambda x: f"shape{np.shape(x)}")
+def test_spmc_holds_takes_one_tol(x, fig_state):
+    with pytest.raises(DomainError) as info:
+        M.spmc_holds(fig_state, PAIR_13, tol=x)
+    assert str(info.value) == f"tol must be a scalar, got shape {np.shape(x)}"
+
+
 class TestMinimalMissingInfoAD:
     @pytest.mark.parametrize("gt", [np.nan, -1.0, np.inf])
     def test_bad_strength_rejected(self, fig_state, gt):
@@ -664,6 +681,18 @@ class TestDiscordWitness:
     def test_rejects_a_measured_u_that_is_not_finite(self, u, fig_state):
         with pytest.raises(DomainError, match="not finite"):
             M.witness_discord_from_U(fig_state, PAIR_13, u)
+
+    @pytest.mark.parametrize("u", [1 + 1j, np.complex128(1.0), "1.0", b"1", None, [1j]], ids=repr)
+    def test_rejects_a_measured_u_that_is_not_real(self, u):
+        # a complex u gave a complex discord, a str or None numpy's TypeError
+        with pytest.raises(DomainError) as info:
+            M.witness_discord_from_U(BellDiagonalState(0.8, -0.5, 0.4), M.pauli_pair(1, 2), u)
+        assert str(info.value) == f"measured uncertainty must be real numbers, got {u!r}"
+
+    @pytest.mark.parametrize("u", [1, True, np.float32(1.25), np.array(1.25)], ids=repr)
+    def test_a_real_measured_u_gives_a_float(self, u, fig_state):
+        d = M.witness_discord_from_U(fig_state, PAIR_13, u)
+        assert type(d) is float and d == 1.0 + binary_entropy(0.9) - float(u)
 
     def test_rejects_spmc_violation(self):
         s = BellDiagonalState(-0.5, 0.35, 0.8)  # inside the tetrahedron, c2 != -c1*c3

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from eurnoise.metrics import (
 )
 
 PAIR_13 = pauli_pair(1, 3)
+BLOCK = SC.ROWS_BLOCK
 FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)
 # pairs of valid axes that did not come from pauli_pair: each is refused up front
 PLAIN_PAIRS = [(1, 3), [1, 3], np.array([1, 3])]
@@ -557,6 +559,41 @@ class TestRows:
         rows = SC.Rows(vals, SC.SweepRecord)
         vals[1, 2] = 0.25
         assert rows[1].u_b == 0.25 and not np.asarray(rows).flags.writeable
+
+    @pytest.mark.parametrize("record", [SC.SweepRecord, BellDiagonalState], ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_iteration_reads_every_block_as_the_table(self, record, n):
+        table = np.random.default_rng(n).normal(size=(n, len(record._fields)))
+        edge = np.array([-0.0, 5e-324, np.nan, np.inf, -np.inf, 1e308])
+        table.flat[: edge.size] = edge[: table.size]
+        rows = SC.Rows(table, record)
+        records = list(rows)
+        assert len(records) == n
+        for rec, row in zip(records, rows.table):
+            assert type(rec) is record and all(type(x) is float for x in rec)
+            assert np.array(rec).tobytes() == row.tobytes()  # NaN and signed zeros too
+
+    def test_a_record_is_its_row_as_its_block_was_read(self):
+        table = np.zeros((2 * BLOCK, 6))
+        records = iter(SC.Rows(table, SC.SweepRecord))
+        next(records)  # reads the first block
+        table[1, 1] = table[BLOCK, 1] = 0.5  # the caller's table stays writeable
+        rest = list(records)
+        assert rest[0].u == 0.0 and rest[BLOCK - 1].u == 0.5
+
+    def test_iteration_holds_one_block_of_a_surface(self):
+        rows = SC.sample_spmc_surface(PAIR_13, 401)  # 160,801 records, about 25 MB as one list
+        tracemalloc.start()
+        try:
+            next(iter(rows))
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for _ in rows:
+                pass
+            full = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first < 1e6 and full < 1e6, (first, full)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 5), (2, 7), (2, 2, 6)])
     def test_a_table_of_another_width_is_refused(self, shape):
