@@ -3,7 +3,8 @@
 Flips and phase damping scale the correlations T; amplitude damping relaxes
 the population of A toward |1> (r = e^{-Gt} - 1). ``ChannelSpec`` names a
 channel family and holds the one rule for a valid kind, axis and strength;
-``factors`` is its one closed-form map, and ``evolve`` is those checks plus it.
+``factors`` is its one closed-form map (amplitude damping: one exp over a (..., 3) block),
+and ``evolve`` is those checks plus it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, _stack_last, as_real, is_axis
+from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, as_real, is_axis
 from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 
@@ -71,9 +72,9 @@ class ChannelSpec:
         state (r, T = c * f). AD: r = e^{-Gt} - 1, f = (e^{-Gt/2}, e^{-Gt/2}, e^{-Gt}).
         Else r = 0, a flip scales the two other axes by 1 - 2 eta, and pd is the
         phase flip at pd_equivalent_eta."""
-        if self.kind == "ad":
-            e, eh = np.exp(-t), np.exp(-t / 2.0)
-            return e - 1.0, _stack_last(eh, eh, e)
+        if self.kind == "ad":  # t * -0.5 and t * -1.0 are -t/2 and -t, the same bits
+            f = np.exp(t[..., None] * (-0.5, -0.5, -1.0))
+            return f[..., 2] - 1.0, f
         axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
         f = np.empty(eta.shape + (3,))
         f[...] = (1.0 - 2.0 * eta)[..., None]

@@ -5,7 +5,8 @@ in-range array with one cheap test; only an array that fails it pays for the ord
 which name the first bad value. The tests and checks (``_check_binary``, ``_check_distribution``)
 are written once here and shared with the X core's one pass, which takes every p log2 p of a
 sweep in one ``_plogp`` call over a block of contiguous rows; Shannon terms fold from +0.0 in
-order: numpy's sum order for 2 to 7.
+order: numpy's sum order for 2 to 7. ``as_real`` is the one place the runtime turns caller
+input into floats, and ``_as_scalar`` its form for one number.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ def _first_outside(x: np.ndarray, lo: float, hi: float):
     return x[~((x >= lo) & (x <= hi))].flat[0]
 
 
-def _stack_last(*cols, out=None) -> np.ndarray:
-    """np.stack(cols, axis=-1, out=out), less its overhead; cols broadcast to cols[0]."""
-    out = np.empty(np.shape(cols[0]) + (len(cols),)) if out is None else out
-    for j, col in enumerate(cols):
-        out[..., j] = col
-    return out
-
-
 def as_real(x, name: str, copy=None) -> np.ndarray:
     """The rule for real input: x as a float array (a copy for copy=True), or DomainError
     for anything but bools, integers and real floats at any nesting: a str or bytes, even
@@ -67,8 +60,19 @@ def as_real(x, name: str, copy=None) -> np.ndarray:
         return a
     kind = a.dtype.kind
     if kind in "biuf" or kind == "O" and all(isinstance(e, Real) for e in a.flat):
-        return a.astype(float)
+        try:
+            return a.astype(float)
+        except OverflowError as exc:  # an int or Fraction past FLOAT_MAX
+            raise DomainError(f"{name} must be real numbers within the float range") from exc
     raise DomainError(f"{name} must be real numbers, got {x!r}")
+
+
+def _as_scalar(x, name: str) -> np.ndarray:
+    """``as_real`` for one number: a 0-d float array, or DomainError naming x's shape."""
+    a = as_real(x, name)
+    if a.ndim:
+        raise DomainError(f"{name} must be a scalar, got shape {a.shape}")
+    return a
 
 
 def _in_unit(p: np.ndarray) -> bool:

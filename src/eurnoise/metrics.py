@@ -5,11 +5,13 @@ One pass (``_xstate_pass``) takes every entropy of a sweep: the five binary argu
 complements and rho_AB's spectrum are the 14 contiguous rows of one block, checked by the
 kernels' own checks in linalg and taken in one p log2 p call (S(sigma_3|B) is M_z). A sweep's
 U, U_b, D, E and M go from it straight into the caller's table; ``xstate_entropies`` returns
-its six entropies, and U_b alone keeps one Shannon call. A Pauli pair is an ``ObservablePair``
-of two axes (``check_pair``): any two distinct axes have eigenbases of overlap c = 1/2. The
-density-matrix routes that check the closed forms live in ``eurnoise.oracles``; the brute-force
-minimizer for M, which assumes no X structure, stays here until the benchmark, which reads it
-at this path, is repointed.
+its six entropies, and U_b alone keeps one Shannon call. Every X-core entry point takes (r, T)
+through ``_xstate_args``: the real-input rule, the (..., 3) shape rule and the sums T1 -+ T2,
+1 +- T3, formed once; the concurrence checks rho_AB's spectrum as U_b does. A Pauli pair is an
+``ObservablePair`` of two axes (``check_pair``): any two distinct axes have eigenbases of
+overlap c = 1/2. The density-matrix routes that check the closed forms live in
+``eurnoise.oracles``; the brute-force minimizer for M, which assumes no X structure, stays here
+until the benchmark, which reads it at this path, is repointed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import DomainError, FLOAT_MAX, as_real, binary_entropy, check_count, is_axis
-from eurnoise.linalg import shannon_entropy, _check_binary, _check_distribution, _plogp
+from eurnoise.linalg import shannon_entropy, _as_scalar, _check_binary, _check_distribution, _plogp
 from eurnoise.states import BellDiagonalState, check_one_bd
 from eurnoise.channels import ChannelSpec
 
@@ -58,9 +60,7 @@ def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -
     """State-preparation-and-measurement-choice test: the coefficient on the
     unmeasured axis must equal minus the product of the measured two, within tol."""
     check_pair(pair)
-    t = as_real(tol, "tol")
-    if t.ndim:
-        raise DomainError(f"tol must be a scalar, got shape {t.shape}")
+    t = _as_scalar(tol, "tol")
     if not 0.0 <= t <= FLOAT_MAX:  # NaN fails both comparisons
         raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
     c = check_one_bd(s)  # c[5 - q - r] is the unmeasured axis
@@ -185,10 +185,7 @@ def witness_discord_from_U(
     """
     check_pair(pair)
     c = check_one_bd(s0)
-    u = as_real(u, "measured uncertainty")
-    if u.ndim:
-        raise DomainError(f"measured uncertainty must be a scalar, got shape {u.shape}")
-    u = float(u)
+    u = float(_as_scalar(u, "measured uncertainty"))
     if not np.isfinite(u):
         raise DomainError(f"measured uncertainty {u} is not finite")
     measured = {pair.q, pair.r}
@@ -253,6 +250,16 @@ def _concurrence(r2, minus, plus, up, down, out=None):
     return np.maximum(np.maximum(a, b) / 2, 0.0, out=out)
 
 
+def _xstate_args(r, t):
+    """X states (r, t) by the real-input rule, t of shape (..., 3): r, T1, T2, T3 as float
+    arrays, and the sums T1 - T2, T1 + T2, 1 + T3, 1 - T3 that rho_AB's entries take."""
+    r, t = as_real(r, "r"), as_real(t, "T")
+    if t.shape[-1:] != (3,):
+        raise DomainError(f"T must have shape (..., 3), got shape {t.shape}")
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    return r, t1, t2, t3, (t1 - t2, t1 + t2, 1 + t3, 1 - t3)
+
+
 def _xstate_pass(r, t, s_ab=None):
     """The ``XStateEntropies`` of X states (r, t), S(rho_AB) folded into s_ab if given, and
     the concurrence's arguments r^2, T1 -+ T2, 1 +- T3. The binary arguments (1 + u)/2,
@@ -261,8 +268,7 @@ def _xstate_pass(r, t, s_ab=None):
     see, binary first, then one ``_plogp`` call takes every term. max(T1^2, T2^2) covers
     |c1| < |c2| by S x S. A z outcome on B, each of weight 1/2, leaves A diagonal with
     weights (1 + r +- T3)/2, so S(sigma_3|B) = M_z exactly."""
-    t = np.asarray(t, dtype=float)
-    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    r, t1, t2, t3, sums = _xstate_args(r, t)
     r2 = np.square(r)
     u = np.sqrt(r2 + np.maximum(t1 * t1, t2 * t2))
     p = np.empty((14,) + u.shape)  # rows p (5), 1 - p (5), the spectrum (4); T_j broadcast
@@ -277,7 +283,6 @@ def _xstate_pass(r, t, s_ab=None):
     binary = np.multiply(p[:5], 0.5, out=p[:5]).transpose(last)
     _check_binary(binary, out=binary)
     np.subtract(1.0, p[:5], out=p[5:10])
-    sums = (t1 - t2, t1 + t2, 1 + t3, 1 - t3)
     spectrum = _spectrum_rows(r, *sums, out=p[10:]).transpose(last)
     _check_distribution(spectrum, out=spectrum)
     terms = _plogp(p)
@@ -308,17 +313,19 @@ def _xstate_columns(r, t, pair: ObservablePair, out: np.ndarray) -> None:
 
 def xstate_lower_bound_Ub(r, t):
     """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2), over rho_AB's spectrum."""
-    t = np.asarray(t, dtype=float)
-    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    p = _spectrum_rows(r, t1 - t2, t1 + t2, 1 + t3, 1 - t3)
+    r, *_, sums = _xstate_args(r, t)
+    p = _spectrum_rows(r, *sums)
+    del sums  # held through the kernel, they made the unital check's (101, 42) call 1.6x slower
     return shannon_entropy(p.transpose(*range(1, p.ndim), 0))
 
 
 def xstate_concurrence(r, t):
-    """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))."""
-    t = np.asarray(t, dtype=float)
-    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    return _concurrence(np.square(r), t1 - t2, t1 + t2, 1 + t3, 1 - t3)
+    """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)), of a state
+    checked as U_b checks it: rho_AB's spectrum must pass the Shannon checks."""
+    r, *_, sums = _xstate_args(r, t)
+    p = _spectrum_rows(r, *sums)
+    _check_distribution(p.transpose(*range(1, p.ndim), 0))
+    return _concurrence(np.square(r), *sums)
 
 
 # ---- the amplitude-damped entry point on the core --------------------------
@@ -335,7 +342,6 @@ class MinimalInfoAD:
 def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
     """Closed-form minimal missing information for an amplitude-damped
     Bell-diagonal state, over the whole tetrahedron."""
-    if np.ndim(gamma_t):
-        raise DomainError(f"gamma_t must be a scalar, got shape {np.shape(gamma_t)}")
+    gamma_t = _as_scalar(gamma_t, "gamma_t")
     e = xstate_entropies(*ChannelSpec("ad").evolve(check_one_bd(s0), gamma_t))
     return MinimalInfoAD(float(e.m), float(e.m_x), float(e.m_z), False)

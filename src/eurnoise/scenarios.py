@@ -3,7 +3,8 @@ unital-monotonicity property suite, and ``csv_body``, the one CSV writer.
 ``SweepConfig`` checks a sweep's state and strengths once and keeps the checked
 arrays, which ``run_time_sweep`` maps; one pass of the X core writes every column into
 the sweep's table. Sweeps and surfaces come back as ``Rows``, one float table; a
-classification comes back as numpy columns."""
+classification comes back as numpy columns. ``Rows`` and ``csv_body`` read their tables by
+``linalg.as_real``, the one real-input rule."""
 
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ class Rows:
     Python floats, not the whole table, and a record is the row as its block was read."""
 
     def __init__(self, table: np.ndarray, record: type):
-        table = np.asarray(table, dtype=float).view()  # a view: the caller's flags stay
+        table = as_real(table, f"{record.__name__} rows").view()  # the caller's flags stay
         if table.ndim != 2 or table.shape[1] != len(record._fields):
             raise DomainError(f"{record.__name__} rows cannot have shape {table.shape}")
         table.flags.writeable = False
@@ -290,7 +291,7 @@ def csv_body(cells) -> bytes:
     """The CSV body of an (n, k) float table: every cell formatted "%.12f", cells
     joined by ',', rows ended by '\\n', the bytes of `%` for every finite cell. A
     non-finite cell raises a ``DomainError`` naming the first one."""
-    a = np.asarray(cells, dtype=float)
+    a = as_real(cells, "CSV cells")
     if a.ndim != 2:
         raise DomainError(f"a CSV table must have shape (n, k), got {a.shape}")
     body = (_vector_body if a.size >= _VECTOR_MIN_CELLS else _template_body)(a)

@@ -381,7 +381,10 @@ class TestFactors:
         "literal, t",
         [(lit, t) for lit in C.CHANNEL_LITERALS
          for t in (0.0, 1.0, np.array([0.0, 1.0]), np.array([[1.0], [0.0]]))]
-        + [(lit, t) for lit in ("pd", "ad") for t in (800.0, 1e300, np.finfo(float).max)],
+        + [(lit, t) for lit in ("pd", "ad") for t in (800.0, 1e300, np.finfo(float).max)]
+        + [(lit, t) for lit in C.CHANNEL_LITERALS for t in (-0.0, 5e-324, np.linspace(0, 1, 201))]
+        + [(lit, t) for lit in ("pd", "ad")
+           for t in (745.0, 746.0, np.linspace(0, 10, 201), np.geomspace(0.01, 800, 101))],
     )
     def test_at_the_ends_of_the_ranges(self, literal, t, fig_state):
         self._check(literal, fig_state, t)

@@ -11,8 +11,8 @@ from eurnoise import linalg as L
 from eurnoise import oracles as O
 from eurnoise.oracles import bd_to_density
 from eurnoise.channels import ChannelSpec
-from eurnoise.metrics import pauli_pair
-from eurnoise.scenarios import SweepConfig
+from eurnoise.metrics import pauli_pair, spmc_holds
+from eurnoise.scenarios import SweepConfig, classify_longtime_ad, csv_body
 from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, is_valid
 
 from conftest import LAYOUTS, hermitian_4x4, laid_out
@@ -144,6 +144,18 @@ NON_REAL = {
     "shannon_complex_array": lambda: L.shannon_entropy(np.array([[0.5, 0.5j], [0.5, 0.5]])),
 }
 
+# numbers past FLOAT_MAX that numpy keeps as objects, by the name the rule gives them; a
+# float conversion raised Python's OverflowError: int too large to convert to float
+TOO_LARGE = {
+    "check_bd": (lambda: check_bd([10**400, 0, 0]), "correlations"),
+    "evolve_strength": (lambda: ChannelSpec("ad").evolve((0.1, 0.2, 0.3), 10**400), "ad strength"),
+    "spmc_tol": (lambda: spmc_holds((0.1, 0.2, 0.3), pauli_pair(1, 2), 10**400), "tol"),
+    "classify": (lambda: classify_longtime_ad([10**400, 0, 0]), "correlations"),
+    "csv_body": (lambda: csv_body([[10**400, 1.0]]), "CSV cells"),
+    "negative_int": (lambda: L.binary_entropy([-(10**400)]), "binary entropy argument"),
+    "fraction": (lambda: L.shannon_entropy([Fraction(10**400, 3), 0]), "probabilities"),
+}
+
 
 class TestNonRealInput:
     """One rule, linalg.as_real, turns every float conversion on the sweep path into a
@@ -163,6 +175,12 @@ class TestNonRealInput:
     def test_real_input_passes_as_float(self, x):
         a = L.as_real(x, "x")
         assert a.dtype == np.float64 and a.tolist() == np.asarray(x, dtype=float).tolist()
+
+    @pytest.mark.parametrize("call, name", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+    def test_a_number_past_the_float_range_raises_domain_error(self, call, name):
+        with pytest.raises(L.DomainError) as info:
+            call()
+        assert str(info.value) == f"{name} must be real numbers within the float range"
 
     def test_an_array_is_returned_as_it_is_unless_a_copy_is_asked_for(self):
         x = np.array([0.1, 0.2, 0.3])

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -698,6 +699,82 @@ class TestDiscordWitness:
         s = BellDiagonalState(-0.5, 0.35, 0.8)  # inside the tetrahedron, c2 != -c1*c3
         with pytest.raises(M.WitnessNotValidError):
             M.witness_discord_from_U(s, PAIR_13, 1.0)
+
+
+# the X core's entry points, each taking (r, T) through one builder: linalg.as_real for both,
+# then the (..., 3) shape rule for T
+XSTATE_ENTRIES = {
+    "xstate_entropies": M.xstate_entropies,
+    "xstate_lower_bound_Ub": M.xstate_lower_bound_Ub,
+    "xstate_concurrence": M.xstate_concurrence,
+}
+# T that a float conversion read as numbers: numeric text gave U_b 1.8833830982290132 and
+# E 0.0, a complex T lost its imaginary part with a ComplexWarning, None read as NaN
+T_NOT_REAL = {
+    "numeric_str": ["0.1", "0.2", "0.3"],
+    "numeric_bytes": [b"0.1", b"0.2", b"0.3"],
+    "complex": np.array([0.1 + 1j, 0.2, 0.3]),
+    "complex_zero": np.zeros(3, dtype=complex),
+    "none": [0.1, None, 0.3],
+    "ragged": [[0.1, 0.2, 0.3], [0.1, 0.2]],
+}
+# r was not converted at all: "0.1" raised numpy's TypeError, None an AttributeError
+R_NOT_REAL = {
+    "numeric_str": "0.1", "none": None, "complex": 1j, "complex_array": np.array([0, 0.1j]),
+}
+
+
+class TestXStateRealInput:
+    """r and T of every X-core entry point meet one rule: DomainError naming r or T."""
+
+    @pytest.mark.parametrize("t", T_NOT_REAL.values(), ids=T_NOT_REAL.keys())
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_rejects_a_t_that_is_not_real(self, entry, t):
+        with pytest.raises(DomainError) as info:
+            entry(0.0, t)
+        assert str(info.value) == f"T must be real numbers, got {t!r}"
+
+    @pytest.mark.parametrize("r", R_NOT_REAL.values(), ids=R_NOT_REAL.keys())
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_rejects_an_r_that_is_not_real(self, entry, r):
+        with pytest.raises(DomainError) as info:
+            entry(r, [0.1, 0.2, 0.3])
+        assert str(info.value) == f"r must be real numbers, got {r!r}"
+
+    @pytest.mark.parametrize(
+        "t", [[0.1, 0.2], np.zeros((2, 2)), 0.5, np.zeros((3, 0))],
+        ids=lambda t: f"shape{np.shape(t)}",
+    )
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_rejects_a_t_without_three_correlations(self, entry, t):
+        # T[..., 2] raised IndexError
+        with pytest.raises(DomainError) as info:
+            entry(0.0, t)
+        assert str(info.value) == f"T must have shape (..., 3), got shape {np.shape(t)}"
+
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_real_input_of_any_kind_gives_the_bits_of_floats(self, entry):
+        want = entry(0.0, np.array([0.5, 0.25, 0.0]))
+        for r, t in [(0, (0.5, 0.25, 0)), (False, [Fraction(1, 2), Fraction(1, 4), False]),
+                     (np.float64(0.0), np.array([0.5, 0.25, 0.0], dtype=">f8"))]:
+            assert np.asarray(entry(r, t)).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "r, t, bad",
+        [(np.nan, [0.1, 0.2, 0.3], "nan"), (0.0, [0.1, np.nan, 0.3], "nan"),
+         (0.0, [np.inf, 0.2, 0.3], "inf"), (0.0, [5.0, 0.2, 0.3], "-0.875")],
+        ids=["nan_r", "nan_t2", "inf_t1", "outside"],
+    )
+    def test_concurrence_checks_the_state_as_the_lower_bound_does(self, r, t, bad):
+        # it checked nothing: these gave nan, nan, inf and E = 2.05
+        for entry in (M.xstate_concurrence, M.xstate_lower_bound_Ub):
+            with pytest.raises(DomainError) as info:
+                entry(r, t)
+            assert str(info.value) == f"probability {bad} is negative or not finite"
+
+    def test_concurrence_takes_the_vertices_within_the_spectrum_tolerance(self):
+        # hypot rounding leaves a -2.2e-16 eigenvalue at a Bell vertex
+        assert M.xstate_concurrence(0.0, BELL_VERTICES).tolist() == [1.0] * 4
 
 
 def noise():

@@ -3,6 +3,7 @@ import gc
 import itertools
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -543,6 +544,15 @@ class TestRows:
         with pytest.raises(DomainError, match="integer index"):
             rows[key]
 
+    @pytest.mark.parametrize(
+        "table", [[["0.5"] * 6], [[0.5j] * 6], [[None] * 6]], ids=["numeric_str", "complex", "none"]
+    )
+    def test_rejects_a_table_that_is_not_real(self, table):
+        # numeric text gave records of 0.5, a complex table a ComplexWarning, None NaN
+        with pytest.raises(DomainError) as info:
+            SC.Rows(table, SC.SweepRecord)
+        assert str(info.value) == f"SweepRecord rows must be real numbers, got {table!r}"
+
     def test_the_array_is_the_read_only_table(self, rows):
         a = np.asarray(rows)
         assert np.shares_memory(a, rows.table) and not a.flags.writeable
@@ -999,6 +1009,25 @@ class TestCsvBody:
     def test_empty_tables(self):
         assert SC.csv_body(np.empty((0, 3))) == b""
         assert SC.csv_body(np.empty((2, 0))) == b"\n\n"
+
+    # a float conversion printed numeric text as its number (0.500000000000,1.000000000000),
+    # dropped an imaginary part with a ComplexWarning, read None as a NaN cell ("cell (row 0,
+    # column 0) is nan") and raised numpy's ValueError on a ragged list
+    @pytest.mark.parametrize(
+        "cells",
+        [[["0.5", "1"]], [[b"0.5", b"1"]], [[0.5 + 1j, 1.0]], np.ones((1, 2), dtype=complex),
+         [[None, 1.0]], [[0.5, 1.0], [1.0]]],
+        ids=["numeric_str", "numeric_bytes", "complex", "complex_array", "none", "ragged"],
+    )
+    def test_rejects_cells_that_are_not_real(self, cells):
+        with pytest.raises(DomainError) as info:
+            SC.csv_body(cells)
+        assert str(info.value) == f"CSV cells must be real numbers, got {cells!r}"
+
+    def test_real_cells_of_any_kind_print_as_floats(self):
+        want = b"0.500000000000,1.000000000000\n"
+        for cells in ([[0.5, 1]], [[Fraction(1, 2), True]], np.array([[0.5, 1.0]], dtype=">f8")):
+            assert SC.csv_body(cells) == want
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
     def test_rejects_a_table_that_is_not_2d(self, shape):

@@ -49,13 +49,14 @@ MOVED = {
 # U and M are selections from xstate_entropies, and metrics.check_pair is the pair rule;
 # the brute force is one real Bloch-form route, not kets and 2x2 eigenvalues;
 # ChannelSpec.factors is the one closed-form channel map; rho_AB's spectrum is
-# built in xstate_lower_bound_Ub alone, and the Bell weights are written out
+# built in xstate_lower_bound_Ub alone, and the Bell weights are written out; the AD
+# factors are one exp over a (..., 3) block, so no helper stacks columns
 DELETED = (
     "PauliObservable", "pauli_observable", "_EIGENBASES",
     "uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_bd", "discord_bd",
     "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
     "_measurement_kets", "_avg_conditional_entropy",
-    "amplitude_damping_factors", "unchecked_map", "_joint_spectrum", "_SIGNS",
+    "amplitude_damping_factors", "unchecked_map", "_joint_spectrum", "_SIGNS", "_stack_last",
 )
 # the brute-force route for M, in metrics until the benchmark is repointed at the oracles
 BRUTE_FORCE = (
@@ -75,10 +76,11 @@ CHANNEL_MAP = "factors"
 # its callers: evolve after its checks, a sweep whose config checked its inputs, and
 # the scenarios' module constants, each built from strengths that went through check
 CHANNEL_MAP_SITES = {"channels.evolve", "scenarios.run_time_sweep", "scenarios.<module>"}
-# linalg._stack_last writes columns into a trailing axis: the channel map's (K, 3)
-# factors use it, and the entropy path must not, since the X core works on an (n, ...)
-# block of rows, nor the sweep, whose one pass writes every column into its table
-STACK_LAST_CALLERS = {"channels"}
+# the real-input rule: caller input becomes float in linalg.as_real only, and the one
+# "must be a scalar" message is its scalar form's; the oracles keep their own conversions
+FLOAT_CONVERSION_SITES = ["linalg.as_real"]
+SCALAR_RULE_SITES = ["linalg._as_scalar"]
+FLOAT_NAMES = {"float", "float64", "double", "float_", "f8", "<f8", "d"}
 # the steps of a checked entropy, in linalg: each kernel's checks and p log2 p
 PASS_STEPS = ("_check_binary", "_check_distribution", "_plogp")
 # np.errstate hides a floating-point warning: only the ordered sum of
@@ -289,17 +291,31 @@ def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
     assert users <= ENTROPY_CALLERS, f"entropy kernels named outside {ENTROPY_CALLERS}: {users}"
 
 
-def test_stack_last_is_called_only_in_channels():
-    callers, named = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = parse(path)
-        if "_stack_last" in referenced_names(tree):
-            named.add(path.stem)
-        if any(isinstance(node, ast.Call) and "_stack_last" in referenced_names(node.func)
-               for node in ast.walk(tree)):
-            callers.add(path.stem)
-    assert callers == STACK_LAST_CALLERS, sorted(callers)
-    assert named - {"linalg"} == STACK_LAST_CALLERS, sorted(named)  # none imports it unused
+def is_float_dtype(node):
+    """Whether node spells the float64 dtype: float, np.float64, "f8" and the like."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
+    return isinstance(name, str) and name in FLOAT_NAMES
+
+
+def test_the_real_input_rule_is_written_once():
+    # a dtype=float or astype(float) conversion reads numeric text as numbers and drops
+    # imaginary parts; linalg.as_real is the one place input becomes float, and its scalar
+    # form the one place that asks for one number
+    runtime = sorted(p for p in SRC.glob("*.py") if p.name != "oracles.py")
+    conversions, scalar_checks = [], []
+    for path in runtime:
+        for scope, node in scoped_nodes(parse(path)):
+            dtype_kw = isinstance(node, ast.keyword) and node.arg == "dtype"
+            if dtype_kw and is_float_dtype(node.value) or (
+                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype"
+                and any(is_float_dtype(a) for a in node.args)
+            ):
+                conversions.append(f"{path.stem}.{scope}")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "must be a scalar" in node.value):
+                scalar_checks.append(f"{path.stem}.{scope}")
+    assert conversions == FLOAT_CONVERSION_SITES, f"float conversions at {conversions}"
+    assert scalar_checks == SCALAR_RULE_SITES, f"scalar checks written out at {scalar_checks}"
 
 
 def test_metrics_takes_the_sweep_entropies_in_one_pass():
@@ -324,6 +340,7 @@ def test_metrics_takes_the_sweep_entropies_in_one_pass():
         ("_xstate_pass", "_check_distribution"),
         ("_xstate_pass", "_plogp"),
         ("witness_discord_from_U", "binary_entropy"),
+        ("xstate_concurrence", "_check_distribution"),
         ("xstate_entropies", "_xstate_pass"),
         ("xstate_lower_bound_Ub", "shannon_entropy"),
     ], calls
@@ -351,6 +368,7 @@ def test_each_kernel_check_is_written_once():
         "metrics._xstate_pass: _check_binary",
         "metrics._xstate_pass: _check_distribution",
         "metrics._xstate_pass: _plogp",
+        "metrics.xstate_concurrence: _check_distribution",
     ], sites
 
 
