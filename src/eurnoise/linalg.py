@@ -2,11 +2,13 @@
 
 All entropies are in bits and broadcast over leading axes. Each checked kernel settles an
 in-range array with one cheap test; only an array that fails it pays for the ordered checks,
-which name the first bad value. The tests and checks (``_check_binary``, ``_check_distribution``)
-are written once here and shared with the X core's one pass, which takes every p log2 p of a
-sweep in one ``_plogp`` call over a block of contiguous rows; Shannon terms fold from +0.0 in
-order: numpy's sum order for 2 to 7. ``as_real`` is the one place the runtime turns caller
-input into floats, and ``_as_scalar`` its form for one number.
+which name the first bad value. A test reads an array of at most ``_FEW`` entries once as
+Python floats and a larger one by numpy reductions, with the same decision either way; the
+one range test is ``_within``. The tests and checks (``_check_binary``,
+``_check_distribution``) are written once here and shared with the X core's one pass, which
+takes every p log2 p of a sweep in one ``_plogp`` call over a block of contiguous rows;
+Shannon terms fold from +0.0 in order: numpy's sum order for 2 to 7. ``as_real`` is the one
+place the runtime turns caller input into floats, and ``_as_scalar`` its form for one number.
 """
 
 from __future__ import annotations
@@ -39,10 +41,29 @@ def check_count(n, name: str, least: int) -> None:
         raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
+# Arrays of at most _FEW entries are tested in Python floats, larger ones by numpy
+# reductions, each about 1 us whatever the size. Measured with numpy 2.4 on a shared
+# 2-CPU x86-64 host, on arrays that pass: the Shannon fast test of an (n, 4) view took
+# 2.2 against 5.9 us at 8 entries, 5.1 against 5.9 at 32 and 6.7 against 6.1 at 48;
+# the range test of an (n, 5) view 1.1 against 2.5 us at 10 entries, equal at 40.
+_FEW = 32
+
+
+def _within(x: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every entry of x lies in [lo, hi] (NaN does not; an empty x does): up to
+    _FEW entries read once as Python floats, more by a min and a max reduction."""
+    if x.size <= _FEW:
+        for v in x.ravel().tolist():
+            if not lo <= v <= hi:
+                return False
+        return True
+    return np.minimum.reduce(x, None) >= lo and np.maximum.reduce(x, None) <= hi
+
+
 def _first_outside(x: np.ndarray, lo: float, hi: float):
     """The first entry of x outside [lo, hi] (NaN included), or None; only an
-    array that fails the min/max test pays for the masked search."""
-    if x.size == 0 or (np.minimum.reduce(x, None) >= lo and np.maximum.reduce(x, None) <= hi):
+    array that fails the range test pays for the masked search."""
+    if _within(x, lo, hi):
         return None
     return x[~((x >= lo) & (x <= hi))].flat[0]
 
@@ -76,8 +97,8 @@ def _as_scalar(x, name: str) -> np.ndarray:
 
 
 def _in_unit(p: np.ndarray) -> bool:
-    """The kernels' fast test: entries in [0, 1] (NaN fails the min) cannot overflow a sum."""
-    return p.size > 0 and np.minimum.reduce(p, None) >= 0.0 and np.maximum.reduce(p, None) <= 1.0
+    """The kernels' fast test: entries in [0, 1] (NaN fails) cannot overflow a sum."""
+    return p.size > 0 and _within(p, 0.0, 1.0)
 
 
 def _plogp(p: np.ndarray):  # of checked p >= 0: 0 log 0 = 0, the log seeing the least subnormal
@@ -104,6 +125,23 @@ def binary_entropy(p):
     return float(h) if h.ndim == 0 else h
 
 
+def _sums_near_one(p: np.ndarray) -> bool:
+    """Whether every sum along p's last axis, of entries in [0, 1], is within 1e-9 of 1.
+    Up to _FEW entries in rows shorter than 8 are folded left to right from +0.0 in
+    Python floats, numpy's own sum order there; else numpy sums them (never ``sum()``,
+    which compensates from Python 3.12)."""
+    k = p.shape[-1] if p.ndim else 1  # a 0-d p is one row, as to numpy
+    if p.size > _FEW or k >= 8:
+        return np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9
+    for row in p.reshape(-1, k).tolist():  # a copy of a strided view, but a tiny one
+        total = 0.0
+        for v in row:
+            total += v
+        if not abs(total - 1.0) <= 1e-9:
+            return False
+    return True
+
+
 def _sum_last(p: np.ndarray) -> np.ndarray:
     # the ordered path: entries are >= -1e-12 and never NaN or -inf here, so a
     # sum can only overflow to +inf, which the caller rejects as a bad sum
@@ -116,7 +154,7 @@ def _check_distribution(p: np.ndarray, out=None) -> np.ndarray:
     fast test, else p with negatives set to 0 (into out) if every entry is finite and
     >= -1e-12 and every sum within 1e-9 of 1, else DomainError naming the first entry or sum.
     The fast test skips the clamp: on [0, 1] it turns only -0.0 into +0.0, the same bits."""
-    if _in_unit(p) and np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9:
+    if _in_unit(p) and _sums_near_one(p):
         return p
     bad = _first_outside(p, -1e-12, FLOAT_MAX)
     if bad is not None:

@@ -342,6 +342,6 @@ class MinimalInfoAD:
 def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
     """Closed-form minimal missing information for an amplitude-damped
     Bell-diagonal state, over the whole tetrahedron."""
-    gamma_t = _as_scalar(gamma_t, "gamma_t")
+    gamma_t = _as_scalar(gamma_t, "ad strength")  # the name ChannelSpec("ad").check uses
     e = xstate_entropies(*ChannelSpec("ad").evolve(check_one_bd(s0), gamma_t))
     return MinimalInfoAD(float(e.m), float(e.m_x), float(e.m_z), False)

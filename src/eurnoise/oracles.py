@@ -109,11 +109,23 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+def _real_entries(x, name: str) -> np.ndarray:
+    """x as a float array if numpy reads its entries as bools, integers or real floats,
+    else DomainError: numeric text, bytes, complex numbers and None are refused."""
+    try:
+        a = np.asarray(x)  # no dtype: text, complex and None keep their kind
+    except ValueError as exc:  # a ragged list
+        raise DomainError(f"{name} must be real numbers, got {x!r}") from exc
+    if a.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real numbers, got {x!r}")
+    return a.astype(float)
+
+
 def bd_to_density(c) -> np.ndarray:
-    """4x4 density (1/4)(I + sum_j c_j sigma_j x sigma_j) of correlations c,
-    unchecked: a state outside the tetrahedron gives a negative eigenvalue."""
+    """4x4 density (1/4)(I + sum_j c_j sigma_j x sigma_j) of real correlations c,
+    unchecked otherwise: a state outside the tetrahedron gives a negative eigenvalue."""
     rho = np.eye(4, dtype=complex)
-    for j, c_j in zip((1, 2, 3), np.asarray(c, dtype=float), strict=True):
+    for j, c_j in zip((1, 2, 3), _real_entries(c, "correlations"), strict=True):
         rho += c_j * tensor_product(PAULI[j], PAULI[j])
     return rho / 4
 

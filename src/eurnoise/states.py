@@ -4,7 +4,9 @@ A Bell-diagonal state is fixed by three real correlation coefficients
 (c1, c2, c3), a checked one by a (3,) float array, many states by a (..., 3) array
 of them; validity is membership in the tetrahedron of states with all four
 Bell-basis eigenvalues non-negative, each weight (1 + c1 - c2 + c3 and so on)
-summed left to right as written."""
+summed left to right as written, once, in ``_weights``. ``check_bd`` settles at most
+``_FEW`` entries in range with one cheap test on Python floats, and builds no array
+of weights unless a state fails it."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, as_real, check_count
+from eurnoise.linalg import DomainError, FLOAT_MAX, _FEW, as_real, check_count
 
 TETRAHEDRON_TOL = 1e-12
 _FLOOR = -4 * TETRAHEDRON_TOL  # w/4 >= -tol iff w >= -4 tol: scaling by 4 is exact
@@ -29,35 +31,58 @@ class BellDiagonalState(NamedTuple):
         return tuple(self)
 
 
-def _four_weights(c) -> tuple[np.ndarray, np.ndarray]:
-    """c as a float array (..., 3), and 4 x its Bell weights (..., 4) of (Phi+, Phi-,
-    Psi+, Psi-), each summed left to right as written. The weights are a view of one
-    (4, ...) block, so a min over them is elementwise over whole columns."""
+def _weights(c1, c2, c3):
+    """4 x the Bell weights of (Phi+, Phi-, Psi+, Psi-), each summed left to right as
+    written: the one formula, on Python floats and on arrays of whole columns alike."""
+    return 1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3
+
+
+def _correlations(c) -> np.ndarray:
+    """c by the real-input rule, as a float array of shape (..., 3)."""
     c = as_real(c, "correlations")
     if c.shape[-1:] != (3,):
         raise DomainError(f"correlations must have shape (..., 3), got shape {c.shape}")
-    c1, c2, c3 = c.transpose(-1, *range(c.ndim - 1))  # numpy scalars for one state
-    w = np.array([1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3])
-    return c, w.transpose(*range(1, c.ndim), 0)
+    return c
+
+
+def _four_weights(c: np.ndarray) -> np.ndarray:
+    """The ``_weights`` (..., 4) of correlations c (..., 3), a view of one (4, ...) block,
+    so a min over them is elementwise over whole columns; numpy scalars for one state."""
+    w = np.array(_weights(*c.transpose(-1, *range(c.ndim - 1))))
+    return w.transpose(*range(1, c.ndim), 0)
 
 
 def bell_eigenvalues(c) -> np.ndarray:
     """Bell-basis spectrum (..., 4), ordered (Phi+, Phi-, Psi+, Psi-), of
     correlations c in the tetrahedron."""
-    return _four_weights(check_bd(c))[1] / 4
+    return _four_weights(check_bd(c)) / 4
 
 
 def is_valid(c):
     """Whether correlations c, shape (3,) or (..., 3), lie in the tetrahedron:
     a bool for one state, a bool array over the leading axes for many."""
-    ok = _four_weights(c)[1].min(axis=-1) >= _FLOOR  # False for NaN: min is NaN
+    ok = _four_weights(_correlations(c)).min(axis=-1) >= _FLOOR  # False for NaN: min is NaN
     return bool(ok) if ok.ndim == 0 else ok
+
+
+def _few_inside(c: np.ndarray) -> bool:
+    """``check_bd``'s fast test of at most _FEW entries, in Python floats: every weight
+    within [_FLOOR, FLOAT_MAX]. A finite weight met no overflow on the way, so an
+    infinite one is left to the array path, which warns and names the state as ever."""
+    for c1, c2, c3 in c.reshape(-1, 3).tolist():
+        for w in _weights(c1, c2, c3):
+            if not _FLOOR <= w <= FLOAT_MAX:
+                return False
+    return True
 
 
 def check_bd(c) -> np.ndarray:
     """Correlations c as a float array of shape (..., 3), or a DomainError
     naming the first state (in C order) outside the tetrahedron."""
-    c, w = _four_weights(c)
+    c = _correlations(c)
+    if c.size <= _FEW and _few_inside(c):
+        return c
+    w = _four_weights(c)
     if w.size and not np.minimum.reduce(w, None) >= _FLOOR:  # is_valid's rule, every state
         states = c.reshape(-1, 3)
         bad = tuple(states[~is_valid(states)][0].tolist())

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from eurnoise import linalg as L
 from eurnoise import oracles as O
+from eurnoise import states as S
 from eurnoise.oracles import bd_to_density
 from eurnoise.channels import ChannelSpec
 from eurnoise.metrics import pauli_pair, spmc_holds
@@ -449,6 +451,193 @@ class TestEntropyKernelsMatchReference:
     def test_binary_at_the_unit_edges(self, p, layout):
         p = laid_out(p, layout)
         assert _checked(L.binary_entropy, p) == _outcome(_ref_binary_entropy, p)
+
+
+# ---- the two paths of the fast tests: at most _FEW entries are decided in Python
+# floats, more by numpy reductions. Forcing the numpy path on a tiny array must change
+# no decision, no returned bit, no message and no warning.
+
+FEW = L._FEW
+
+
+@contextlib.contextmanager
+def numpy_path():
+    """Every array takes the numpy reductions, as arrays above _FEW entries do."""
+    saved = L._FEW, S._FEW
+    L._FEW = S._FEW = -1
+    try:
+        yield
+    finally:
+        L._FEW, S._FEW = saved
+
+
+def _decided(check, p, action):
+    """check(p)'s decision: whether it returned p itself, and the (type, dtype, shape,
+    bytes) or repr of what it returned, or the (type, message) of what it raised, with the
+    (category, message) of every warning; under action "error" a warning is what it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        try:
+            h = check(p)
+        except Exception as exc:
+            outcome = type(exc), str(exc)
+        else:
+            a = np.asarray(h)
+            outcome = h is p, type(h), repr(h) if a.ndim == 0 else (a.dtype, a.shape, a.tobytes())
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def _both_paths(check, p, action="error"):
+    """check's decision on p by the path p's size takes, and by the numpy path."""
+    before = p.tobytes()
+    few = _decided(check, p, action)
+    with numpy_path():
+        reductions = _decided(check, p, action)
+    assert p.tobytes() == before
+    return few, reductions
+
+
+# the edges of every window: -0.0, 0 and 1 (each +- 1 ulp, so the least subnormal too),
+# -1e-12 +- 1 ulp, NaN, the infinities and 1e308
+FEW_EDGES = [-0.0, *_around(0.0, 1.0, -1e-12, ulps=1), np.nan, np.inf, -np.inf, 1e308]
+FEW_SIZES = st.one_of(st.integers(1, 2 * FEW), st.sampled_from([FEW, FEW + 1]))
+few_entry = st.one_of(st.sampled_from(FEW_EDGES), st.floats(0.0, 1.0))
+
+
+@st.composite
+def few_arrays(draw):
+    """1 to 2 _FEW entries (_FEW and _FEW + 1 among them) from the edges and [0, 1], as
+    (n,) or as rows (n / k, k) of up to 8 entries; rows that sum to 1 now and then."""
+    n = draw(FEW_SIZES)
+    k = draw(st.sampled_from([n] + [d for d in range(1, 9) if n % d == 0]))
+    p = draw(arrays(np.float64, (n,) if k == n else (n // k, k), elements=few_entry))
+    if draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            p = p / p.sum(axis=-1, keepdims=True)
+    return p
+
+
+few_or_edge_rows = st.one_of(few_arrays(), near_sum_rows(), straddling_rows())
+# correlations: the pool of the range tests, the tetrahedron's corners to the ulp and
+# just past its 1e-12 window, and the cube where every state is inside
+CORR_EDGES = FEW_EDGES + _around(-1.0, ulps=1) + [1 + 2e-12, 1 + 8e-12, -1e308, 0.5]
+corr_entry = st.one_of(st.sampled_from(CORR_EDGES), st.floats(-1 / 3, 1 / 3))
+FEW_STATES = st.one_of(st.integers(1, 2 * FEW // 3 + 1), st.sampled_from([FEW // 3, FEW // 3 + 1]))
+few_states = FEW_STATES.flatmap(lambda n: arrays(np.float64, (n, 3), elements=corr_entry))
+# a row of 8 that sums to within 1e-9 of 1 left to right but not in numpy's pairwise
+# order, which rows of 8 or more take: the row test leaves such rows to numpy
+ROW_OF_8 = [0.008280708921949353, 0.22640868981438092, 0.1616963541518551, 0.09907475405981929,
+            0.23689980665261973, 0.0911011942169698, 0.13626287560076544, 0.04027561558164039]
+BELL_CORNERS = np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+class TestTinyPathMatchesNumpyPath:
+    """Up to _FEW entries the fast tests read Python floats; above, numpy reductions.
+    On arrays of 1 to 2 _FEW entries drawn from the windows' edges, in every layout,
+    both paths give the same decision, the same bits and the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(few_or_edge_rows, st.sampled_from(LAYOUTS))
+    @example(np.full(FEW, 0.5), "C")
+    @example(np.append(np.full(FEW, 0.5), np.nan), "C")
+    @example(np.array([[0.25] * 4] * (FEW // 4)), "rows")
+    @example(np.array([[0.125] * 8] * 2), "strided")
+    @example(np.array(np.nan), "C")
+    def test_range_tests(self, p, layout):
+        p = laid_out(p, layout)
+        for lo, hi in ((0.0, 1.0), (-1e-12, 1 + 1e-12), (-1e-12, L.FLOAT_MAX), (0.0, L.FLOAT_MAX)):
+            few, reductions = _both_paths(lambda x: L._first_outside(x, lo, hi), p)
+            assert few == reductions
+            inside, by_reductions = _both_paths(lambda x: bool(L._within(x, lo, hi)), p)
+            assert inside == by_reductions
+            assert inside[0][2] == repr(few[0][1] is type(None))  # None iff within
+        few, reductions = _both_paths(lambda x: bool(L._in_unit(x)), p)
+        assert few == reductions
+
+    @settings(max_examples=300, deadline=None)
+    @given(few_or_edge_rows, st.sampled_from(LAYOUTS), st.booleans())
+    @example(np.array([1.0 + 1e-9, -1e-12]), "C", True)
+    @example(np.array([[0.5, 0.5 + 2e-9], [1.0, -0.0]]), "rows", False)
+    @example(np.full((FEW // 4, 4), 0.25), "rows", True)
+    @example(np.full((FEW // 4 + 1, 4), 0.25), "rows", False)
+    @example(np.array([ROW_OF_8]), "C", False)
+    @example(np.array(1.0), "C", False)
+    @example(np.array(0.5), "C", True)
+    def test_kernel_checks(self, p, layout, into):
+        p = laid_out(p, layout)
+        for check in (L._check_binary, L._check_distribution):
+            few, reductions = _both_paths(
+                lambda x: check(x, out=x.copy() if into else None), p)
+            assert few == reductions
+        if L._in_unit(p):  # the row test's own decision, as the fast test reaches it
+            few, reductions = _both_paths(lambda x: bool(L._sums_near_one(x)), p)
+            assert few == reductions
+
+    @settings(max_examples=300, deadline=None)
+    @given(few_states, st.sampled_from(LAYOUTS), st.sampled_from(["error", "always"]))
+    @example(BELL_CORNERS, "C", "error")
+    @example(np.full((FEW // 3, 3), 0.1), "F", "error")
+    @example(np.array([[-1, 1, 1 + 2e-12], [-1, 1, 1 + 8e-12]]), "C", "error")
+    @example(np.array([[0.1, 0.2, 0.3], [1e308, 1e308, 1e308]]), "rows", "always")
+    def test_check_bd(self, c, layout, action):
+        c = laid_out(c, layout)
+        for state in (c, c[0]):
+            few, reductions = _both_paths(S.check_bd, state, action)
+            assert few == reductions
+        # the Python-float test passes exactly the states is_valid passes, unless a
+        # weight is not finite: those go to the array path, which warns as it did
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(S._four_weights(c)).all()
+            inside = bool(np.all(S.is_valid(c)))
+        assert S._few_inside(c) == (inside and finite)
+
+    # what check_bd raised before it had a Python-float path: numpy's overflow warnings
+    # where a weight of finite correlations overflows, the first as an error when warnings
+    # are; the one-state weights warn on numpy scalars, the naming of the state on arrays
+    @pytest.mark.parametrize("c, warned", [
+        ((1e308, 1e308, 1e308), ["scalar add", "scalar subtract", "add", "subtract"]),
+        ((-1e308, -1e308, -1e308), ["scalar add", "scalar subtract", "add", "subtract"]),
+        ([(1e308, 1e308, 1e308)], ["add", "subtract", "add", "subtract"]),
+        ([(0.1, 0.2, 0.3), (1e308, -1e308, 1e308)], ["subtract", "add", "subtract", "add"]),
+    ], ids=repr)
+    def test_check_bd_overflow_warns_as_before(self, c, warned):
+        warned = [f"overflow encountered in {op}" for op in warned]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning) as info:
+                S.check_bd(c)
+        assert str(info.value) == warned[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(L.DomainError) as info:
+                S.check_bd(c)
+        bad = tuple(np.reshape(c, (-1, 3))[-1].tolist())
+        assert str(info.value) == f"state {bad} lies outside the Bell-diagonal tetrahedron"
+        assert [str(w.message) for w in caught] == warned
+
+    @pytest.mark.parametrize("c", [(1e308, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0)], ids=repr)
+    def test_check_bd_names_a_huge_or_non_finite_state_without_a_warning(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(L.DomainError) as info:
+                S.check_bd(c)
+        state = tuple(float(x) for x in c)
+        assert str(info.value) == f"state {state} lies outside the Bell-diagonal tetrahedron"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_sum_rows(), few_arrays()), st.sampled_from(LAYOUTS))
+    def test_row_fold_is_numpys_sum_below_8(self, p, layout):
+        # the fold decides as numpy's add.reduce does because it gives the same bits
+        p = laid_out(np.abs(p), layout)
+        assume(p.shape[-1] < 8 and np.isfinite(p).all())
+        folds = []
+        for row in p.reshape(-1, p.shape[-1]).tolist():
+            total = 0.0
+            for v in row:
+                total += v
+            folds.append(total)
+        with np.errstate(over="ignore"):
+            assert np.array(folds).tobytes() == np.add.reduce(p, -1).ravel().tobytes()
 
 
 class TestHermitianEigenvalues:

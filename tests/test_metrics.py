@@ -552,7 +552,18 @@ def test_one_state_entry_points_reject_a_batch(entry, c):
 def test_minimal_missing_info_ad_takes_one_strength(x, fig_state):
     with pytest.raises(DomainError) as info:
         M.minimal_missing_info_ad(fig_state, x)
-    assert str(info.value) == f"gamma_t must be a scalar, got shape {np.shape(x)}"
+    assert str(info.value) == f"ad strength must be a scalar, got shape {np.shape(x)}"
+
+
+@pytest.mark.parametrize("x", ["1", b"1", 1 + 0j, None], ids=repr)
+def test_minimal_missing_info_ad_names_its_strength_as_the_channel_does(x, fig_state):
+    # one name for the amplitude-damping strength, whichever check refuses it
+    with pytest.raises(DomainError) as info:
+        M.minimal_missing_info_ad(fig_state, x)
+    assert str(info.value) == f"ad strength must be real numbers, got {x!r}"
+    with pytest.raises(DomainError) as info:
+        ChannelSpec("ad").check(x)
+    assert str(info.value) == f"ad strength must be real numbers, got {x!r}"
 
 
 @pytest.mark.parametrize("x", NOT_SCALARS, ids=lambda x: f"shape{np.shape(x)}")

@@ -348,18 +348,23 @@ def test_metrics_takes_the_sweep_entropies_in_one_pass():
 
 def test_each_kernel_check_is_written_once():
     # the fast tests, ordered checks and p log2 p live in linalg; each kernel and the
-    # X core's pass call them, so the messages and clamps cannot drift apart
+    # X core's pass call them, so the messages and clamps cannot drift apart. One range
+    # test, with its Python-float path for tiny arrays, serves the unit test and the
+    # ordered checks' search, and one row test the Shannon sums
     sites = sorted(
         f"{path.stem}.{scope}: {node.func.id}"
         for path in sorted(SRC.glob("*.py"))
         for scope, node in scoped_nodes(parse(path))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id in ("_in_unit", *PASS_STEPS)
+        and node.func.id in ("_within", "_in_unit", "_sums_near_one", *PASS_STEPS)
     )
     assert sites == [
         "linalg._check_binary: _in_unit",
         "linalg._check_distribution: _in_unit",
+        "linalg._check_distribution: _sums_near_one",
+        "linalg._first_outside: _within",
+        "linalg._in_unit: _within",
         "linalg.binary_entropy: _check_binary",
         "linalg.binary_entropy: _plogp",
         "linalg.binary_entropy: _plogp",
@@ -370,6 +375,33 @@ def test_each_kernel_check_is_written_once():
         "metrics._xstate_pass: _plogp",
         "metrics.xstate_concurrence: _check_distribution",
     ], sites
+
+
+def _sum_terms(node) -> list[str]:
+    """The terms of a chain of + and -, as source text."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _sum_terms(node.left) + _sum_terms(node.right)
+    return [ast.unparse(node)]
+
+
+def test_the_bell_weights_are_written_once():
+    # 1 +- c1 +- c2 +- c3 belongs to states._weights; check_bd's Python-float fast test
+    # and the array path (check_bd's naming of a bad state, is_valid, bell_eigenvalues)
+    # call it, so the two paths cannot drift apart
+    tree = parse(SRC / "states.py")
+    written = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(parse(path))
+        if isinstance(node, ast.BinOp) and sorted(_sum_terms(node)) == ["1", "c1", "c2", "c3"]
+    ]
+    assert written == ["states._weights"] * 4, written
+    calls = sorted(
+        scope
+        for scope, node in scoped_nodes(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_weights"
+    )
+    assert calls == ["_few_inside", "_four_weights"], calls
 
 
 def test_runtime_never_imports_the_oracles():

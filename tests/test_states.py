@@ -47,6 +47,9 @@ class TestBellEigenvalues:
         assert S.bell_eigenvalues(c.reshape(2, -1, 3)).tobytes() == written.tobytes()
         for n in (7, 1500, 1501, len(c) - 1):
             assert S.bell_eigenvalues(c[n]).tobytes() == written[n].tobytes()
+        # check_bd's fast test takes the same formula on Python floats, to the same bits
+        floats = np.array([S._weights(*state) for state in c.tolist()]) / 4
+        assert floats.tobytes() == written.tobytes()
 
 
 NAN_STATES = [S.BellDiagonalState(*c) for c in [(np.nan, 0, 0), (0, np.nan, 0), (0, 0, np.nan)]]
@@ -111,6 +114,25 @@ class TestBdToDensity:
         phi_minus = np.array([1, 0, 0, -1]) / np.sqrt(2)
         assert np.allclose(rho, np.outer(phi_minus, phi_minus), atol=1e-14)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+
+    # the oracle's own kind check refuses what the runtime's real-input rule refuses
+    @pytest.mark.parametrize(
+        "c",
+        [["0.1", "0.2", "0.3"], [b"0.1", b"0.2", b"0.3"], [0.1 + 0j, 0.2, 0.3], [None, 0.2, 0.3],
+         [[0.1], 0.2, 0.3]],
+        ids=["numeric_str", "numeric_bytes", "complex", "none", "ragged"],
+    )
+    def test_refuses_what_is_not_real(self, c):
+        with pytest.raises(DomainError) as info:
+            bd_to_density(c)
+        assert str(info.value) == f"correlations must be real numbers, got {c!r}"
+        with pytest.raises(DomainError, match="correlations must be real numbers"):
+            S.check_bd(c)
+
+    def test_takes_bools_integers_and_floats(self):
+        assert bd_to_density([0, False, np.float32(0.5)]).tobytes() == bd_to_density(
+            [0.0, 0.0, 0.5]
+        ).tobytes()
 
     def test_fig_state_entries(self, fig_state):
         rho = bd_to_density(fig_state)
