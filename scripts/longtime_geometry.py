@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Sample the tetrahedron and report how the long-time amplitude-damping
-verdict splits it, alongside an SPMC-surface sample for plotting."""
+verdict splits it, alongside the SPMC-surface sample of `eurnoise surface --pair 1,3
+--resolution 41` for plotting."""
 
 import argparse
 import pathlib
 
 import numpy as np
 
-from eurnoise.metrics import pauli_pair
-from eurnoise.scenarios import classify_longtime_ad, csv_body, sample_spmc_surface
+from eurnoise.cli import main as cli_main
+from eurnoise.scenarios import classify_longtime_ad, csv_body
 from eurnoise.states import random_bd_states
 
 
@@ -31,10 +32,11 @@ def run(n_samples: int, seed: int, out_dir: pathlib.Path) -> None:
     dest.write_bytes(b"\n".join(rows) + b"\n")
     print(f"wrote {dest}: {counts}")
 
-    surface = sample_spmc_surface(pauli_pair(1, 3), 41)
     dest = out_dir / "spmc_surface.csv"
-    dest.write_bytes(b"c1,c2,c3\n" + csv_body(surface.table))
-    print(f"wrote {dest}: {len(surface)} surface points")
+    code = cli_main(["surface", "--pair", "1,3", "--resolution", "41", "--out", str(dest)])
+    if code != 0:
+        raise SystemExit(code)
+    print(f"wrote {dest}")
 
 
 if __name__ == "__main__":

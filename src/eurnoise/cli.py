@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: sweep, fig2, fig3, smfig-b, classify, surface, check-unital.
+Subcommands: sweep, classify, surface, check-unital, and the presets fig2, fig3 and
+smfig-b. A preset is a fixed sweep: fig3 is `sweep --state bd:-0.5,0.4,0.8 --channel ad
+--pair 1,3 --t-max 10 --points 201`; fig2 takes --channel pd, smfig-b --state bd:-1,1,1.
 Exit codes: 0 success, 1 domain/parse error or a request too large for memory,
 2 property violation. Every error is reported as one line.
 """
@@ -12,7 +14,7 @@ import sys
 
 from eurnoise.linalg import DomainError
 from eurnoise.states import BellDiagonalState, parse_state_literal
-from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, parse_channel_literal
+from eurnoise.channels import CHANNEL_LITERALS, parse_channel_literal
 from eurnoise.metrics import ObservablePair, pauli_pair
 from eurnoise.scenarios import (
     ALL_COLUMNS,
@@ -26,9 +28,6 @@ from eurnoise.scenarios import (
     run_time_sweep,
     sample_spmc_surface,
 )
-
-SMFIG_B_STATE = BellDiagonalState(-1.0, 1.0, 1.0)
-
 
 def _parse_pair(text: str) -> ObservablePair:
     parts = text.split(",")
@@ -71,15 +70,9 @@ def _cmd_sweep(args) -> int:
 PRESETS = {  # name: (initial state, channel kind, help)
     "fig2": (FIG_STATE, "pd", "phase-damping preset for the (-0.5,0.4,0.8) state"),
     "fig3": (FIG_STATE, "ad", "amplitude-damping preset for the (-0.5,0.4,0.8) state"),
-    "smfig-b": (SMFIG_B_STATE, "ad", "amplitude-damping preset for the (-1,1,1) Bell vertex"),
+    "smfig-b": (BellDiagonalState(-1.0, 1.0, 1.0), "ad",
+                "amplitude-damping preset for the (-1,1,1) Bell vertex"),
 }
-
-
-def _cmd_preset(args) -> int:
-    state, kind, _ = PRESETS[args.command]
-    cfg = SweepConfig(state, ChannelSpec(kind), pauli_pair(1, 3), 0.0, 10.0, 201)
-    _write_output(emit_csv(run_time_sweep(cfg)), args.out)
-    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -109,11 +102,9 @@ def _cmd_check_unital(args) -> int:
         )
     else:
         print("amplitude-damping counterexample: none found")
-    if report.n_violations > 0:
-        for v in report.violations[:10]:
-            print(f"VIOLATION: {v}")
-        return 2
-    return 0
+    for v in report.violations[:10]:
+        print(f"VIOLATION: {v}")
+    return 2 if report.n_violations else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,10 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    for name, (_, _, help_text) in PRESETS.items():
+    for name, (state, kind, help_text) in PRESETS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=_cmd_preset)
+        literal = "bd:" + ",".join(map(repr, state))  # repr of a float round-trips exactly
+        p.set_defaults(func=_cmd_sweep, state=literal, channel=kind, pair="1,3", t_start=0.0,
+                       t_max=10.0, points=201, spacing="linear", columns=",".join(ALL_COLUMNS))
 
     p = sub.add_parser("classify", help="long-time amplitude-damping verdict")
     p.add_argument("--state", required=True, help="bd:c1,c2,c3")

@@ -75,7 +75,13 @@ _EIGENVALUE_CLAMP = 1e-9
 
 def _check_density(rho) -> np.ndarray:
     """rho as a complex (..., 4, 4) array of density matrices, or DomainError naming the fault."""
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        a = np.asarray(rho)  # no dtype: text, bytes and None keep their kind
+    except ValueError as exc:  # a ragged list
+        raise DomainError(f"density must be real or complex numbers, got {rho!r}") from exc
+    if a.dtype.kind not in "biufc":
+        raise DomainError(f"density must be real or complex numbers, got {rho!r}")
+    rho = a.astype(complex, copy=False)
     if rho.shape[-2:] != (4, 4):
         raise DomainError(f"density must have shape (..., 4, 4), got shape {rho.shape}")
     if not np.isfinite(rho).all():

@@ -52,7 +52,7 @@ class ChannelError(RuntimeError):
 
 
 def _as_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = _entries(m, "matrix", complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise DomainError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
@@ -89,8 +89,7 @@ def von_neumann_entropy(rho) -> float:
 
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the A factor on the most-significant qubit."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _entries(a, "matrix", complex), _entries(b, "matrix", complex)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise DomainError(f"tensor_product expects two 2x2 matrices, got {a.shape}, {b.shape}")
     return np.kron(a, b)
@@ -109,23 +108,28 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise DomainError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _real_entries(x, name: str) -> np.ndarray:
-    """x as a float array if numpy reads its entries as bools, integers or real floats,
-    else DomainError: numeric text, bytes, complex numbers and None are refused."""
+_KINDS = {float: ("biuf", "real numbers"), complex: ("biufc", "real or complex numbers")}
+
+
+def _entries(x, name: str, dtype=float) -> np.ndarray:
+    """x as a float (or complex) array if numpy reads its entries as bools, integers, real
+    floats (or complex numbers), else DomainError: numeric text, bytes, None and a ragged
+    list are refused, and so is a complex entry where dtype is float."""
+    kinds, what = _KINDS[dtype]
     try:
         a = np.asarray(x)  # no dtype: text, complex and None keep their kind
     except ValueError as exc:  # a ragged list
-        raise DomainError(f"{name} must be real numbers, got {x!r}") from exc
-    if a.dtype.kind not in "biuf":
-        raise DomainError(f"{name} must be real numbers, got {x!r}")
-    return a.astype(float)
+        raise DomainError(f"{name} must be {what}, got {x!r}") from exc
+    if a.dtype.kind not in kinds:
+        raise DomainError(f"{name} must be {what}, got {x!r}")
+    return a.astype(dtype)
 
 
 def bd_to_density(c) -> np.ndarray:
     """4x4 density (1/4)(I + sum_j c_j sigma_j x sigma_j) of real correlations c,
     unchecked otherwise: a state outside the tetrahedron gives a negative eigenvalue."""
     rho = np.eye(4, dtype=complex)
-    for j, c_j in zip((1, 2, 3), _real_entries(c, "correlations"), strict=True):
+    for j, c_j in zip((1, 2, 3), _entries(c, "correlations"), strict=True):
         rho += c_j * tensor_product(PAULI[j], PAULI[j])
     return rho / 4
 
@@ -190,7 +194,7 @@ def is_unital(ch: KrausChannel) -> bool:
 
 def apply_local_A(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel to qubit A only: sum (k x I) rho (k x I)^dag."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _entries(rho, "density", complex)
     out = np.zeros_like(rho)
     for k in ch.operators:
         big = tensor_product(k, IDENTITY_2)
@@ -217,7 +221,7 @@ def post_measurement_state(rho: np.ndarray, axis: int) -> np.ndarray:
     """Pinching of qubit A in the eigenbasis of Pauli axis:
     sum_a (|psi_a><psi_a| x I) rho (|psi_a><psi_a| x I). Neither the order
     nor the phase of the eigenvectors changes the sum."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _entries(rho, "density", complex)
     out = np.zeros_like(rho)
     for v in eigenbasis(axis).T:
         proj = tensor_product(np.outer(v, v.conj()), IDENTITY_2)
@@ -245,7 +249,7 @@ def lower_bound_Ub(rho: np.ndarray, pair: ObservablePair) -> float:
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence from the spectrum of rho (sigma_y x sigma_y) rho*
     (sigma_y x sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _entries(rho, "density", complex)
     yy = tensor_product(PAULI[2], PAULI[2])
     r = rho @ yy @ rho.conj() @ yy
     # eigenvalues of the (non-Hermitian but similar-to-PSD) product

@@ -87,6 +87,33 @@ def test_preset_bytes_unchanged(preset, tmp_path):
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == PRESET_SHA256[preset]
 
 
+# each preset's sweep arguments besides --pair 1,3 --t-max 10 --points 201, written out
+PRESET_SWEEPS = {
+    "fig2": ["--state", "bd:-0.5,0.4,0.8", "--channel", "pd"],
+    "fig3": ["--state", "bd:-0.5,0.4,0.8", "--channel", "ad"],
+    "smfig-b": ["--state", "bd:-1,1,1", "--channel", "ad"],
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_SWEEPS)
+def test_preset_is_a_fixed_sweep(preset, tmp_path):
+    argv = ["sweep", *PRESET_SWEEPS[preset], "--pair", "1,3", "--t-max", "10", "--points", "201"]
+    assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main([preset, "--out", str(tmp_path / "preset.csv")]) == 0
+    assert (tmp_path / "preset.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset", PRESET_SWEEPS)
+def test_preset_takes_only_out(preset, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([preset, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: eurnoise {preset} [-h] [--out OUT]\n\n")
+    with pytest.raises(SystemExit):
+        main([preset, "--points", "5"])
+    assert "unrecognized arguments: --points 5" in capsys.readouterr().err
+
+
 def test_classify(capsys):
     assert main(["classify", "--state", "bd:-0.5,0.4,0.8"]) == 0
     assert capsys.readouterr().out.startswith("Decrease")

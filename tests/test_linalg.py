@@ -739,3 +739,51 @@ class TestTensorAndPartialTrace:
         joint = np.kron(rho_a, rho_b)
         s_sum = L.shannon_entropy([0.7, 0.3]) + L.shannon_entropy([0.9, 0.1])
         assert O.von_neumann_entropy(joint) == pytest.approx(s_sum, abs=1e-9)
+
+
+def _bad_entries(kind, n):
+    """An n x n input numpy would read as text, bytes, None or not at all."""
+    if kind == "numeric_str":
+        return [["1" if i == j == 0 else "0" for j in range(n)] for i in range(n)]
+    if kind == "numeric_bytes":
+        return [[b"1" if i == j == 0 else b"0" for j in range(n)] for i in range(n)]
+    if kind == "none":
+        return None
+    return [[1.0] + [0.0] * (n - 1)] + [[0.0] * n] * (n - 2) + [[0.0] * (n - 1)]  # ragged
+
+
+class TestOracleMatrixKinds:
+    """The oracles' matrix routes share bd_to_density's kind check: each refuses what
+    the runtime refuses before it converts, instead of reading numeric text as numbers."""
+
+    # route: (size of its matrix, the name in its message, the call)
+    ROUTES = {
+        "_as_matrix": (4, "matrix", O._as_matrix),
+        "is_hermitian": (4, "matrix", O.is_hermitian),
+        "hermitian_eigenvalues": (2, "matrix", O.hermitian_eigenvalues),
+        "von_neumann_entropy": (4, "matrix", O.von_neumann_entropy),
+        "partial_trace": (4, "matrix", lambda m: O.partial_trace(m, "B")),
+        "conditional_entropy": (4, "matrix", O.conditional_entropy),
+        "tensor_product_a": (2, "matrix", lambda m: O.tensor_product(m, np.eye(2))),
+        "tensor_product_b": (2, "matrix", lambda m: O.tensor_product(np.eye(2), m)),
+        "apply_local_A": (4, "density", lambda m: O.apply_local_A(O.make_phase_damping(0.5), m)),
+        "post_measurement_state": (4, "density", lambda m: O.post_measurement_state(m, 3)),
+        "concurrence": (4, "density", O.concurrence),
+    }
+
+    @pytest.mark.parametrize("kind", ["numeric_str", "numeric_bytes", "none", "ragged"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_refuses_what_is_not_a_number(self, route, kind):
+        n, name, call = self.ROUTES[route]
+        m = _bad_entries(kind, n)
+        with pytest.raises(L.DomainError) as info:
+            call(m)
+        assert str(info.value) == f"{name} must be real or complex numbers, got {m!r}"
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_takes_bools_integers_floats_and_complex(self, route):
+        n, _, call = self.ROUTES[route]
+        pure = np.diag([True] + [False] * (n - 1))  # |0...0><0...0|
+        want = np.asarray(call(pure.astype(complex)))
+        for m in (pure, pure.astype(int), pure.astype(float), pure.tolist()):
+            assert np.asarray(call(m)).tobytes() == want.tobytes()

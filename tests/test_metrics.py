@@ -473,6 +473,29 @@ class TestBruteForceBlochForm:
         with pytest.raises(DomainError, match=message):
             M.minimal_missing_info_bruteforce(rho, COARSE)
 
+    # the kind check comes before any conversion: text is not read as numbers
+    @pytest.mark.parametrize(
+        "rho",
+        [[["0.25" if i == j else "0" for j in range(4)] for i in range(4)],
+         [[b"0.25" if i == j else b"0" for j in range(4)] for i in range(4)],
+         None,
+         [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.25]]],
+        ids=["numeric_str", "numeric_bytes", "none", "ragged"],
+    )
+    def test_refuses_what_is_not_a_number(self, rho):
+        with pytest.raises(DomainError) as info:
+            M.minimal_missing_info_bruteforce(rho, COARSE)
+        assert str(info.value) == f"density must be real or complex numbers, got {rho!r}"
+
+    def test_takes_bools_integers_floats_and_complex(self):
+        pure = np.diag([True, False, False, False])  # |00><00|
+        results = [
+            M.minimal_missing_info_bruteforce(rho, COARSE)
+            for rho in (pure, pure.astype(int), pure.astype(float), pure.astype(complex),
+                        pure.tolist())
+        ]
+        assert results[1:] == results[:-1]
+
     def test_accepts_a_density_within_the_windows(self):
         rho = np.diag([0.5 + 5e-10, 0.5 + 4e-10, -5e-10, 0.0]).astype(complex)
         rho[0, 1] += 5e-13

@@ -81,6 +81,11 @@ CHANNEL_MAP_SITES = {"channels.evolve", "scenarios.run_time_sweep", "scenarios.<
 FLOAT_CONVERSION_SITES = ["linalg.as_real"]
 SCALAR_RULE_SITES = ["linalg._as_scalar"]
 FLOAT_NAMES = {"float", "float64", "double", "float_", "f8", "<f8", "d"}
+# a caller's density becomes complex in metrics._check_density only, after its kind check;
+# states.x_state_density converts the diagonal it has just computed from r and t, where
+# the arithmetic already raised on text or None
+COMPLEX_CONVERSION_SITES = ["metrics._check_density", "states.x_state_density"]
+COMPLEX_NAMES = {"complex", "complex128", "cdouble", "complex_", "c16", "<c16", "D"}
 # the steps of a checked entropy, in linalg: each kernel's checks and p log2 p
 PASS_STEPS = ("_check_binary", "_check_distribution", "_plogp")
 # np.errstate hides a floating-point warning: only the ordered sum of
@@ -291,31 +296,52 @@ def test_entropy_kernels_are_named_only_in_metrics_linalg_and_oracles():
     assert users <= ENTROPY_CALLERS, f"entropy kernels named outside {ENTROPY_CALLERS}: {users}"
 
 
-def is_float_dtype(node):
-    """Whether node spells the float64 dtype: float, np.float64, "f8" and the like."""
+def dtype_spelled(node):
+    """The dtype name node spells: "float" for float, "float64" for np.float64, "f8"."""
     name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
-    return isinstance(name, str) and name in FLOAT_NAMES
+    return name if isinstance(name, str) else None
+
+
+def conversion_to(node, names) -> bool:
+    """Whether node is a dtype= keyword or an astype call naming a dtype in names."""
+    if isinstance(node, ast.keyword) and node.arg == "dtype":
+        return dtype_spelled(node.value) in names
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype"
+            and any(dtype_spelled(a) in names for a in node.args))
 
 
 def test_the_real_input_rule_is_written_once():
     # a dtype=float or astype(float) conversion reads numeric text as numbers and drops
-    # imaginary parts; linalg.as_real is the one place input becomes float, and its scalar
-    # form the one place that asks for one number
+    # imaginary parts, and a complex one reads numeric text too; linalg.as_real is the one
+    # place input becomes float, metrics._check_density the one place a density becomes
+    # complex, and as_real's scalar form the one place that asks for one number
     runtime = sorted(p for p in SRC.glob("*.py") if p.name != "oracles.py")
-    conversions, scalar_checks = [], []
+    conversions, complex_conversions, scalar_checks = [], [], []
     for path in runtime:
         for scope, node in scoped_nodes(parse(path)):
-            dtype_kw = isinstance(node, ast.keyword) and node.arg == "dtype"
-            if dtype_kw and is_float_dtype(node.value) or (
-                isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype"
-                and any(is_float_dtype(a) for a in node.args)
-            ):
+            if conversion_to(node, FLOAT_NAMES):
                 conversions.append(f"{path.stem}.{scope}")
+            elif conversion_to(node, COMPLEX_NAMES):
+                complex_conversions.append(f"{path.stem}.{scope}")
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and "must be a scalar" in node.value):
                 scalar_checks.append(f"{path.stem}.{scope}")
     assert conversions == FLOAT_CONVERSION_SITES, f"float conversions at {conversions}"
+    assert complex_conversions == COMPLEX_CONVERSION_SITES, complex_conversions
     assert scalar_checks == SCALAR_RULE_SITES, f"scalar checks written out at {scalar_checks}"
+
+
+def test_the_cli_builds_a_sweep_at_one_site():
+    # a preset is a sweep whose arguments are parser defaults, so _cmd_sweep alone
+    # builds a SweepConfig, runs it and writes its CSV
+    sites = sorted(
+        f"{scope}: {node.id}"
+        for scope, node in scoped_nodes(parse(SRC / "cli.py"))
+        if isinstance(node, ast.Name) and node.id in ("SweepConfig", "run_time_sweep", "emit_csv")
+    )
+    assert sites == [
+        "_cmd_sweep: SweepConfig", "_cmd_sweep: emit_csv", "_cmd_sweep: run_time_sweep"
+    ], sites
 
 
 def test_metrics_takes_the_sweep_entropies_in_one_pass():
