@@ -18,15 +18,11 @@ def run(n_samples: int, seed: int, out_dir: pathlib.Path) -> None:
     rng = np.random.default_rng(seed)
     states = random_bd_states(n_samples, rng)
     res = classify_longtime_ad(states)  # one call for every state, numpy columns out
-    # the verdict column goes between the two numeric blocks, row by row. Every
-    # verdict is 8 ASCII characters, one uint32 code point each in the '<U8' column:
-    # cast to bytes and each ended by a newline, they split into rows like the blocks
     states_rows = csv_body(states).splitlines()
     u_b_rows = csv_body(np.column_stack([res.u_b_initial, res.u_b_limit])).splitlines()
-    verdicts = np.full((len(states), 9), ord("\n"), np.uint8)
-    verdicts[:, :8] = res.verdict.view(np.uint32).reshape(-1, 8)
     rows = [b"c1,c2,c3,verdict,u_b_initial,u_b_limit"]
-    rows += map(b",".join, zip(states_rows, verdicts.tobytes().splitlines(), u_b_rows))
+    # every verdict is 8 ASCII characters; it goes between the two numeric blocks
+    rows += map(b",".join, zip(states_rows, res.verdict.astype("S8"), u_b_rows))
     counts = {v: int(np.sum(res.verdict == v)) for v in ("Decrease", "Increase", "Boundary")}
     dest = out_dir / "longtime_verdicts.csv"
     dest.write_bytes(b"\n".join(rows) + b"\n")

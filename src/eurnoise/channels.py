@@ -42,11 +42,11 @@ class ChannelSpec:
     kind: str  # 'flip', 'pd', or 'ad'
     axis: int | None = None
 
-    def check(self, strength=0.0) -> np.ndarray:
+    def check(self, strength) -> np.ndarray:
         """The channel contract, decided here only: a known kind, an axis of
-        1, 2 or 3 exactly for flips, and every strength in range (eta in
-        [0, 1], Gamma*t finite and >= 0, never NaN). Returns the strengths as
-        a float array."""
+        1, 2 or 3 exactly for flips, and every strength the caller passes in range
+        (eta in [0, 1], Gamma*t finite and >= 0, never NaN). Returns the strengths
+        as a float array."""
         if self.kind not in ("flip", "pd", "ad"):
             raise DomainError(f"unknown channel kind {self.kind!r}; expected flip, pd or ad")
         if self.kind == "flip" and not is_axis(self.axis):

@@ -77,10 +77,8 @@ PRESETS = {  # name: (initial state, channel kind, help)
 
 def _cmd_classify(args) -> int:
     result = classify_longtime_ad(parse_state_literal(args.state))
-    print(
-        f"{result.verdict} u_b_initial={result.u_b_initial:.12f} "
-        f"u_b_limit={result.u_b_limit:.12f}"
-    )
+    print(f"{result.verdict} u_b_initial={result.u_b_initial:.12f} "
+          f"u_b_limit={result.u_b_limit:.12f}")
     return 0
 
 
@@ -113,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entropic uncertainty with quantum memory under local noise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every = ",".join(ALL_COLUMNS)
 
     p = sub.add_parser("sweep", help="metric time sweep emitting CSV")
     p.add_argument("--state", required=True, help="bd:c1,c2,c3")
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.add_argument("--columns", default=",".join(ALL_COLUMNS), help="comma subset of U,Ub,D,E,M")
+    p.add_argument("--columns", default=every, help="comma subset of " + every)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         literal = "bd:" + ",".join(map(repr, state))  # repr of a float round-trips exactly
         p.set_defaults(func=_cmd_sweep, state=literal, channel=kind, pair="1,3", t_start=0.0,
-                       t_max=10.0, points=201, spacing="linear", columns=",".join(ALL_COLUMNS))
+                       t_max=10.0, points=201, spacing="linear", columns=every)
 
     p = sub.add_parser("classify", help="long-time amplitude-damping verdict")
     p.add_argument("--state", required=True, help="bd:c1,c2,c3")

@@ -68,13 +68,13 @@ def _first_outside(x: np.ndarray, lo: float, hi: float):
     return x[~((x >= lo) & (x <= hi))].flat[0]
 
 
-def as_real(x, name: str, copy=None) -> np.ndarray:
-    """The rule for real input: x as a float array (a copy for copy=True), or DomainError
+def as_real(x, name: str) -> np.ndarray:
+    """The rule for real input: x as a float array (a float64 array as it is), or DomainError
     for anything but bools, integers and real floats at any nesting: a str or bytes, even
     a numeric one, a complex entry, None, a ragged list. Numbers numpy keeps as objects
     (a Fraction, an int past 64 bits) pass if every one is a ``numbers.Real``."""
     try:
-        a = np.array(x, copy=copy)  # no dtype: text and complex input keep their kind
+        a = np.asarray(x)  # no dtype: text and complex input keep their kind
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be real numbers, got {x!r}") from exc
     if a.dtype is _FLOAT:  # the common case, settled by one identity test

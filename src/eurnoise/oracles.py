@@ -60,6 +60,13 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
+def _four_by_four(m: np.ndarray) -> np.ndarray:
+    """The two-qubit routes' shape rule: m if it is 4x4, else DomainError naming its shape."""
+    if m.shape != (4, 4):
+        raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return m
+
+
 def is_hermitian(m) -> bool:
     m = _as_matrix(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL)
@@ -97,9 +104,7 @@ def tensor_product(a, b) -> np.ndarray:
 
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Reduced 2x2 density of qubit 'A' or 'B' from a 4x4 density."""
-    rho = _as_matrix(rho)
-    if rho.shape != (4, 4):
-        raise DomainError("partial_trace expects a 4x4 matrix")
+    rho = _four_by_four(_as_matrix(rho))
     t = rho.reshape(2, 2, 2, 2)  # (a, b, a', b')
     if keep == "A":
         return np.einsum("abcb->ac", t)
@@ -194,7 +199,7 @@ def is_unital(ch: KrausChannel) -> bool:
 
 def apply_local_A(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel to qubit A only: sum (k x I) rho (k x I)^dag."""
-    rho = _entries(rho, "density", complex)
+    rho = _four_by_four(_entries(rho, "density", complex))
     out = np.zeros_like(rho)
     for k in ch.operators:
         big = tensor_product(k, IDENTITY_2)
@@ -221,7 +226,7 @@ def post_measurement_state(rho: np.ndarray, axis: int) -> np.ndarray:
     """Pinching of qubit A in the eigenbasis of Pauli axis:
     sum_a (|psi_a><psi_a| x I) rho (|psi_a><psi_a| x I). Neither the order
     nor the phase of the eigenvectors changes the sum."""
-    rho = _entries(rho, "density", complex)
+    rho = _four_by_four(_entries(rho, "density", complex))
     out = np.zeros_like(rho)
     for v in eigenbasis(axis).T:
         proj = tensor_product(np.outer(v, v.conj()), IDENTITY_2)
@@ -249,7 +254,7 @@ def lower_bound_Ub(rho: np.ndarray, pair: ObservablePair) -> float:
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence from the spectrum of rho (sigma_y x sigma_y) rho*
     (sigma_y x sigma_y)."""
-    rho = _entries(rho, "density", complex)
+    rho = _four_by_four(_entries(rho, "density", complex))
     yy = tensor_product(PAULI[2], PAULI[2])
     r = rho @ yy @ rho.conj() @ yy
     # eigenvalues of the (non-Hermitian but similar-to-PSD) product

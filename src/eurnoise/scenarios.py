@@ -49,7 +49,7 @@ class SweepConfig:
     grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = check_one_bd(as_real(self.initial, "initial state", copy=True))  # caller's may change
+        c = check_one_bd(as_real(self.initial, "initial state")).copy()  # caller's may change
         check_pair(self.pair)
         t0, t1 = self.channel.check((self.t_start, self.t_end)).tolist()
         if not t0 < t1:
@@ -133,7 +133,7 @@ class ClassificationResult:  # numpy scalars for one state, (N,) arrays for N
 
 
 LONGTIME_GAMMA_T = 50.0
-BOUNDARY_BAND = 1e-9
+BOUNDARY_BAND = 1e-9  # the band on U_b of both verdicts: classify's and the unital check's
 # the map at Gamma*t = 0 (exactly the identity) and at the limit, computed once
 _AD = ChannelSpec("ad")
 _LONGTIME_R, _LONGTIME_F = _AD.factors(_AD.check((0.0, LONGTIME_GAMMA_T)))
@@ -176,10 +176,10 @@ class UnitalCheckReport:
     n_trials: int
     n_checks: int
     n_violations: int
-    violations: tuple = ()
-    counterexample_state: BellDiagonalState | None = None
-    counterexample_gamma_t: float | None = None
-    counterexample_ub_drop: tuple[float, float] | None = None
+    violations: tuple
+    counterexample_state: BellDiagonalState | None
+    counterexample_gamma_t: float | None
+    counterexample_ub_drop: tuple[float, float] | None
 
 
 FLIP_ETA_GRID = tuple(np.linspace(0.0, 0.5, 10))
@@ -200,11 +200,11 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     """Sampled check that unital channels never decrease the joint entropy
     or the uncertainty lower bound, plus a nonunital counterexample.
 
-    For each sampled Bell-diagonal state, every flip channel is applied at
-    10 eta values and phase damping at 10 Gamma*t values; S and U_b must
-    not drop by more than 1e-9; a violation is (state, spec, strength, U_b
-    before, U_b after). Amplitude damping at Gamma*t = 20 is then scanned for
-    a state whose U_b decreases. Every move of every state is one core call.
+    For each sampled Bell-diagonal state, every flip channel is applied at 10 eta values
+    and phase damping at 10 Gamma*t values; S and U_b must not drop by more than
+    BOUNDARY_BAND; a violation is (state, spec, strength, U_b before, U_b after).
+    Amplitude damping at Gamma*t = 20 is then scanned for a state whose U_b drops by
+    more than the band. Every move of every state is one core call.
     """
     check_count(n_trials, "n_trials", 1)
     check_count(seed, "seed", 0)
@@ -215,10 +215,10 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     ub0, ub1, ub_ad = ub[:, 0], ub[:-1, 1:-1], ub[:, -1]
     violations = [
         (BellDiagonalState(*c[n].tolist()), *_MOVES[k], float(ub0[n]), float(ub1[n, k]))
-        for n, k in zip(*np.nonzero(ub1 < ub0[:-1, None] - 1e-9))
+        for n, k in zip(*np.nonzero(ub1 < ub0[:-1, None] - BOUNDARY_BAND))
     ]
 
-    drops = np.flatnonzero(ub_ad < ub0 - 1e-9)
+    drops = np.flatnonzero(ub_ad < ub0 - BOUNDARY_BAND)
     counter = (None, None, None)  # state, Gamma*t, (U_b before, U_b after)
     if drops.size:
         n = drops[0]

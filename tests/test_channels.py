@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,7 +214,7 @@ class TestParseChannelLiteral:
 
     def test_every_literal_passes_the_contract(self):
         for text in C.CHANNEL_LITERALS:
-            C.parse_channel_literal(text).check()
+            C.parse_channel_literal(text).check(0.0)
 
 
 BAD_SPECS = [
@@ -229,6 +231,13 @@ BAD_SPECS = [
 
 class TestChannelContract:
     """ChannelSpec.check is the one place that decides kind, axis and strength."""
+
+    def test_the_caller_always_passes_the_strength(self):
+        params = inspect.signature(C.ChannelSpec.check).parameters
+        assert list(params) == ["self", "strength"]
+        assert all(p.default is p.empty for p in params.values())
+        with pytest.raises(TypeError):
+            C.ChannelSpec("ad").check()
 
     @pytest.mark.parametrize("spec", BAD_SPECS, ids=repr)
     def test_bad_spec_rejected_by_evolve_and_at(self, spec, fig_state):

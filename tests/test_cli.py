@@ -103,6 +103,14 @@ def test_preset_is_a_fixed_sweep(preset, tmp_path):
     assert (tmp_path / "preset.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
 
 
+def test_sweep_help_lists_every_column(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--help"])
+    assert info.value.code == 0
+    assert "  --columns COLUMNS     comma subset of U,Ub,D,E,M\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("preset", PRESET_SWEEPS)
 def test_preset_takes_only_out(preset, capsys):
     with pytest.raises(SystemExit) as info:

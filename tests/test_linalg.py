@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import warnings
 from fractions import Fraction
 
@@ -184,11 +185,15 @@ class TestNonRealInput:
             call()
         assert str(info.value) == f"{name} must be real numbers within the float range"
 
-    def test_an_array_is_returned_as_it_is_unless_a_copy_is_asked_for(self):
+    def test_an_array_is_returned_as_it_is(self):
         x = np.array([0.1, 0.2, 0.3])
         assert L.as_real(x, "x") is x
-        copy = L.as_real(x, "x", copy=True)
-        assert copy is not x and copy.tolist() == x.tolist()
+
+    def test_takes_the_input_and_its_name_only(self):
+        # no copy mode: a caller that keeps the array copies it
+        params = inspect.signature(L.as_real).parameters
+        assert list(params) == ["x", "name"]
+        assert all(p.default is p.empty for p in params.values())
 
 
 BINARY_BAD = [np.nan, np.inf, -np.inf, -0.5, 1.5, -1e-3, 1.25]
@@ -779,6 +784,20 @@ class TestOracleMatrixKinds:
         with pytest.raises(L.DomainError) as info:
             call(m)
         assert str(info.value) == f"{name} must be real or complex numbers, got {m!r}"
+
+    @pytest.mark.parametrize("route", ["apply_local_A", "post_measurement_state", "concurrence"])
+    def test_a_density_must_be_4x4(self, route):
+        # the shape rule of partial_trace, shared; numpy's matmul error before it
+        _, _, call = self.ROUTES[route]
+        for m in (np.eye(2) / 2, np.full(4, 0.25), np.eye(4)[..., None] / 4, 0.5):
+            with pytest.raises(L.DomainError) as info:
+                call(m)
+            assert str(info.value) == f"expected a 4x4 matrix, got shape {np.shape(m)}"
+
+    def test_partial_trace_names_the_shape_by_the_same_rule(self):
+        with pytest.raises(L.DomainError) as info:
+            O.partial_trace(np.eye(2) / 2, "B")
+        assert str(info.value) == "expected a 4x4 matrix, got shape (2, 2)"
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_takes_bools_integers_floats_and_complex(self, route):

@@ -64,6 +64,8 @@ class TestSweepConfig:
         assert type(cfg.initial) is np.ndarray and cfg.initial.shape == (3,)
         assert not cfg.initial.flags.writeable and not cfg.grid.flags.writeable
         if isinstance(initial, (list, np.ndarray)):
+            # as_real hands a float64 array back as it is: the config copies it after the check
+            assert not np.shares_memory(cfg.initial, initial)
             initial[:] = [0.9, 0.9, 0.9]  # outside the tetrahedron, after the check
         assert cfg.initial.tolist() == [-0.5, 0.4, 0.8]
         got = SC.run_time_sweep(cfg)
@@ -791,6 +793,32 @@ class TestUnitalPropertyCheck:
         assert pd_strengths == list(SC.PD_GAMMA_T_GRID) and pd_strengths[-1] == 10.0
         ub0, ub1 = report.violations[0][3:]
         assert ub1 == pytest.approx(ub0 - 1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "band, lowered, n_violations",
+        [(1e-9, 5e-10, 0), (1e-9, 3e-9, 80), (0.5, 0.25, 0), (0.5, 1.0, 80)],
+    )
+    def test_a_drop_counts_beyond_the_boundary_band(self, monkeypatch, band, lowered, n_violations):
+        # classify's band: a unital move or the amplitude-damping probe that lowers U_b
+        # within it is neither a violation nor a counterexample
+        core = SC.xstate_lower_bound_Ub
+
+        def lowering(r, t):
+            ub = core(r, t)
+            ub[..., 1:] = ub[..., :1] - lowered
+            return ub
+
+        monkeypatch.setattr(SC, "BOUNDARY_BAND", band)
+        monkeypatch.setattr(SC, "xstate_lower_bound_Ub", lowering)
+        report = SC.property_check_unital(2, seed=4)
+        assert report.n_violations == n_violations
+        assert (report.counterexample_state is None) is (n_violations == 0)
+
+    def test_the_report_has_no_defaults(self):
+        fields = dataclasses.fields(SC.UnitalCheckReport)
+        assert len(fields) == 7
+        assert all(f.default is dataclasses.MISSING for f in fields)
+        assert all(f.default_factory is dataclasses.MISSING for f in fields)
 
     @pytest.mark.parametrize("trials", [1, 2, 37, 200])
     def test_one_core_call(self, monkeypatch, trials):

@@ -4,11 +4,13 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "eurnoise"
 WORKLOADS = SRC.parents[1] / "bench" / "workloads.py"
+README = SRC.parents[1] / "README.md"
 MAX_LINE = 99
 ORACLES = "eurnoise.oracles"
 # the closed forms an oracle checks, besides every name containing "xstate_";
@@ -342,6 +344,62 @@ def test_the_cli_builds_a_sweep_at_one_site():
     assert sites == [
         "_cmd_sweep: SweepConfig", "_cmd_sweep: emit_csv", "_cmd_sweep: run_time_sweep"
     ], sites
+
+
+def test_the_boundary_band_is_written_once():
+    # both verdicts on U_b, classify's and the unital check's, read one band
+    tree = parse(SRC / "scenarios.py")
+    bands = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9
+    ]
+    assert [ast.unparse(node) for node in bands] == ["1e-09"]
+    lines = [line for line in (SRC / "scenarios.py").read_text().splitlines() if "1e-9" in line]
+    assert len(lines) == 1 and lines[0].startswith("BOUNDARY_BAND = 1e-9"), lines
+    users = set(enclosing_defs(tree, "BOUNDARY_BAND"))
+    assert users == {"<module>", "classify_longtime_ad", "property_check_unital"}, users
+
+
+def test_the_cli_spells_no_column_name():
+    # the column names live in scenarios.ALL_COLUMNS; the CLI's defaults and help join it.
+    # A column name alone, or two or more joined by commas, is a column list written out
+    # (check-unital's "Ub" label inside its report line is not)
+    columns = importlib.import_module("eurnoise.scenarios").ALL_COLUMNS
+    name = "(?:" + "|".join(columns) + ")"
+    column_list = re.compile(rf"^{name}$|(?<![\w,]){name}(?:,{name})+(?![\w,])")
+    spelled = [
+        node.value for node in ast.walk(parse(SRC / "cli.py"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and column_list.search(node.value)
+    ]
+    assert not spelled, f"column names spelled in cli.py: {spelled}"
+
+
+# a module-qualified name in the README: `cli.main`, `eurnoise.oracles.concurrence`,
+# `scenarios.Rows.table`; not a file name such as `scenarios.py`
+README_NAME = re.compile(
+    r"(?<![\w./])(?:eurnoise\.)?(linalg|states|channels|metrics|scenarios|cli|oracles)"
+    r"\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)"
+)
+
+
+def test_the_names_the_readme_qualifies_resolve():
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    names = {
+        match.groups()
+        for span in re.findall(r"`([^`]+)`", text)
+        for match in README_NAME.finditer(span)
+        if match.group(2) != "py"
+    }
+    assert ("scenarios", "FIG_STATE") in names  # the scan sees the names
+    missing, absent = [], object()
+    for module, path in sorted(names):
+        obj = importlib.import_module(f"eurnoise.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, absent)
+        if obj is absent:
+            missing.append(f"{module}.{path}")
+    assert not missing, f"README names that resolve nowhere: {missing}"
 
 
 def test_metrics_takes_the_sweep_entropies_in_one_pass():
