@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from eurnoise.linalg import DomainError
-from eurnoise.states import BellDiagonalState, parse_state_literal
+from eurnoise.states import parse_state_literal
 from eurnoise.channels import CHANNEL_LITERALS, parse_channel_literal
 from eurnoise.metrics import ObservablePair, pauli_pair
 from eurnoise.scenarios import (
@@ -70,8 +70,7 @@ def _cmd_sweep(args) -> int:
 PRESETS = {  # name: (initial state, channel kind, help)
     "fig2": (FIG_STATE, "pd", "phase-damping preset for the (-0.5,0.4,0.8) state"),
     "fig3": (FIG_STATE, "ad", "amplitude-damping preset for the (-0.5,0.4,0.8) state"),
-    "smfig-b": (BellDiagonalState(-1.0, 1.0, 1.0), "ad",
-                "amplitude-damping preset for the (-1,1,1) Bell vertex"),
+    "smfig-b": ((-1.0, 1.0, 1.0), "ad", "amplitude-damping preset for the (-1,1,1) Bell vertex"),
 }
 
 

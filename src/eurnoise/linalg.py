@@ -18,6 +18,7 @@ from numbers import Real
 import numpy as np
 
 FLOAT_MAX = float(np.finfo(float).max)  # x <= FLOAT_MAX iff x is finite or -inf
+MAX_FLOATS = np.iinfo(np.intp).max // 8  # the most float64 entries numpy can address in one array
 _FLOAT = np.dtype(float)  # native float64: the dtype of every array numpy makes of floats
 
 
@@ -35,10 +36,13 @@ def is_axis(x) -> bool:
     return is_integer(x) and x in (1, 2, 3)
 
 
-def check_count(n, name: str, least: int) -> None:
-    """A count must be an integer of at least `least`."""
+def check_count(n, name: str, least: int, most: float) -> None:
+    """A count must be an integer from `least` to `most`. A caller that sizes arrays by the
+    count takes `most` from MAX_FLOATS, so a count past numpy's reach fails before allocating."""
     if not is_integer(n) or n < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+    if n > most:  # n is not printed: the repr of a huge int can itself fail
+        raise DomainError(f"{name} must be at most {most}: numpy cannot address a larger array")
 
 
 # Arrays of at most _FEW entries are tested in Python floats, larger ones by numpy

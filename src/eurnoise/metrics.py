@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, as_real, binary_entropy, check_count, is_axis
-from eurnoise.linalg import shannon_entropy, _as_scalar, _check_binary, _check_distribution, _plogp
-from eurnoise.states import BellDiagonalState, check_one_bd
+from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, as_real, binary_entropy, is_axis
+from eurnoise.linalg import check_count, shannon_entropy, _as_scalar, _plogp
+from eurnoise.linalg import _check_binary, _check_distribution
+from eurnoise.states import check_one_bd
 from eurnoise.channels import ChannelSpec
 
 
@@ -56,7 +57,7 @@ def check_pair(pair) -> None:
         raise DomainError(f"observable pair must come from pauli_pair(j, k), got {pair!r}")
 
 
-def spmc_holds(s: BellDiagonalState, pair: ObservablePair, tol: float = 1e-12) -> bool:
+def spmc_holds(s: np.typing.ArrayLike, pair: ObservablePair, tol: float) -> bool:
     """State-preparation-and-measurement-choice test: the coefficient on the
     unmeasured axis must equal minus the product of the measured two, within tol."""
     check_pair(pair)
@@ -140,10 +141,11 @@ def minimal_missing_info_bruteforce(rho: np.ndarray, grid: tuple[int, int] = (18
     """
     if np.ndim(grid) != 1 or len(grid) != 2:
         raise DomainError(f"grid must be two counts (n_theta, n_xi), got {grid!r}")
-    for n in grid:
-        check_count(n, "grid points per angle", 64)
-    n_theta, n_xi = grid
     rho = _check_density(rho)
+    n_theta, n_xi = grid
+    cells = MAX_FLOATS // max(rho.size // 16, 1) - 3  # per state of the scan's n_theta n_xi + 3
+    check_count(n_theta, "grid points per angle", 64, cells // 64)
+    check_count(n_xi, "grid points per angle", 64, cells // int(n_theta))
     r = _pauli_correlations(rho)
     thetas = np.linspace(0.0, np.pi, n_theta)
     xis = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
@@ -177,7 +179,7 @@ def _fold_angles(theta, xi):
 
 
 def witness_discord_from_U(
-    s0: BellDiagonalState,
+    s0: np.typing.ArrayLike,
     pair: ObservablePair,
     u: float,
     noise_axis: int | None = None,
@@ -345,7 +347,7 @@ class MinimalInfoAD:
     used_fallback: bool
 
 
-def minimal_missing_info_ad(s0: BellDiagonalState, gamma_t: float) -> MinimalInfoAD:
+def minimal_missing_info_ad(s0: np.typing.ArrayLike, gamma_t: float) -> MinimalInfoAD:
     """Closed-form minimal missing information for an amplitude-damped
     Bell-diagonal state, over the whole tetrahedron."""
     gamma_t = _as_scalar(gamma_t, "ad strength")  # the name ChannelSpec("ad").check uses

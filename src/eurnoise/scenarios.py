@@ -8,18 +8,19 @@ classification comes back as numpy columns. ``Rows`` and ``csv_body`` read their
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, as_real, check_count, is_integer
+from eurnoise.linalg import DomainError, MAX_FLOATS, as_real, check_count, is_integer
 from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, random_bd_states
 from eurnoise.channels import ChannelSpec
 from eurnoise.metrics import ObservablePair, check_pair, xstate_lower_bound_Ub, _xstate_columns
 
 ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in order
-FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)  # the paper's figure state
+FIG_STATE = (-0.5, 0.4, 0.8)  # the paper's figure state
 
 
 def check_columns(cols) -> None:
@@ -34,18 +35,18 @@ def check_columns(cols) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
-    """A sweep's inputs, each checked once, here: the state by ``check_one_bd`` and
-    the channel with the grid's endpoints by ``ChannelSpec.check``. Then ``initial``
-    is the checked state, a read-only (3,) float copy, and ``grid`` the read-only
-    strengths; ``run_time_sweep`` checks nothing again. Equality is identity."""
+    """A sweep's inputs, all seven passed by the caller and each checked once, here: the
+    state by ``check_one_bd`` and the channel with the grid's endpoints by ``ChannelSpec.check``.
+    Then ``initial`` is the checked state, a read-only (3,) float copy, and ``grid`` the
+    read-only strengths; ``run_time_sweep`` checks nothing again. Equality is identity."""
 
     initial: np.ndarray  # any (3,) state in; its checked copy after __post_init__
     channel: ChannelSpec
     pair: ObservablePair
-    t_start: float = 0.0
-    t_end: float = 10.0
-    n_points: int = 201
-    spacing: str = "linear"
+    t_start: float
+    t_end: float
+    n_points: int
+    spacing: str  # 'linear' or 'log'
     grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,7 +55,7 @@ class SweepConfig:
         t0, t1 = self.channel.check((self.t_start, self.t_end)).tolist()
         if not t0 < t1:
             raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
-        check_count(self.n_points, "n_points", 2)
+        check_count(self.n_points, "n_points", 2, MAX_FLOATS // 14)  # the X core's (14, n) block
         if self.spacing not in ("linear", "log"):
             raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and t0 <= 0:
@@ -162,7 +163,7 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> Rows:
     Bell eigenvalues factor as (1 +- c_j)(1 +- c_k)/4. The cells come in
     row-major order over (c_j, c_k), as ``BellDiagonalState`` rows."""
     check_pair(pair)
-    check_count(resolution, "resolution", 2)
+    check_count(resolution, "resolution", 2, math.isqrt(MAX_FLOATS // 3))  # the cells
     a = np.linspace(-1.0, 1.0, resolution)
     cells = np.empty((resolution, resolution, 3))
     cells[..., pair.q - 1] = a[:, None]
@@ -206,8 +207,9 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     Amplitude damping at Gamma*t = 20 is then scanned for a state whose U_b drops by
     more than the band. Every move of every state is one core call.
     """
-    check_count(n_trials, "n_trials", 1)
-    check_count(seed, "seed", 0)
+    # rho_AB's (4, N + 1, 42) spectrum is the largest array; any seed >= 0 seeds numpy
+    check_count(n_trials, "n_trials", 1, MAX_FLOATS // (4 * _MOVE_R.size) - 1)
+    check_count(seed, "seed", 0, math.inf)
     c = np.concatenate([random_bd_states(n_trials, np.random.default_rng(seed)), [FIG_STATE]])
     ub = xstate_lower_bound_Ub(_MOVE_R, check_bd(c)[:, None, :] * _MOVE_F)
     # for Bell-diagonal states S(rho) and U_b coincide; check both against

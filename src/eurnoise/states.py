@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, _FEW, as_real, check_count
+from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, _FEW, as_real, check_count
 
 TETRAHEDRON_TOL = 1e-12
 _FLOOR = -4 * TETRAHEDRON_TOL  # w/4 >= -tol iff w >= -4 tol: scaling by 4 is exact
@@ -90,7 +90,7 @@ def check_bd(c) -> np.ndarray:
     return c
 
 
-def check_one_bd(c) -> np.ndarray:
+def check_one_bd(c: np.typing.ArrayLike) -> np.ndarray:
     """The state rule of the one-state entry points: shape (3,), then ``check_bd``."""
     c = as_real(c, "correlations")
     if c.shape != (3,):
@@ -125,7 +125,7 @@ def parse_state_literal(text: str) -> np.ndarray:
 def random_bd_states(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample (n, 3) over the tetrahedron by rejection from the cube; each
     round draws only the missing triples, so the stream is one triple a time."""
-    check_count(n, "n", 0)
+    check_count(n, "n", 0, MAX_FLOATS // 4)  # is_valid's (4, n) weights
     out, k = np.empty((n, 3)), 0
     while k < n:
         c = rng.uniform(-1.0, 1.0, size=(n - k, 3))

@@ -62,7 +62,7 @@ def test_criterion_1_spmc_identity():
 def test_criterion_2_fig2_curve():
     with criterion(2, "Fig. 2 phase-damping curve matches the closed form"):
         records = run_time_sweep(
-            SweepConfig(FIG_STATE, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 201)
+            SweepConfig(FIG_STATE, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 201, "linear")
         )
         assert len(records) == 201
         for r in records:
@@ -77,7 +77,7 @@ def test_criterion_2_fig2_curve():
 def test_criterion_3_fig3_decrease():
     with criterion(3, "Fig. 3 amplitude-damping decrease of U, U_b, D, E"):
         records = run_time_sweep(
-            SweepConfig(FIG_STATE, ChannelSpec("ad"), PAIR_13, 0.0, 20.0, 201)
+            SweepConfig(FIG_STATE, ChannelSpec("ad"), PAIR_13, 0.0, 20.0, 201, "linear")
         )
         first, last = records[0], records[-1]
         assert first.u == pytest.approx(U0_ORACLE, abs=1e-6)
@@ -95,7 +95,7 @@ def test_criterion_3_fig3_decrease():
 def test_criterion_4_witness_consistency():
     with criterion(4, "Eq. (9) witness const - U matches brute-force discord"):
         records = run_time_sweep(
-            SweepConfig(FIG_STATE, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 201)
+            SweepConfig(FIG_STATE, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 201, "linear")
         )
         rhos = [bd_to_density(evolve_bd_flip(FIG_STATE, 3, pd_equivalent_eta(r.t))) for r in records]
         m_bf, _ = M.minimal_missing_info_bruteforce(np.array(rhos), COARSE)

@@ -251,6 +251,28 @@ def test_negative_seed_is_one_error_line():
     assert_one_error_line(*run_cli("check-unital", "--trials", "1", "--seed", "-1"))
 
 
+# a count whose arrays numpy cannot address, per command; numpy itself raises ValueError or
+# IndexError for such a count, which must not reach the user as a traceback
+UNADDRESSABLE = {
+    "sweep-1e20": (["sweep", "--state", "bd:0,0,0", "--channel", "pd", "--pair", "1,3",
+                    "--t-max", "1", "--points", "99999999999999999999"], "n_points"),
+    "sweep-2_63": (["sweep", "--state", "bd:0,0,0", "--channel", "pd", "--pair", "1,3",
+                    "--t-max", "1", "--points", "9223372036854775808"], "n_points"),
+    "surface": (["surface", "--pair", "1,3", "--resolution", "99999999999999999999"],
+                "resolution"),
+    "check-unital": (["check-unital", "--trials", "99999999999999999999", "--seed", "1"],
+                     "n_trials"),
+}
+
+
+@pytest.mark.parametrize("argv, name", UNADDRESSABLE.values(), ids=UNADDRESSABLE.keys())
+def test_a_count_numpy_cannot_address_is_one_error_line(argv, name):
+    code, out, err = run_cli(*argv)
+    assert "Traceback" not in err
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: {name} must be at most ")
+
+
 def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     def too_large(cfg):
         raise MemoryError

@@ -14,8 +14,9 @@ from eurnoise import oracles as O
 from eurnoise import states as S
 from eurnoise.oracles import bd_to_density
 from eurnoise.channels import ChannelSpec
-from eurnoise.metrics import pauli_pair, spmc_holds
+from eurnoise.metrics import minimal_missing_info_bruteforce, pauli_pair, spmc_holds
 from eurnoise.scenarios import SweepConfig, classify_longtime_ad, csv_body
+from eurnoise.scenarios import property_check_unital, sample_spmc_surface
 from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, is_valid
 
 from conftest import LAYOUTS, hermitian_4x4, laid_out
@@ -108,7 +109,8 @@ class TestEntropyEdgeCases:
 
 
 def _pd_sweep(**kw):
-    args = dict(initial=(0.1, 0.2, 0.3), channel=ChannelSpec("pd"), pair=pauli_pair(1, 3))
+    args = dict(initial=(0.1, 0.2, 0.3), channel=ChannelSpec("pd"), pair=pauli_pair(1, 3),
+                t_start=0.0, t_end=10.0, n_points=201, spacing="linear")
     return SweepConfig(**{**args, **kw})
 
 
@@ -194,6 +196,50 @@ class TestNonRealInput:
         params = inspect.signature(L.as_real).parameters
         assert list(params) == ["x", "name"]
         assert all(p.default is p.empty for p in params.values())
+
+
+# each entry point that sizes arrays by a count, with a count whose largest array numpy
+# cannot address (so numpy refuses it without allocating), and the name of the count
+UNADDRESSABLE = {
+    "sweep_points_1e20": (lambda: _pd_sweep(n_points=10**20), "n_points"),
+    "sweep_points_2_63": (lambda: _pd_sweep(n_points=2**63), "n_points"),
+    "surface": (lambda: sample_spmc_surface(pauli_pair(1, 3), 10**20), "resolution"),
+    "random_bd_states": (lambda: S.random_bd_states(2**61, np.random.default_rng(0)), "n"),
+    "unital_trials": (lambda: property_check_unital(10**20, 1), "n_trials"),
+    "bruteforce_theta": (lambda: minimal_missing_info_bruteforce(np.eye(4) / 4, (10**20, 64)),
+                         "grid points per angle"),
+    "bruteforce_xi": (lambda: minimal_missing_info_bruteforce(np.eye(4) / 4, (64, 10**20)),
+                      "grid points per angle"),
+}
+
+
+class TestCountUpperEnd:
+    """A count whose largest array numpy cannot address raises DomainError naming the count,
+    before anything is allocated; numpy itself raises ValueError or IndexError for it."""
+
+    @pytest.mark.parametrize("call, name", UNADDRESSABLE.values(), ids=UNADDRESSABLE.keys())
+    def test_each_entry_point_refuses_it(self, call, name):
+        with pytest.raises(L.DomainError) as info:
+            call()
+        assert str(info.value).startswith(f"{name} must be at most ")
+        assert str(info.value).endswith(": numpy cannot address a larger array")
+
+    def test_the_upper_end_is_inclusive(self):
+        L.check_count(5, "n", 0, 5)
+        L.check_count(np.int8(5), "n", 0, 10**30)
+        with pytest.raises(L.DomainError) as info:
+            L.check_count(6, "n", 0, 5)
+        assert str(info.value) == "n must be at most 5: numpy cannot address a larger array"
+
+    def test_the_message_leaves_the_count_out(self):
+        # str() of an int past 4300 digits raises ValueError itself
+        with pytest.raises(L.DomainError, match="n must be at most 5"):
+            L.check_count(10**5000, "n", 0, 5)
+
+    def test_max_floats_is_numpy_s_reach(self):
+        assert L.MAX_FLOATS * 8 <= np.iinfo(np.intp).max < (L.MAX_FLOATS + 1) * 8
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(L.MAX_FLOATS + 1)  # one float past it: refused without allocating
 
 
 BINARY_BAD = [np.nan, np.inf, -np.inf, -0.5, 1.5, -1e-3, 1.25]

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ PAIR_13 = M.pauli_pair(1, 3)
 ALL_PAIRS = [M.pauli_pair(1, 2), M.pauli_pair(1, 3), M.pauli_pair(2, 3)]
 BELL_VERTEX = BellDiagonalState(-1, 1, 1)
 COARSE = (65, 65)  # faster brute-force grid for loops; refinement recovers accuracy
+SPMC_TOL = 1e-12  # the band these tests hold the SPMC test to; spmc_holds has no default
 
 
 def _discord(c):
@@ -77,7 +79,7 @@ class TestObservables:
 # points that take a pair: each refuses a plain pair with the one pair rule
 PLAIN_PAIRS = [(1, 3), [1, 3], np.array([1, 3])]
 PAIR_ENTRY_POINTS = {
-    "spmc_holds": lambda pair: M.spmc_holds(FIG_STATE, pair),
+    "spmc_holds": lambda pair: M.spmc_holds(FIG_STATE, pair, SPMC_TOL),
     "witness_discord_from_U": lambda pair: M.witness_discord_from_U(FIG_STATE, pair, 1.0),
     "XStateEntropies.uncertainty": lambda pair: M.xstate_entropies(0, FIG_STATE).uncertainty(pair),
 }
@@ -196,15 +198,22 @@ class TestLowerBound:
 
 class TestSpmc:
     def test_fig_state_pair_13(self, fig_state):
-        assert M.spmc_holds(fig_state, PAIR_13)
+        assert M.spmc_holds(fig_state, PAIR_13, SPMC_TOL)
+
+    def test_the_caller_always_passes_the_band(self, fig_state):
+        params = inspect.signature(M.spmc_holds).parameters
+        assert list(params) == ["s", "pair", "tol"]
+        assert all(p.default is p.empty for p in params.values())
+        with pytest.raises(TypeError):
+            M.spmc_holds(fig_state, PAIR_13)
 
     def test_center_any_pair(self):
         center = BellDiagonalState(0, 0, 0)
         for jk in [(1, 2), (1, 3), (2, 3)]:
-            assert M.spmc_holds(center, M.pauli_pair(*jk))
+            assert M.spmc_holds(center, M.pauli_pair(*jk), SPMC_TOL)
 
     def test_fig_state_pair_12_fails(self, fig_state):
-        assert not M.spmc_holds(fig_state, M.pauli_pair(1, 2))
+        assert not M.spmc_holds(fig_state, M.pauli_pair(1, 2), SPMC_TOL)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12, -0.5], ids=repr)
     def test_rejects_a_tol_that_is_not_finite_and_non_negative(self, fig_state, tol):
@@ -231,8 +240,8 @@ class TestSpmc:
         for c in [fig_state, (-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
             for jk in [(1, 3), (3, 1), (1, 2), (2, 3)]:
                 pair = M.pauli_pair(*jk)
-                assert M.spmc_holds(c, pair) is M.spmc_holds(fig_state, pair)
-            assert M.spmc_holds(c, PAIR_13)
+                assert M.spmc_holds(c, pair, SPMC_TOL) is M.spmc_holds(fig_state, pair, SPMC_TOL)
+            assert M.spmc_holds(c, PAIR_13, SPMC_TOL)
 
     @settings(max_examples=40, deadline=None)
     @given(bd_states())
@@ -529,12 +538,12 @@ OUTSIDE_STATES = [
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda s: SweepConfig(s, ChannelSpec("pd"), PAIR_13),
+        lambda s: SweepConfig(s, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 201, "linear"),
         lambda s: ChannelSpec("pd").evolve(s, 1.0),
         lambda s: M.minimal_missing_info_ad(s, 1.0),
         classify_longtime_ad,
         lambda s: M.witness_discord_from_U(s, PAIR_13, 1.0),
-        lambda s: M.spmc_holds(s, PAIR_13),
+        lambda s: M.spmc_holds(s, PAIR_13, SPMC_TOL),
     ],
     ids=["SweepConfig", "ChannelSpec.evolve", "minimal_missing_info_ad", "classify",
          "witness_discord_from_U", "spmc_holds"],
@@ -554,8 +563,8 @@ BATCHES = [
     np.zeros((2, 1, 3)),
 ]
 ONE_STATE_ENTRIES = {
-    "SweepConfig": lambda c: SweepConfig(c, ChannelSpec("ad"), PAIR_13, 0.0, 2.0, 3),
-    "spmc_holds": lambda c: M.spmc_holds(c, PAIR_13),
+    "SweepConfig": lambda c: SweepConfig(c, ChannelSpec("ad"), PAIR_13, 0.0, 2.0, 3, "linear"),
+    "spmc_holds": lambda c: M.spmc_holds(c, PAIR_13, SPMC_TOL),
     "witness_discord_from_U": lambda c: M.witness_discord_from_U(c, PAIR_13, 1.0),
     "minimal_missing_info_ad": lambda c: M.minimal_missing_info_ad(c, 1.0),
 }

@@ -40,12 +40,24 @@ def fig_config(kind, **kw):
         t_start=0.0,
         t_end=10.0,
         n_points=201,
+        spacing="linear",
     )
     defaults.update(kw)
     return SC.SweepConfig(**defaults)
 
 
 class TestSweepConfig:
+    def test_the_caller_passes_every_field(self):
+        # the figure grid is written once, in the CLI's preset defaults
+        init = [f for f in dataclasses.fields(SC.SweepConfig) if f.init]
+        assert [f.name for f in init] == [
+            "initial", "channel", "pair", "t_start", "t_end", "n_points", "spacing"
+        ]
+        missing = dataclasses.MISSING
+        assert all(f.default is missing and f.default_factory is missing for f in init)
+        with pytest.raises(TypeError):
+            SC.SweepConfig(FIG_STATE, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 201)
+
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             fig_config("pd", t_end=0.0)
@@ -254,7 +266,9 @@ class TestExactLongTimeLimits:
         states = [*random_bd_states(500, np.random.default_rng(50)), *VERTICES_AND_ORIGIN]
         limit = 1.0 if 3 in pair else 2.0
         for c in states:
-            cfg = SC.SweepConfig(c, ChannelSpec("ad"), pauli_pair(*pair), 0.0, SC.LONGTIME_GAMMA_T, 2)
+            cfg = SC.SweepConfig(
+                c, ChannelSpec("ad"), pauli_pair(*pair), 0.0, SC.LONGTIME_GAMMA_T, 2, "linear"
+            )
             t, u, u_b, d, e, m = np.asarray(SC.run_time_sweep(cfg))[-1]
             assert (t, m, u_b, d) == (SC.LONGTIME_GAMMA_T, 0.0, 1.0, 0.0), c
             assert abs(u - limit) <= 2.3e-16, c
@@ -875,6 +889,13 @@ class TestUnitalPropertyCheck:
             assert got.counterexample_ub_drop is None
         else:
             assert [x.hex() for x in got.counterexample_ub_drop] == [x.hex() for x in drop]
+
+    def test_the_figure_and_preset_states_are_plain_tuples(self):
+        from eurnoise import cli
+
+        assert type(SC.FIG_STATE) is tuple
+        assert all(type(state) is tuple for state, *_ in cli.PRESETS.values())
+        assert cli.PRESETS["smfig-b"][0] == (-1.0, 1.0, 1.0)
 
     def test_figure_state_is_defined_once(self):
         from eurnoise import cli

@@ -108,6 +108,10 @@ TABLE_PATHS = {
 RECORD_BUILDERS = ("tolist", "fromiter", "_make")
 # the one place that builds records: the two readers of scenarios.Rows
 RECORD_MAKERS = {("scenarios", "__getitem__"), ("scenarios", "__iter__")}
+# the runtime modules that may name the state record: its home, the package, and the two
+# that hand records to the benchmark (channels.evolve_bd_flip; a surface's rows and the
+# unital report's states); a state is otherwise a (3,) sequence or array
+RECORD_MODULES = {"__init__", "states", "channels", "scenarios"}
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
@@ -203,6 +207,13 @@ def test_the_sweep_and_surface_paths_build_no_records():
     want = {f"{stem}.{scope}" for stem, scopes in TABLE_PATHS.items() for scope in scopes}
     assert found == want, f"table paths not found: {sorted(want - found)}"
     assert not sites, f"records built outside Rows: {sites}"
+
+
+def test_only_the_record_modules_name_the_state_record():
+    runtime = sorted(p for p in SRC.glob("*.py") if p.name != "oracles.py")
+    users = {p.stem for p in runtime if "BellDiagonalState" in set(referenced_names(parse(p)))}
+    assert "__init__" in users  # the walk sees the imports
+    assert users <= RECORD_MODULES, f"BellDiagonalState named in {sorted(users - RECORD_MODULES)}"
 
 
 def test_the_axis_rule_is_written_once():
