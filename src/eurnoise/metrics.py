@@ -3,11 +3,12 @@
 Every quantity has a closed form over arrays of X states (``xstate_*``), the runtime route.
 One pass (``_xstate_pass``) takes every entropy of a sweep: the five binary arguments, their
 complements and rho_AB's spectrum are the 14 contiguous rows of one block, checked by the
-kernels' own checks in linalg and taken in one p log2 p call (S(sigma_3|B) is M_z). A sweep's
-U, U_b, D, E and M go from it straight into the caller's table; ``xstate_entropies`` returns
-its six entropies, and U_b alone keeps one Shannon call. Every X-core entry point takes (r, T)
-through ``_xstate_args``: the real-input rule, the (..., 3) shape rule and the sums T1 -+ T2,
-1 +- T3, formed once; the concurrence checks rho_AB's spectrum as U_b does. A Pauli pair is an
+kernels' own checks in linalg and taken in one p log2 p call (S(sigma_3|B) is M_z).
+``xstate_columns`` turns one pass into the (..., 5) table of ``COLUMNS``: U for a pair, U_b,
+D, E (the concurrence, from the pass's own sums) and M (``XStateEntropies.m``), each formed
+there once; ``xstate_entropies`` returns the pass's six entropies, and U_b alone keeps one
+Shannon call. Every X-core entry point takes (r, T) through ``_xstate_args``: the real-input
+rule, the (..., 3) shape rule and the sums T1 -+ T2, 1 +- T3, formed once. A Pauli pair is an
 ``ObservablePair`` of two axes (``check_pair``): any two distinct axes have eigenbases of
 overlap c = 1/2. The density-matrix routes that check the closed forms live in
 ``eurnoise.oracles``; the brute-force minimizer for M, which assumes no X structure, stays here
@@ -146,6 +147,7 @@ def minimal_missing_info_bruteforce(rho: np.ndarray, grid: tuple[int, int] = (18
     cells = MAX_FLOATS // max(rho.size // 16, 1) - 3  # per state of the scan's n_theta n_xi + 3
     check_count(n_theta, "grid points per angle", 64, cells // 64)
     check_count(n_xi, "grid points per angle", 64, cells // int(n_theta))
+    n_theta, n_xi = int(n_theta), int(n_xi)  # a narrow numpy integer wraps in the grid sizes
     r = _pauli_correlations(rho)
     thetas = np.linspace(0.0, np.pi, n_theta)
     xis = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
@@ -224,14 +226,13 @@ def witness_discord_from_U(
 # Rau and Alber, PRA 81, 042105 (2010)).
 
 
+COLUMNS = ("U", "Ub", "D", "E", "M")  # the columns of xstate_columns, in order
+
+
 class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z")):
     """S(sigma_j|B) for j = 1, 2, 3, S(rho_AB), and M for an x (or y) and a z measurement on B."""
 
     __slots__ = ()
-
-    def uncertainty(self, pair: ObservablePair):  # U = S(sigma_q|B) + S(sigma_r|B)
-        check_pair(pair)
-        return self[pair.q - 1] + self[pair.r - 1]
 
     @property
     def m(self):  # M = min(M_x, M_z), the better measurement on B
@@ -250,12 +251,12 @@ def _spectrum_rows(r, minus, plus, up, down, out=None) -> np.ndarray:
     return np.multiply(out, 0.25, out=out)
 
 
-def _concurrence(r2, minus, plus, up, down, out=None):
+def _concurrence(r2, minus, plus, up, down):
     """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)) from r^2,
     T1 -+ T2 and 1 +- T3."""
     a = np.abs(plus) - np.sqrt(np.maximum(up**2 - r2, 0.0))
     b = np.abs(minus) - np.sqrt(np.maximum(down**2 - r2, 0.0))
-    return np.maximum(np.maximum(a, b) / 2, 0.0, out=out)
+    return np.maximum(np.maximum(a, b) / 2, 0.0)
 
 
 def _xstate_args(r, t):
@@ -268,14 +269,14 @@ def _xstate_args(r, t):
     return r, t1, t2, t3, (t1 - t2, t1 + t2, 1 + t3, 1 - t3)
 
 
-def _xstate_pass(r, t, s_ab=None):
-    """The ``XStateEntropies`` of X states (r, t), S(rho_AB) folded into s_ab if given, and
-    the concurrence's arguments r^2, T1 -+ T2, 1 +- T3. The binary arguments (1 + u)/2,
-    (1 + r +- T3)/2, (1 + T_j)/2, their complements and rho_AB's spectrum are the 14 rows of
-    one block; each group meets its kernel's checks on the (..., k) view the kernel would
-    see, binary first, then one ``_plogp`` call takes every term. max(T1^2, T2^2) covers
-    |c1| < |c2| by S x S. A z outcome on B, each of weight 1/2, leaves A diagonal with
-    weights (1 + r +- T3)/2, so S(sigma_3|B) = M_z exactly."""
+def _xstate_pass(r, t):
+    """The ``XStateEntropies`` of X states (r, t) and the concurrence's arguments r^2,
+    T1 -+ T2, 1 +- T3. The binary arguments (1 + u)/2, (1 + r +- T3)/2, (1 + T_j)/2, their
+    complements and rho_AB's spectrum are the 14 rows of one block; each group meets its
+    kernel's checks on the (..., k) view the kernel would see, binary first, then one
+    ``_plogp`` call takes every term. max(T1^2, T2^2) covers |c1| < |c2| by S x S. A z
+    outcome on B, each of weight 1/2, leaves A diagonal with weights (1 + r +- T3)/2, so
+    S(sigma_3|B) = M_z exactly."""
     r, t1, t2, t3, sums = _xstate_args(r, t)
     r2 = np.square(r)
     u = np.sqrt(r2 + np.maximum(t1 * t1, t2 * t2))
@@ -297,7 +298,7 @@ def _xstate_pass(r, t, s_ab=None):
     h = np.add(terms[:5], terms[5:10], out=terms[:5])
     m_x, h_up, h_down, s1_b, s2_b = np.subtract(0.0, h, out=h)  # +0.0, never -0.0
     m_z = (h_up + h_down) / 2
-    s_ab = np.subtract.reduce(terms[10:].transpose(last), -1, initial=0.0, out=s_ab)
+    s_ab = np.subtract.reduce(terms[10:].transpose(last), -1, initial=0.0)
     s_ab = float(s_ab) if s_ab.ndim == 0 else s_ab
     return XStateEntropies(s1_b, s2_b, m_z, s_ab, m_x, m_z), (r2, *sums)
 
@@ -308,15 +309,16 @@ def xstate_entropies(r, t) -> XStateEntropies:
     return _xstate_pass(r, t)[0]
 
 
-def _xstate_columns(r, t, pair: ObservablePair, out: np.ndarray) -> None:
-    """A sweep's columns U for the checked pair, U_b, D = M - (U_b - 1), E and M of the X
-    states (r, t), (n,) and (n, 3), written into the columns of out (n, 5) from one pass."""
-    u, u_b, d, e, m = out.T
-    ent, args = _xstate_pass(r, t, s_ab=u_b)  # U_b = S(rho_AB), folded into its column
-    np.add(ent[pair.q - 1], ent[pair.r - 1], out=u)
-    np.minimum(ent.m_x, ent.m_z, out=m)
-    np.subtract(m, u_b - 1.0, out=d)
-    _concurrence(*args, out=e)
+def xstate_columns(r, t, pair: ObservablePair) -> np.ndarray:
+    """The (..., 5) table of ``COLUMNS`` for the X states (r, t), from one pass: U for the
+    checked pair, U_b = S(rho_AB), D = M - (U_b - 1), E and M = ``XStateEntropies.m``,
+    the (..., 5) view of one (5, ...) block of rows."""
+    check_pair(pair)
+    ent, args = _xstate_pass(r, t)
+    m, u_b = ent.m, ent.s_ab
+    rows = np.array([ent[pair.q - 1] + ent[pair.r - 1], u_b, m - (u_b - 1.0),
+                     _concurrence(*args), m])
+    return rows.transpose(*range(1, rows.ndim), 0)
 
 
 def xstate_lower_bound_Ub(r, t):
@@ -325,15 +327,6 @@ def xstate_lower_bound_Ub(r, t):
     p = _spectrum_rows(r, *sums)
     del sums  # held through the kernel, they made the unital check's (101, 42) call 1.6x slower
     return shannon_entropy(p.transpose(*range(1, p.ndim), 0))
-
-
-def xstate_concurrence(r, t):
-    """2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)), of a state
-    checked as U_b checks it: rho_AB's spectrum must pass the Shannon checks."""
-    r, *_, sums = _xstate_args(r, t)
-    p = _spectrum_rows(r, *sums)
-    _check_distribution(p.transpose(*range(1, p.ndim), 0))
-    return _concurrence(np.square(r), *sums)
 
 
 # ---- the amplitude-damped entry point on the core --------------------------

@@ -1,10 +1,10 @@
 """Time sweeps, long-time classification, surface sampling, the
 unital-monotonicity property suite, and ``csv_body``, the one CSV writer.
 ``SweepConfig`` checks a sweep's state and strengths once and keeps the checked
-arrays, which ``run_time_sweep`` maps; one pass of the X core writes every column into
-the sweep's table. Sweeps and surfaces come back as ``Rows``, one float table; a
-classification comes back as numpy columns. ``Rows`` and ``csv_body`` read their tables by
-``linalg.as_real``, the one real-input rule."""
+arrays, which ``run_time_sweep`` maps; one ``metrics.xstate_columns`` call gives every
+column of the sweep's table but t. Sweeps and surfaces come back as ``Rows``, one float
+table; a classification comes back as numpy columns. ``Rows`` and ``csv_body`` read their
+tables by ``linalg.as_real``, the one real-input rule."""
 
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ import numpy as np
 from eurnoise.linalg import DomainError, MAX_FLOATS, as_real, check_count, is_integer
 from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, random_bd_states
 from eurnoise.channels import ChannelSpec
-from eurnoise.metrics import ObservablePair, check_pair, xstate_lower_bound_Ub, _xstate_columns
+from eurnoise.metrics import COLUMNS as ALL_COLUMNS  # CSV names of SweepRecord[1:], in order
+from eurnoise.metrics import ObservablePair, check_pair, xstate_columns, xstate_lower_bound_Ub
 
-ALL_COLUMNS = ("U", "Ub", "D", "E", "M")  # CSV names of SweepRecord[1:], in order
 FIG_STATE = (-0.5, 0.4, 0.8)  # the paper's figure state
 
 
@@ -116,13 +116,13 @@ class SweepRecord(NamedTuple):
 def run_time_sweep(cfg: SweepConfig) -> Rows:
     """Evolve the initial state along the grid (Gamma*t for the damping
     channels, eta for the flips) and evaluate every column over the whole
-    grid at once, written into the table by one pass of the X core, as ``SweepRecord``
-    rows. The config checked the state and the grid, so they go straight to ``factors``."""
+    grid at once, by one ``xstate_columns`` call, as ``SweepRecord`` rows. The config
+    checked the state and the grid, so they go straight to ``factors``."""
     t = cfg.grid
     r, f = cfg.channel.factors(t)
     table = np.empty((len(t), 6))
     table[:, 0] = t
-    _xstate_columns(r, cfg.initial * f, cfg.pair, table[:, 1:])
+    table[:, 1:] = xstate_columns(r, cfg.initial * f, cfg.pair)
     return Rows(table, SweepRecord)
 
 

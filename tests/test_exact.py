@@ -60,8 +60,9 @@ def test_s3_b_and_axis_3_uncertainties_stay_within_their_budget():
     worst = {"S(sigma_3|B)": 0.0, **{f"U{p.q}{p.r}": 0.0 for p in AXIS_3_PAIRS}}
     with mpmath.workdps(50):
         for literal, grid in GRIDS:
-            e = M.xstate_entropies(*parse_channel_literal(literal).evolve(STATES[:, None], grid))
-            u = {p: e.uncertainty(p) for p in AXIS_3_PAIRS}
+            rt = parse_channel_literal(literal).evolve(STATES[:, None], grid)
+            e = M.xstate_entropies(*rt)
+            u = {p: M.xstate_columns(*rt, p)[..., 0] for p in AXIS_3_PAIRS}
             for (i, c), (k, strength) in itertools.product(enumerate(STATES), enumerate(grid)):
                 exact = _exact(c, literal, strength)
                 err = abs(mpmath.mpf(e.s3_b[i, k]) - exact[2])

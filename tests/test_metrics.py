@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from eurnoise import oracles as O
 from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy
 from eurnoise.oracles import bd_to_density
 from eurnoise.states import BellDiagonalState, random_bd_states
-from eurnoise.channels import ChannelSpec, evolve_bd_amplitude, evolve_bd_flip
+from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, evolve_bd_amplitude, evolve_bd_flip
+from eurnoise.channels import parse_channel_literal
 from eurnoise.scenarios import FIG_STATE, SweepConfig, classify_longtime_ad, run_time_sweep
 
 from conftest import LAYOUTS, bd_states, laid_out
@@ -30,6 +32,11 @@ def _discord(c):
     """D = M - S(A|B) of Bell-diagonal correlations c, from the core at r = 0."""
     e = M.xstate_entropies(0.0, c)
     return e.m - (e.s_ab - 1.0)
+
+
+def _u(r, t, pair):
+    """U = S(sigma_q|B) + S(sigma_r|B) of the X states (r, t): the first column."""
+    return M.xstate_columns(r, t, pair)[..., 0]
 
 
 class TestObservables:
@@ -67,8 +74,7 @@ class TestObservables:
     def test_accepts_numpy_integer_index(self):
         s = BellDiagonalState(-0.5, 0.4, 0.8)
         pair = M.pauli_pair(np.int64(1), 3)
-        e = M.xstate_entropies(0.0, s)
-        assert e.uncertainty(pair) == e.uncertainty(PAIR_13)
+        assert M.xstate_columns(0.0, s, pair).tobytes() == M.xstate_columns(0.0, s, PAIR_13).tobytes()
 
     @pytest.mark.parametrize("j,k", [(1, 2), (1, 3), (2, 3), (3, 1)])
     def test_complementarity_half(self, j, k):
@@ -81,7 +87,7 @@ PLAIN_PAIRS = [(1, 3), [1, 3], np.array([1, 3])]
 PAIR_ENTRY_POINTS = {
     "spmc_holds": lambda pair: M.spmc_holds(FIG_STATE, pair, SPMC_TOL),
     "witness_discord_from_U": lambda pair: M.witness_discord_from_U(FIG_STATE, pair, 1.0),
-    "XStateEntropies.uncertainty": lambda pair: M.xstate_entropies(0, FIG_STATE).uncertainty(pair),
+    "xstate_columns": lambda pair: M.xstate_columns(0, FIG_STATE, pair).tolist(),
 }
 
 
@@ -152,7 +158,7 @@ class TestUncertainty:
 
     def test_fig_state_closed_form(self, fig_state):
         expected = binary_entropy(0.25) + binary_entropy(0.9)
-        u = M.xstate_entropies(0.0, fig_state).uncertainty(PAIR_13)
+        u = _u(0.0, fig_state, PAIR_13)
         assert u == pytest.approx(expected, abs=1e-14)
         assert O.uncertainty_U(bd_to_density(fig_state), PAIR_13) == pytest.approx(
             expected, abs=1e-10
@@ -163,7 +169,7 @@ class TestUncertainty:
     def test_general_equals_closed_form(self, s, jk):
         pair = M.pauli_pair(*jk)
         assert O.uncertainty_U(bd_to_density(s), pair) == pytest.approx(
-            M.xstate_entropies(0.0, s).uncertainty(pair), abs=1e-10
+            _u(0.0, s, pair), abs=1e-10
         )
 
 
@@ -252,7 +258,7 @@ class TestSpmc:
         surf = BellDiagonalState(s.c1, -s.c1 * s.c3, s.c3)
         if not is_valid(surf):
             return
-        assert M.xstate_entropies(0.0, surf).uncertainty(PAIR_13) == pytest.approx(
+        assert _u(0.0, surf, PAIR_13) == pytest.approx(
             M.xstate_lower_bound_Ub(0.0, surf), abs=1e-10
         )
 
@@ -286,7 +292,7 @@ class TestConcurrence:
         lam = np.array([0.0, 0.9025189306698165, 0.21258132126618007, 0.0])
         lpp, lpm, lsp, lsm = lam / lam.sum()
         s = BellDiagonalState(lpp - lpm + lsp - lsm, -lpp + lpm + lsp - lsm, lpp + lpm - lsp - lsm)
-        exact = float(M.xstate_concurrence(0.0, s.as_tuple()))
+        exact = float(M.xstate_columns(0.0, s.as_tuple(), PAIR_13)[3])
         assert exact == pytest.approx(2.0 * lam.max() / lam.sum() - 1.0, abs=1e-15)
         assert O.concurrence(bd_to_density(s)) == pytest.approx(exact, abs=1e-7)
 
@@ -525,6 +531,24 @@ class TestBruteForceBlochForm:
         m, _ = M.minimal_missing_info_bruteforce(np.eye(4) / 4, (np.int64(64), np.int32(65)))
         assert m == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [(np.int8(100), np.int8(100)), (np.uint8(200), np.uint8(100)),
+         (np.int16(200), np.int16(200))],
+        ids=repr,
+    )
+    def test_narrow_integer_counts_give_the_bits_of_python_ints(self, grid):
+        # the grid arithmetic ran in the counts' own type: 4 * n_xi and n_theta * n_xi
+        # wrapped, with numpy's "overflow encountered in scalar multiply"
+        rho = _general_densities(np.random.default_rng(2902), 1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, angles = M.minimal_missing_info_bruteforce(rho, grid)
+        want_m, want_angles = M.minimal_missing_info_bruteforce(rho, tuple(map(int, grid)))
+        assert [float.hex(x) for x in (m, *angles)] == [
+            float.hex(x) for x in (want_m, *want_angles)
+        ]
+
 
 OUTSIDE_STATES = [
     BellDiagonalState(0.9, 0.9, 0.9),
@@ -684,7 +708,7 @@ class TestDiscord:
 class TestDiscordWitness:
     def test_fig2_const(self, fig_state):
         # const = 1 + H_bin(0.9); at t=0, U = U_b so D = const - U
-        u0 = M.xstate_entropies(0.0, fig_state).uncertainty(PAIR_13)
+        u0 = _u(0.0, fig_state, PAIR_13)
         d = M.witness_discord_from_U(fig_state, PAIR_13, u0)
         assert d == pytest.approx(_discord(fig_state), abs=1e-12)
         # log2(1/c) is the exact 1 of every distinct Pauli pair, as in U_b
@@ -692,7 +716,7 @@ class TestDiscordWitness:
         assert M.witness_discord_from_U(fig_state, M.pauli_pair(3, 1), u0) == d
 
     def test_record_tuple_and_array_agree(self, fig_state):
-        u0 = M.xstate_entropies(0.0, fig_state).uncertainty(PAIR_13)
+        u0 = _u(0.0, fig_state, PAIR_13)
         d = M.witness_discord_from_U(fig_state, PAIR_13, u0)
         for c in [(-0.5, 0.4, 0.8), np.array([-0.5, 0.4, 0.8])]:
             assert M.witness_discord_from_U(c, PAIR_13, u0) == d
@@ -707,7 +731,7 @@ class TestDiscordWitness:
 
     def test_fully_dephased_discord_zero(self, fig_state):
         dephased = evolve_bd_flip(fig_state, 3, 0.5)
-        u = M.xstate_entropies(0.0, dephased).uncertainty(PAIR_13)
+        u = _u(0.0, dephased, PAIR_13)
         d = M.witness_discord_from_U(fig_state, PAIR_13, u)
         assert d == pytest.approx(0.0, abs=1e-12)
         assert _discord(dephased) == pytest.approx(0.0, abs=1e-9)
@@ -749,7 +773,7 @@ class TestDiscordWitness:
 XSTATE_ENTRIES = {
     "xstate_entropies": M.xstate_entropies,
     "xstate_lower_bound_Ub": M.xstate_lower_bound_Ub,
-    "xstate_concurrence": M.xstate_concurrence,
+    "xstate_columns": lambda r, t: M.xstate_columns(r, t, PAIR_13),
 }
 # T that a float conversion read as numbers: numeric text gave U_b 1.8833830982290132 and
 # E 0.0, a complex T lost its imaginary part with a ComplexWarning, None read as NaN
@@ -803,21 +827,25 @@ class TestXStateRealInput:
             assert np.asarray(entry(r, t)).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize(
-        "r, t, bad",
-        [(np.nan, [0.1, 0.2, 0.3], "nan"), (0.0, [0.1, np.nan, 0.3], "nan"),
-         (0.0, [np.inf, 0.2, 0.3], "inf"), (0.0, [5.0, 0.2, 0.3], "-0.875")],
+        "r, t, binary, spectrum",
+        [(np.nan, [0.1, 0.2, 0.3], "nan", "nan"), (0.0, [0.1, np.nan, 0.3], "nan", "nan"),
+         (0.0, [np.inf, 0.2, 0.3], "inf", "inf"), (0.0, [5.0, 0.2, 0.3], "3.0", "-0.875")],
         ids=["nan_r", "nan_t2", "inf_t1", "outside"],
     )
-    def test_concurrence_checks_the_state_as_the_lower_bound_does(self, r, t, bad):
-        # it checked nothing: these gave nan, nan, inf and E = 2.05
-        for entry in (M.xstate_concurrence, M.xstate_lower_bound_Ub):
+    def test_the_concurrence_column_is_checked_as_the_pass_is(self, r, t, binary, spectrum):
+        # E unchecked gave nan, nan, inf and E = 2.05; its column meets the pass's binary
+        # check first, and U_b alone the spectrum check
+        for entry in (M.xstate_entropies, XSTATE_ENTRIES["xstate_columns"]):
             with pytest.raises(DomainError) as info:
                 entry(r, t)
-            assert str(info.value) == f"probability {bad} is negative or not finite"
+            assert str(info.value) == f"binary entropy argument {binary} outside [0, 1]"
+        with pytest.raises(DomainError) as info:
+            M.xstate_lower_bound_Ub(r, t)
+        assert str(info.value) == f"probability {spectrum} is negative or not finite"
 
     def test_concurrence_takes_the_vertices_within_the_spectrum_tolerance(self):
         # hypot rounding leaves a -2.2e-16 eigenvalue at a Bell vertex
-        assert M.xstate_concurrence(0.0, BELL_VERTICES).tolist() == [1.0] * 4
+        assert M.xstate_columns(0.0, BELL_VERTICES, PAIR_13)[:, 3].tolist() == [1.0] * 4
 
 
 def noise():
@@ -848,18 +876,21 @@ class TestXStateCoreVsOracles:
         rho = O.apply_local_A(O.channel_at(spec, strength), bd_to_density(s))
         u_b = float(M.xstate_lower_bound_Ub(r, t))
         assert u_b == pytest.approx(O.lower_bound_Ub(rho, PAIR_13), abs=1e-10)
-        entropies = M.xstate_entropies(r, t)
-        for pair in ALL_PAIRS:
-            u = float(entropies.uncertainty(pair))
+        tables = [M.xstate_columns(r, t, pair).tolist() for pair in ALL_PAIRS]
+        for pair, (u, *_) in zip(ALL_PAIRS, tables):
             assert u == pytest.approx(O.uncertainty_U(rho, pair), abs=1e-10)
             assert u >= u_b - 1e-9
-        e = float(M.xstate_concurrence(r, t))
+        # U_b, D, E and M do not depend on the pair; U_b is the spectrum route's, bit for bit
+        assert {tuple(table[1:]) for table in tables} == {tuple(tables[0][1:])}
+        _, u_b_column, d, e, m = tables[0]
+        assert u_b_column == u_b
         assert e == pytest.approx(O.concurrence(rho), abs=1e-7)
         assert 0.0 <= e <= 1.0
-        m = float(entropies.m)
-        assert m == pytest.approx(M.minimal_missing_info_bruteforce(rho, COARSE)[0], abs=1e-9)
+        m_brute = M.minimal_missing_info_bruteforce(rho, COARSE)[0]
+        assert m == pytest.approx(m_brute, abs=1e-9)
         assert 0.0 <= m <= 1.0
-        assert m - (u_b - 1.0) >= -1e-9
+        assert d == m - (u_b - 1.0) >= -1e-9
+        assert d == pytest.approx(m_brute - O.conditional_entropy(rho), abs=1e-9)
 
 
 # ---- the per-column reference: one checked entropy call per distribution ----
@@ -909,6 +940,13 @@ def _ref_entropies(r, t):
     return (*conditional, _ref_joint_entropy(r, t), *_ref_m_x_m_z(r, t))
 
 
+def _ref_concurrence(r, t):
+    """E from r^2 and the sums T1 -+ T2, 1 +- T3, each formed here."""
+    t = np.asarray(t, dtype=float)
+    t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+    return M._concurrence(np.square(r), t1 - t2, t1 + t2, 1 + t3, 1 - t3)
+
+
 def _ref_sweep(cfg):
     """Rows (t, U, U_b, D, E, M) of a sweep, its entropies from the reference."""
     t = cfg.grid
@@ -916,7 +954,7 @@ def _ref_sweep(cfg):
     u = _ref_conditional_entropy(r, corr, cfg.pair.q) + _ref_conditional_entropy(r, corr, cfg.pair.r)
     u_b = _ref_joint_entropy(r, corr)
     m = np.minimum(*_ref_m_x_m_z(r, corr))
-    return np.stack([t, u, u_b, m - (u_b - 1.0), M.xstate_concurrence(r, corr), m], axis=1)
+    return np.stack([t, u, u_b, m - (u_b - 1.0), _ref_concurrence(r, corr), m], axis=1)
 
 
 def _or_domain_error(f, *args):
@@ -991,7 +1029,7 @@ class TestEntropiesMatchPerColumnReference:
             return
         assert [_bits(x) for x in got] == [_bits(x) for x in want]
         for q, k in itertools.permutations((1, 2, 3), 2):
-            u = got.uncertainty(M.pauli_pair(q, k))
+            u = M.xstate_columns(r, t, M.pauli_pair(q, k))[..., 0]
             assert _bits(u) == _bits(want[q - 1] + want[k - 1])
         assert _bits(got.m) == _bits(np.minimum(want[4], want[5]))
 
@@ -1095,7 +1133,8 @@ class TestSpectrumMatchesStackedReference:
 def _composed(r, t):
     """(the six XStateEntropies fields, E) of X states from the public calls the pass
     replaces: one binary_entropy over the five binary arguments stacked on a last axis,
-    then xstate_lower_bound_Ub and xstate_concurrence."""
+    then xstate_lower_bound_Ub, which checks rho_AB's spectrum, and the concurrence of
+    the sums formed here."""
     t = np.asarray(t, dtype=float)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
@@ -1103,20 +1142,14 @@ def _composed(r, t):
     h = binary_entropy(np.stack(args, axis=-1) / 2)
     m_x, h_up, h_down, s1_b, s2_b = np.moveaxis(h, -1, 0)
     m_z = (h_up + h_down) / 2
-    return (s1_b, s2_b, m_z, M.xstate_lower_bound_Ub(r, t), m_x, m_z), M.xstate_concurrence(r, t)
+    return (s1_b, s2_b, m_z, M.xstate_lower_bound_Ub(r, t), m_x, m_z), _ref_concurrence(r, t)
 
 
 def _composed_columns(r, t, pair):
-    """A sweep's columns U, U_b, D, E and M, (n, 5), from ``_composed``."""
+    """The columns U, U_b, D, E and M, (..., 5), from ``_composed``."""
     e, conc = _composed(r, t)
     u_b, m = e[3], np.minimum(e[4], e[5])
-    return np.stack([e[pair.q - 1] + e[pair.r - 1], u_b, m - (u_b - 1.0), conc, m], axis=1)
-
-
-def _pass_columns(r, t, pair):
-    out = np.empty(np.broadcast(r, np.asarray(t)[..., 0]).shape + (5,))
-    M._xstate_columns(r, t, pair, out)
-    return out
+    return np.stack([e[pair.q - 1] + e[pair.r - 1], u_b, m - (u_b - 1.0), conc, m], axis=-1)
 
 
 def _message(f, *args):
@@ -1136,7 +1169,7 @@ LOG_AD = ChannelSpec("ad").factors(np.geomspace(0.01, 800.0, 101))
 
 class TestOnePassEqualsThePublicCalls:
     """The X core's one checked pass gives, byte for byte and with the same messages,
-    what one binary_entropy call, xstate_lower_bound_Ub and xstate_concurrence give."""
+    what one binary_entropy call, xstate_lower_bound_Ub and the concurrence give."""
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_sweep_columns_in_every_layout(self, monkeypatch, layout):
@@ -1151,7 +1184,8 @@ class TestOnePassEqualsThePublicCalls:
             rt = (laid_out(r, layout), laid_out(c * f, layout))
             for pair in itertools.permutations((1, 2, 3), 2):
                 pair = M.pauli_pair(*pair)
-                assert _pass_columns(*rt, pair).tobytes() == _composed_columns(*rt, pair).tobytes()
+                got = M.xstate_columns(*rt, pair)
+                assert got.tobytes() == _composed_columns(*rt, pair).tobytes()
             e = M.xstate_entropies(*rt)
             assert [_bits(x) for x in e] == [_bits(x) for x in _composed(*rt)[0]]
         # both ordered paths were taken, by the pass and by the public calls alike
@@ -1177,16 +1211,70 @@ class TestOnePassEqualsThePublicCalls:
         r, t = (rt[0, 0], rt[0, 1:]) if one_state else (rt[:, 0], rt[:, 1:])
         want = _message(_composed, r, t)
         assert _message(M.xstate_entropies, r, t) == want
-        if not one_state:
-            assert _message(_pass_columns, r, t, PAIR_13) == want
+        assert _message(M.xstate_columns, r, t, PAIR_13) == want
         if want is None:
             assert [_bits(x) for x in M.xstate_entropies(r, t)] == [_bits(x) for x in _composed(r, t)[0]]
+            assert _bits(M.xstate_columns(r, t, PAIR_13)) == _bits(_composed_columns(r, t, PAIR_13))
 
     def test_the_binary_message_comes_before_the_shannon_message(self):
         r, t = 0.0, np.array([[0.3, 0.3, 0.3], [1.2, 0.0, 0.0]])
         assert _message(M.xstate_lower_bound_Ub, r, t).startswith("probabilit")
-        for f in (M.xstate_entropies, _composed, lambda r, t: _pass_columns(r, t, PAIR_13)):
+        for f in (M.xstate_entropies, _composed, XSTATE_ENTRIES["xstate_columns"]):
             assert _message(f, r, t) == "binary entropy argument 1.1 outside [0, 1]"
+
+
+# ---- xstate_columns against each column's definition -----------------------
+
+COLUMN_STATES = np.concatenate(
+    [random_bd_states(6, np.random.default_rng(2901)), BELL_VERTICES[:1], [FIG_STATE]]
+)
+
+
+def _defined_columns(r, t, pair):
+    """U, U_b, D, E and M of X states (r, t), each from its definition: U = S(sigma_q|B) +
+    S(sigma_r|B) and M = min(M_x, M_z) over xstate_entropies, U_b = S(rho_AB) by the
+    spectrum route, D = M - (U_b - 1), and E from the concurrence of sums formed here."""
+    e = M.xstate_entropies(r, t)
+    u_b, m = M.xstate_lower_bound_Ub(r, t), np.minimum(e.m_x, e.m_z)
+    return [e[pair.q - 1] + e[pair.r - 1], u_b, m - (u_b - 1.0), _ref_concurrence(r, t), m]
+
+
+def _assert_columns_are_defined(r, t, pair):
+    got = M.xstate_columns(r, t, pair)
+    assert got.dtype == np.float64 and got.shape == np.shape(M.xstate_entropies(r, t).m) + (5,)
+    for name, column, want in zip(M.COLUMNS, np.moveaxis(got, -1, 0), _defined_columns(r, t, pair)):
+        assert _bits(column) == _bits(want), (name, pair)
+    return got
+
+
+class TestColumnsMatchTheirDefinitions:
+    """Each column of xstate_columns is, bit for bit, its definition over the X core's
+    public calls: on every channel literal, grid size, ordered pair and layout."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 201])
+    @pytest.mark.parametrize("literal", CHANNEL_LITERALS)
+    def test_every_column_on_every_channel(self, literal, n, layout):
+        spec = parse_channel_literal(literal)
+        r, f = spec.factors(spec.check(np.linspace(0.0, 1.0 if spec.kind == "flip" else 10.0, n)))
+        for c in COLUMN_STATES:
+            rt = laid_out(r, layout), laid_out(c * f, layout)
+            for q, k in itertools.permutations((1, 2, 3), 2):
+                assert _assert_columns_are_defined(*rt, M.pauli_pair(q, k)).shape == (n, 5)
+
+    @pytest.mark.parametrize("q, k", list(itertools.permutations((1, 2, 3), 2)))
+    def test_a_batch_is_its_rows_and_points(self, q, k):
+        # N states x K strengths as one (N, K, 3) call, against its (K, 3) rows and points
+        pair = M.pauli_pair(q, k)
+        r, f = ChannelSpec("ad").factors(np.geomspace(0.01, 800.0, 17))
+        t = COLUMN_STATES[:, None, :] * f
+        batch = _assert_columns_are_defined(r, t, pair)
+        assert batch.shape == (len(COLUMN_STATES), 17, 5)
+        for i, row in enumerate(t):
+            assert _bits(_assert_columns_are_defined(r, row, pair)) == _bits(batch[i])
+            for j, point in enumerate(row):
+                got = _assert_columns_are_defined(r[j], point, pair)
+                assert _bits(got) == _bits(batch[i, j])
 
 
 class TestSigma3GivenBIsMz:

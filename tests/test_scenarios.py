@@ -19,9 +19,10 @@ from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, parse_channel_liter
 from eurnoise.metrics import (
     pauli_pair,
     spmc_holds,
-    xstate_concurrence,
+    xstate_columns,
     xstate_entropies,
     xstate_lower_bound_Ub,
+    _concurrence,
 )
 
 PAIR_13 = pauli_pair(1, 3)
@@ -167,7 +168,7 @@ class TestFig2Sweep:
 
     def test_zero_time_record(self):
         r0 = SC.run_time_sweep(fig_config("pd"))[0]
-        u0 = xstate_entropies(0.0, FIG_STATE).uncertainty(PAIR_13)
+        u0 = xstate_columns(0.0, FIG_STATE, PAIR_13)[0]
         assert r0.u == pytest.approx(u0, abs=1e-12)
         assert r0.u_b == pytest.approx(xstate_lower_bound_Ub(0.0, FIG_STATE), abs=1e-12)
 
@@ -497,12 +498,15 @@ class TestClassifyManyStates:
 
 
 def _sweep_columns(cfg):
-    """Reference rows: the xstate_* columns over the grid, stacked."""
+    """Reference rows: each column from its definition over the grid, stacked; E from the
+    concurrence of r^2 and the sums T1 -+ T2, 1 +- T3 formed here."""
     t = cfg.grid
     r, corr = cfg.channel.evolve(cfg.initial, t)
     e = xstate_entropies(r, corr)
-    u, u_b, m = e.uncertainty(cfg.pair), xstate_lower_bound_Ub(r, corr), e.m
-    return np.stack([t, u, u_b, m - (u_b - 1.0), xstate_concurrence(r, corr), m], axis=1)
+    u, u_b, m = e[cfg.pair.q - 1] + e[cfg.pair.r - 1], xstate_lower_bound_Ub(r, corr), e.m
+    t1, t2, t3 = corr.T
+    conc = _concurrence(np.square(r), t1 - t2, t1 + t2, 1 + t3, 1 - t3)
+    return np.stack([t, u, u_b, m - (u_b - 1.0), conc, m], axis=1)
 
 
 class TestSweepRecords:
@@ -707,7 +711,7 @@ class TestSpmcSurface:
 
     def test_identity_on_surface(self):
         c = np.array(SC.sample_spmc_surface(PAIR_13, 21))
-        u = xstate_entropies(0.0, c).uncertainty(PAIR_13)
+        u = xstate_columns(0.0, c, PAIR_13)[:, 0]
         assert np.max(np.abs(u - xstate_lower_bound_Ub(0.0, c))) <= 1e-10
 
     def test_other_pairs(self):

@@ -48,7 +48,9 @@ MOVED = {
     "states": ("bd_to_density",),
 }
 # names deleted outright: a Pauli pair is two axis integers, c = 1/2 a constant;
-# U and M are selections from xstate_entropies, and metrics.check_pair is the pair rule;
+# U, U_b, D, E and M are the columns of metrics.xstate_columns (no writer into a caller's
+# table, no second checked route to E, no U method on the entropies), and
+# metrics.check_pair is the pair rule;
 # the brute force is one real Bloch-form route, not kets and 2x2 eigenvalues;
 # ChannelSpec.factors is the one closed-form channel map; rho_AB's spectrum is
 # built in xstate_lower_bound_Ub alone, and the Bell weights are written out; the AD
@@ -59,6 +61,7 @@ DELETED = (
     "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
     "_measurement_kets", "_avg_conditional_entropy",
     "amplitude_damping_factors", "unchecked_map", "_joint_spectrum", "_SIGNS", "_stack_last",
+    "_xstate_columns", "xstate_concurrence", "uncertainty",
 )
 # the brute-force route for M, in metrics until the benchmark is repointed at the oracles
 BRUTE_FORCE = (
@@ -372,7 +375,8 @@ def test_the_boundary_band_is_written_once():
 
 
 def test_the_cli_spells_no_column_name():
-    # the column names live in scenarios.ALL_COLUMNS; the CLI's defaults and help join it.
+    # the column names live in metrics.COLUMNS, which scenarios.ALL_COLUMNS is; the CLI's
+    # defaults and help join it.
     # A column name alone, or two or more joined by commas, is a column list written out
     # (check-unital's "Ub" label inside its report line is not)
     columns = importlib.import_module("eurnoise.scenarios").ALL_COLUMNS
@@ -430,12 +434,11 @@ def test_metrics_takes_the_sweep_entropies_in_one_pass():
     )
     assert calls == [
         ("_conditional_entropy", "binary_entropy"),
-        ("_xstate_columns", "_xstate_pass"),
         ("_xstate_pass", "_check_binary"),
         ("_xstate_pass", "_check_distribution"),
         ("_xstate_pass", "_plogp"),
         ("witness_discord_from_U", "binary_entropy"),
-        ("xstate_concurrence", "_check_distribution"),
+        ("xstate_columns", "_xstate_pass"),
         ("xstate_entropies", "_xstate_pass"),
         ("xstate_lower_bound_Ub", "shannon_entropy"),
     ], calls
@@ -468,8 +471,49 @@ def test_each_kernel_check_is_written_once():
         "metrics._xstate_pass: _check_binary",
         "metrics._xstate_pass: _check_distribution",
         "metrics._xstate_pass: _plogp",
-        "metrics.xstate_concurrence: _check_distribution",
     ], sites
+
+
+def _forms_u(node) -> bool:
+    """Whether node adds the entries at pair.q - 1 and pair.r - 1: U = S(sigma_q|B) +
+    S(sigma_r|B), as a + or as np.add. spmc_holds multiplies two such entries, and the
+    surface writes its axes at them; neither forms U."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        operands = [node.left, node.right]
+    elif isinstance(node, ast.Call) and ast.unparse(node.func) == "np.add":
+        operands = node.args[:2]
+    else:
+        return False
+    slices = [ast.unparse(a.slice) for a in operands if isinstance(a, ast.Subscript)]
+    return slices == ["pair.q - 1", "pair.r - 1"]
+
+
+def test_each_column_is_formed_once():
+    # M = min(M_x, M_z) belongs to XStateEntropies.m; U for a pair and D = M - (U_b - 1) to
+    # metrics.xstate_columns, which reads M from .m; the five column names are one literal,
+    # metrics.COLUMNS, which the sweep's CSV and the CLI read
+    names = set(importlib.import_module("eurnoise.metrics").COLUMNS)
+    assert names == {"U", "Ub", "D", "E", "M"}
+    sites = {"min": [], "U": [], "D": [], "names": []}
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        for scope, node in scoped_nodes(parse(path)):
+            site = f"{path.stem}.{scope}"
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.minimum"
+                    and [ast.unparse(a).rsplit(".", 1)[-1] for a in node.args[:2]]
+                    == ["m_x", "m_z"]):
+                sites["min"].append(site)
+            if _forms_u(node):
+                sites["U"].append(site)
+            if isinstance(node, ast.BinOp) and ast.unparse(node) == "u_b - 1.0":
+                sites["D"].append(site)
+            if isinstance(node, ast.Constant) and node.value in names:
+                sites["names"].append(f"{site}: {node.value}")
+    assert sites == {
+        "min": ["metrics.m"],
+        "U": ["metrics.xstate_columns"],
+        "D": ["metrics.xstate_columns"],
+        "names": [f"metrics.<module>: {name}" for name in ("U", "Ub", "D", "E", "M")],
+    }, sites
 
 
 def _sum_terms(node) -> list[str]:
