@@ -852,3 +852,43 @@ class TestOracleMatrixKinds:
         want = np.asarray(call(pure.astype(complex)))
         for m in (pure, pure.astype(int), pure.astype(float), pure.tolist()):
             assert np.asarray(call(m)).tobytes() == want.tobytes()
+
+
+# ---- the float forms of the Shannon fast test and fold, against numpy ------------
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_subtract_reduce_folds_each_row_from_zero_left_to_right(k):
+    # the float U_b folds each row's p log2 p terms as 0.0 - t0 - t1 - ..., which is
+    # numpy's np.subtract.reduce(..., initial=0.0) on every layout; a numpy that folds
+    # otherwise fails here by name, before any bitwise U_b test
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-1.0, 1.0, (40, k)) * 10.0 ** rng.integers(-17, 17, (40, k))
+    for layout in LAYOUTS:
+        a = laid_out(x, layout)
+        want = []
+        for row in x.tolist():
+            h = 0.0
+            for v in row:
+                h -= v
+            want.append(h)
+        assert np.subtract.reduce(a, -1, initial=0.0).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda k: arrays(np.float64, st.tuples(st.integers(0, 32 // k), st.just(k)),
+                     elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from(FEW_EDGES)))))
+@example(np.array([[0.25] * 4, [0.5, 0.5, 0.0, -0.0]]))
+@example(np.array([[0.5, 0.5 + 2e-9]]))
+@example(np.array([[5e-324, 1.0], [1.0, -0.0]]))  # the least subnormal meets _plogp's floor
+def test_entropy_floats_is_the_kernel_on_rows_that_pass_its_fast_test(p):
+    if p.size and p.shape[-1] > 1:  # rows that sum to 1, often
+        with np.errstate(all="ignore"):
+            p[:, -1] = np.maximum(1.0 - p[:, :-1].sum(axis=-1), 0.0) * (p[:, -1] <= 0.5)
+    got = L._entropy_floats(p.ravel().tolist(), p.shape[-1])
+    with numpy_path():
+        passes = bool(L._in_unit(p) and L._sums_near_one(p))
+    assert (got is not None) == passes
+    if passes:
+        assert np.array(got).tobytes() == L.shannon_entropy(p).tobytes()

@@ -14,6 +14,7 @@ from eurnoise import metrics as M
 from eurnoise import oracles as O
 from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy
 from eurnoise.oracles import bd_to_density
+from eurnoise import states as S
 from eurnoise.states import BellDiagonalState, random_bd_states
 from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, evolve_bd_amplitude, evolve_bd_flip
 from eurnoise.channels import parse_channel_literal
@@ -827,21 +828,71 @@ class TestXStateRealInput:
             assert np.asarray(entry(r, t)).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize(
-        "r, t, binary, spectrum",
-        [(np.nan, [0.1, 0.2, 0.3], "nan", "nan"), (0.0, [0.1, np.nan, 0.3], "nan", "nan"),
-         (0.0, [np.inf, 0.2, 0.3], "inf", "inf"), (0.0, [5.0, 0.2, 0.3], "3.0", "-0.875")],
+        "r, t, message",
+        [(np.nan, [0.1, 0.2, 0.3], "r entry nan"), (0.0, [0.1, np.nan, 0.3], "T entry nan"),
+         (0.0, [np.inf, 0.2, 0.3], "T entry inf"), (0.0, [5.0, 0.2, 0.3], "T entry 5.0")],
         ids=["nan_r", "nan_t2", "inf_t1", "outside"],
     )
-    def test_the_concurrence_column_is_checked_as_the_pass_is(self, r, t, binary, spectrum):
-        # E unchecked gave nan, nan, inf and E = 2.05; its column meets the pass's binary
-        # check first, and U_b alone the spectrum check
-        for entry in (M.xstate_entropies, XSTATE_ENTRIES["xstate_columns"]):
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_an_entry_outside_the_x_states_names_r_or_t(self, entry, r, t, message):
+        # E unchecked gave nan, nan, inf and E = 2.05; then the pass's binary check and the
+        # spectrum check spoke of arguments the caller never passed
+        with pytest.raises(DomainError) as info:
+            entry(r, t)
+        assert str(info.value) == f"{message} outside [-1, 1]"
+
+    @pytest.mark.parametrize(
+        "r, t, name, bad",
+        [(0.0, (1e308, 1e308, 0.3), "T", "1e+308"), (1e308, (0.1, 0.2, 0.3), "r", "1e+308"),
+         (np.zeros(2), [[0.1, 0.2, -np.inf], [0.1, 0.2, 0.3]], "T", "-inf"),
+         (np.array([0.0, -1.0 - 1e-9]), np.zeros((2, 3)), "r", "-1.000000001")],
+    )
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_a_huge_entry_is_refused_before_any_arithmetic(self, entry, r, t, name, bad):
+        # "overflow encountered in add" and "in square" came first, then a kernel message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DomainError) as info:
                 entry(r, t)
-            assert str(info.value) == f"binary entropy argument {binary} outside [0, 1]"
+        assert str(info.value) == f"{name} entry {bad} outside [-1, 1]"
+
+    @pytest.mark.parametrize(
+        "r, t", [(np.zeros(2), np.zeros((3, 3))), (np.zeros((2, 1)), np.zeros((3, 4, 3))),
+                 (np.zeros(3), np.zeros((2, 3))), (np.zeros((4, 2)), np.zeros((4, 3, 3)))],
+        ids=lambda a: "x".join(map(str, np.shape(a))),
+    )
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_an_r_that_does_not_broadcast_names_both_shapes(self, entry, r, t):
+        # numpy's ValueError "operands could not be broadcast together" came first
         with pytest.raises(DomainError) as info:
-            M.xstate_lower_bound_Ub(r, t)
-        assert str(info.value) == f"probability {spectrum} is negative or not finite"
+            entry(r, t)
+        assert str(info.value) == (
+            f"r of shape {r.shape} does not broadcast against T of shape {t.shape}")
+
+    @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
+    def test_an_r_that_broadcasts_gives_the_bits_of_the_broadcast_r(self, entry):
+        r, t = np.array([[-0.5], [0.0]]), np.full((2, 3, 3), 0.2)
+        got, want = entry(r, t), entry(*np.broadcast_arrays(r, t[..., 0])[:1], t)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("literal", CHANNEL_LITERALS)
+    def test_the_range_rule_takes_every_state_check_bd_takes(self, literal):
+        # each Bell vertex pushed out along its own direction as far as check_bd admits:
+        # its entries reach 1 + 4e-12, and no factors enlarge them
+        spec = parse_channel_literal(literal)
+        grid = spec.check([0.0, 0.25, 0.5, 1.0] if spec.kind == "flip" else [0.0, 1.0, 50.0, 800.0])
+        for vertex in BELL_VERTICES:
+            push = 1.0 + 3.99e-12
+            while S.is_valid(vertex * np.nextafter(push, 2.0)):
+                push = np.nextafter(push, 2.0)
+            c = S.check_bd(vertex * push)
+            assert np.abs(c).max() > 1.0 + 3.9e-12
+            r, t = spec.factors(grid)
+            t = c * t
+            M._check_range(r, t)  # the rule itself, which the pass meets before its kernels
+            assert np.isfinite(M.xstate_lower_bound_Ub(r, t)).all()
+            for one in range(len(grid)):
+                assert np.isfinite(M.xstate_lower_bound_Ub(r[one], t[one]))
 
     def test_concurrence_takes_the_vertices_within_the_spectrum_tolerance(self):
         # hypot rounding leaves a -2.2e-16 eigenvalue at a Bell vertex
@@ -1077,6 +1128,83 @@ def x_states(draw):
     return laid_out(r, layout), laid_out(t, layout)
 
 
+# ---- U_b in Python floats: T of at most _FEW entries, r of T's leading shape ----------
+
+FEW_UB_SHAPES = [(), *[(k,) for k in range(1, 11)], *[(2, k) for k in range(1, L._FEW // 6 + 1)]]
+FEW_GAMMA_T = st.one_of(st.sampled_from([0.0, 50.0, 800.0]), st.floats(0.0, 60.0))
+
+
+@st.composite
+def few_x_states(draw):
+    """(r, t) whose T holds at most _FEW entries, r of T's leading shape: Bell-diagonal
+    states, pure ones often, amplitude-damped at Gamma*t of 0, 50, 800 or drawn, in a
+    drawn memory layout."""
+    shape = draw(st.sampled_from(FEW_UB_SHAPES))
+    weight = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    w = draw(arrays(np.float64, shape + (4,), elements=weight))
+    w[..., 0] += w.sum(axis=-1) == 0.0
+    c = (w / w.sum(axis=-1, keepdims=True)) @ BELL_VERTICES
+    r, t = ChannelSpec("ad").evolve(c, draw(arrays(np.float64, shape, elements=FEW_GAMMA_T)))
+    layout = draw(st.sampled_from(LAYOUTS))
+    return laid_out(r, layout), laid_out(t, layout)
+
+
+def _array_path_Ub(r, t):
+    """xstate_lower_bound_Ub with every input on the array path, as above _FEW entries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "_FEW", -1)
+        return M.xstate_lower_bound_Ub(r, t)
+
+
+class TestFloatUbIsTheArrayPath:
+    """Up to _FEW entries of T, with r of T's leading shape, U_b is taken in Python floats
+    between one hypot and one log2 call; it gives the array path's type and bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(few_x_states())
+    @example((np.float64(0.0), BELL_VERTICES[0]))
+    @example(ChannelSpec("ad").evolve(BELL_VERTICES, [0.0, 50.0, 800.0, 1.0]))
+    @example(ChannelSpec("ad").evolve(np.full((2, 5, 3), 0.2), np.full((2, 5), 800.0)))
+    def test_bits_and_type_of_every_few_shape_and_layout(self, rt):
+        r, t = rt
+        assert _typed_bits(M.xstate_lower_bound_Ub(r, t)) == _typed_bits(_array_path_Ub(r, t))
+
+    @pytest.mark.parametrize("shape", FEW_UB_SHAPES, ids=str)
+    def test_interior_states_never_reach_an_array_kernel(self, monkeypatch, shape):
+        c = random_bd_states(int(np.prod(shape)), np.random.default_rng(3001)).reshape(shape + (3,))
+        r, t = ChannelSpec("ad").evolve(c, np.full(shape, 1.5))
+        one = float(r.flat[0]), t.reshape(-1, 3)[0]  # a Python float r and a (3,) T
+        want = [_typed_bits(_array_path_Ub(*rt)) for rt in ((r, t), one)]
+        monkeypatch.setattr(M, "shannon_entropy", None)  # a kernel call raises TypeError
+        monkeypatch.setattr(M, "_spectrum_rows", None)
+        assert [_typed_bits(M.xstate_lower_bound_Ub(*rt)) for rt in ((r, t), one)] == want
+
+    @pytest.mark.parametrize("vertex", range(4))
+    def test_the_vertex_spectrum_takes_the_ordered_path_and_its_clamp(self, monkeypatch, vertex):
+        # hypot rounding leaves 4 rho_AB's spectrum a -2.2e-16 entry at each Bell vertex
+        # damped to Gamma*t = 0.01: it fails the float Shannon test, and the array path
+        # clamps it to 0 as it always has, whichever way the state comes in
+        r, t = ChannelSpec("ad").evolve(BELL_VERTICES[vertex], 0.01)
+        assert M._spectrum_rows(r, *np.moveaxis(t, -1, 0))[0].min() * 4 == -2.0**-52
+        entered, ordered = [], L._sum_last
+        monkeypatch.setattr(L, "_sum_last", lambda p: entered.append(p.shape) or ordered(p))
+        one = M.xstate_lower_bound_Ub(r, t)
+        assert entered == [(4,)]
+        clamped = np.maximum(M._spectrum_rows(r, *np.moveaxis(t, -1, 0))[0], 0.0)
+        assert _typed_bits(one) == _typed_bits(shannon_entropy(clamped))
+        assert _bits(one) == _bits(M.xstate_lower_bound_Ub(np.full(3, r), np.stack([t] * 3))[0])
+
+    def test_few_entries_with_a_broadcast_r_take_the_array_path(self, monkeypatch):
+        entered = []
+        monkeypatch.setattr(M, "_entropy_floats", lambda p, k: entered.append(k))
+        r, t = ChannelSpec("ad").evolve(np.array(FIG_STATE), [0.5, 1.0])
+        M.xstate_lower_bound_Ub(r, np.broadcast_to(t, (3, 2, 3)))  # r (2,), T (3, 2, 3)
+        M.xstate_lower_bound_Ub(r, np.broadcast_to(t, (12, 2, 3)))  # 72 entries
+        assert entered == []
+        M.xstate_lower_bound_Ub(r, t)
+        assert entered == [4]
+
+
 def _core_bits(r, t):
     """dtype, shape and bytes of the six fields of xstate_entropies and of U_b."""
     return [_bits(x) for x in (*M.xstate_entropies(r, t), M.xstate_lower_bound_Ub(r, t))]
@@ -1134,8 +1262,9 @@ def _composed(r, t):
     """(the six XStateEntropies fields, E) of X states from the public calls the pass
     replaces: one binary_entropy over the five binary arguments stacked on a last axis,
     then xstate_lower_bound_Ub, which checks rho_AB's spectrum, and the concurrence of
-    the sums formed here."""
+    the sums formed here. The range rule, which every public call meets at intake, comes first."""
     t = np.asarray(t, dtype=float)
+    M._check_range(np.asarray(r, dtype=float), t)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
     args = np.broadcast_arrays(1.0 + u, 1 + r + t3, 1 + r - t3, 1.0 + t1, 1.0 + t2)
@@ -1217,10 +1346,11 @@ class TestOnePassEqualsThePublicCalls:
             assert _bits(M.xstate_columns(r, t, PAIR_13)) == _bits(_composed_columns(r, t, PAIR_13))
 
     def test_the_binary_message_comes_before_the_shannon_message(self):
-        r, t = 0.0, np.array([[0.3, 0.3, 0.3], [1.2, 0.0, 0.0]])
+        # every entry is within the range rule; (1 + r + T3)/2 is not, nor is the spectrum
+        r, t = np.array([0.0, 0.9]), np.array([[0.3, 0.3, 0.3], [0.0, 0.0, 0.9]])
         assert _message(M.xstate_lower_bound_Ub, r, t).startswith("probabilit")
         for f in (M.xstate_entropies, _composed, XSTATE_ENTRIES["xstate_columns"]):
-            assert _message(f, r, t) == "binary entropy argument 1.1 outside [0, 1]"
+            assert _message(f, r, t) == f"binary entropy argument {(1 + 0.9 + 0.9) / 2} outside [0, 1]"
 
 
 # ---- xstate_columns against each column's definition -----------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eurnoise import linalg
+from eurnoise import metrics
 from eurnoise import scenarios as SC
 from eurnoise.linalg import DomainError, binary_entropy, shannon_entropy
 from eurnoise.states import BellDiagonalState, bell_eigenvalues, random_bd_states
@@ -425,12 +426,17 @@ class TestEntropyCallCounts:
         assert entropy_calls == []
         assert ordered_checks == []  # every entry of an interior state is in range
 
-    def test_one_state_classify_makes_one_shannon_call(self, entropy_calls):
-        SC.classify_longtime_ad(FIG_STATE)
-        assert entropy_calls == [("shannon_entropy", (2, 4))]
-        entropy_calls.clear()
+    def test_one_state_classify_takes_u_b_in_floats_and_a_batch_one_shannon_call(
+        self, monkeypatch, entropy_calls
+    ):
+        floats, entropy_floats = [], metrics._entropy_floats
+        monkeypatch.setattr(
+            metrics, "_entropy_floats", lambda p, k: floats.append((len(p), k)) or entropy_floats(p, k)
+        )
+        SC.classify_longtime_ad(FIG_STATE)  # the (2, 4) spectrum as 8 Python floats
+        assert (floats, entropy_calls) == ([(8, 4)], [])
         SC.classify_longtime_ad(random_bd_states(37, np.random.default_rng(1)))
-        assert entropy_calls == [("shannon_entropy", (37, 2, 4))]
+        assert (floats, entropy_calls) == ([(8, 4)], [("shannon_entropy", (37, 2, 4))])
 
 
 # the two ad-longtime states of the benchmark, on its 101-point log grid to Gamma*t = 800
@@ -452,6 +458,42 @@ def test_long_ad_sweeps_of_interior_states_skip_the_ordered_shannon_path(monkeyp
             SC.SweepConfig(initial, ChannelSpec("ad"), pauli_pair(*pair), 0.01, 800.0, 101, "log")
         )
     assert entered == []
+
+
+def _tetrahedron_landmarks():
+    """The vertices, edge midpoints and face centres of the tetrahedron, and states on
+    segments from the centre to each edge midpoint whose S(rho_BD) lies within
+    BOUNDARY_BAND of 1, on both sides of it."""
+    v = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+    pairs, triples = itertools.combinations(range(4), 2), itertools.combinations(range(4), 3)
+    edges = np.array([(v[i] + v[j]) / 2 for i, j in pairs])
+    faces = np.array([(v[i] + v[j] + v[k]) / 3 for i, j, k in triples])
+    near = []
+    for mid in edges:  # S = 1 at the midpoint, 2 at the centre: bisect S = 1 + 4e-10
+        for target in (1.0 + 4e-10, 1.0):
+            lo, hi = 0.0, 1.0
+            for _ in range(80):
+                at = (lo + hi) / 2
+                s = SC.classify_longtime_ad(mid * (1 - at)).u_b_initial
+                lo, hi = (at, hi) if s < target else (lo, at)
+            near += [mid * (1 - lo), mid * (1 - hi)]
+    return np.concatenate([v, edges, faces, near])
+
+
+class TestOneStateClassifyIsTheBatch:
+    """One state takes U_b in Python floats and N states the array path: the verdicts,
+    the bits and the types of the columns are the same."""
+
+    def test_at_the_tetrahedron_landmarks_and_the_boundary_band(self):
+        states = _tetrahedron_landmarks()
+        many = SC.classify_longtime_ad(states)
+        assert {"Decrease", "Increase", "Boundary"} <= set(many.verdict.tolist())
+        for i, state in enumerate(states):
+            one = SC.classify_longtime_ad(state)
+            for name in ("verdict", "u_b_initial", "u_b_limit"):
+                got, want = getattr(one, name), getattr(many, name)[i]
+                assert type(got) is type(want) and np.ndim(got) == 0, (name, state)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, state)
 
 
 class TestClassifyManyStates:
