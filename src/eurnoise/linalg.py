@@ -8,9 +8,9 @@ one range test is ``_within``. The tests and checks (``_check_binary``,
 ``_check_distribution``) are written once here and shared with the X core's one pass, which
 takes every p log2 p of a sweep in one ``_plogp`` call over a block of contiguous rows;
 Shannon terms fold from +0.0 in order: numpy's sum order for 2 to 7. The tiny-input rule
-covers the arithmetic too: ``_entropy_floats`` is ``shannon_entropy`` of Python floats, its
-fast test and fold beside their array forms, with one log2 call. ``as_real`` is the one
-place the runtime turns caller input into floats, and ``_as_scalar`` its form for one number.
+covers arithmetic too: ``_entropy_floats`` is ``shannon_entropy`` on Python floats, with one
+log2 call. ``as_real`` is the one place the runtime turns caller input into floats, and
+``_as_scalar`` its form for one number.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ _FEW = 32
 
 
 def _within(x, lo: float, hi: float) -> bool:
-    """Whether every entry of x, an array or a list of Python floats, lies in [lo, hi] (NaN
-    does not; an empty x does): a list, or an array of up to _FEW entries read once as
-    one, in Python floats, a larger array by a min and a max reduction."""
+    """Whether every entry of x, an array or a list of floats, lies in [lo, hi] (NaN does not;
+    an empty x does): a list or up to _FEW entries in Python floats, else by a min and a max."""
     if isinstance(x, np.ndarray):
         if x.size > _FEW:
             return np.minimum.reduce(x, None) >= lo and np.maximum.reduce(x, None) <= hi
@@ -134,20 +133,17 @@ def binary_entropy(p):
     return float(h) if h.ndim == 0 else h
 
 
-def _sums_near_one(p: np.ndarray) -> bool:
-    """Whether every sum along p's last axis, of entries in [0, 1], is within 1e-9 of 1:
-    up to _FEW entries in rows shorter than 8 by ``_rows_near_one``, numpy's own sum order
-    there, else by numpy (never ``sum()``, which compensates from Python 3.12)."""
-    k = p.shape[-1] if p.ndim else 1  # a 0-d p is one row, as to numpy
-    if p.size > _FEW or k >= 8:
-        return np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9
-    return _rows_near_one(p.ravel().tolist(), k)  # a copy of a strided view, but a tiny one
-
-
-def _rows_near_one(flat: list, k: int) -> bool:
-    """``_sums_near_one`` of rows of k Python floats laid end to end, summed from +0.0."""
+def _sums_near_one(p, k: int = 0) -> bool:
+    """Whether every sum along p's last axis, or of each k floats of a list p, of entries in
+    [0, 1] is within 1e-9 of 1: a list or up to _FEW entries in rows under 8 folded from +0.0 in
+    Python floats (numpy's order there), else by numpy; never ``sum()``, compensated from 3.12."""
+    if isinstance(p, np.ndarray):
+        k = p.shape[-1] if p.ndim else 1  # a 0-d p is one row, as to numpy
+        if p.size > _FEW or k >= 8:
+            return np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9
+        p = p.ravel().tolist()  # a copy of a strided view, but a tiny one
     total = 0.0
-    for j, v in enumerate(flat, 1):
+    for j, v in enumerate(p, 1):
         total += v
         if not j % k:  # a row ends
             if not abs(total - 1.0) <= 1e-9:
@@ -191,7 +187,7 @@ def shannon_entropy(p):
 def _entropy_floats(flat: list, k: int):
     """``shannon_entropy`` of rows of k Python floats laid end to end, or None if they fail its
     fast test: one log2 call, each row's terms folded from 0.0 as np.subtract.reduce does."""
-    if not (flat and _within(flat, 0.0, 1.0) and _rows_near_one(flat, k)):
+    if not (flat and _within(flat, 0.0, 1.0) and _sums_near_one(flat, k)):
         return None
     logs = np.log2([v if v > 5e-324 else 5e-324 for v in flat]).tolist()  # _plogp's max
     out, h = [], 0.0

@@ -8,13 +8,11 @@ kernels' own checks in linalg and taken in one p log2 p call (S(sigma_3|B) is M_
 D, E (the concurrence, from the pass's own sums) and M (``XStateEntropies.m``), each formed
 there once; ``xstate_entropies`` returns the pass's six entropies, and U_b alone keeps one
 Shannon call, or for a tiny input one hypot and one log2 call on Python floats. Every X-core
-entry point takes (r, T) through ``_xstate_args``, the real-input, shape and broadcast rules;
-an entry outside the range rule (``_check_range``) fails the first kernel check, and the
-rule then names it. A Pauli pair is an
-``ObservablePair`` of two axes (``check_pair``): any two distinct axes have eigenbases of
-overlap c = 1/2. The density-matrix routes that check the closed forms live in
-``eurnoise.oracles``; the brute-force minimizer for M, which assumes no X structure, stays here
-until the benchmark, which reads it at this path, is repointed.
+entry point takes (r, T) through ``_xstate_args``, the real-input, shape, broadcast and range
+rules. A Pauli pair is an ``ObservablePair`` of two axes (``check_pair``): any two distinct
+axes have eigenbases of overlap c = 1/2. The density-matrix routes that check the closed
+forms live in ``eurnoise.oracles``; the brute-force minimizer for M, which assumes no X
+structure, stays here until the benchmark, which reads it at this path, is repointed.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, as_real, binary_entropy, is_axis
-from eurnoise.linalg import check_count, shannon_entropy, _as_scalar, _plogp, _within, _FEW
+from eurnoise.linalg import check_count, shannon_entropy, _as_scalar, _plogp, _FEW
 from eurnoise.linalg import _check_binary, _check_distribution, _entropy_floats, _first_outside
 from eurnoise.states import _FLOOR, check_one_bd
 from eurnoise.channels import ChannelSpec
@@ -229,8 +227,8 @@ def witness_discord_from_U(
 
 
 COLUMNS = ("U", "Ub", "D", "E", "M")  # the columns of xstate_columns, in order
-# check_bd admits |c_j| up to 1 - _FLOOR, and no factors enlarge it; twice that covers rounding
-_X_MAX = 1 - 2 * _FLOOR
+# check_bd's |c_j| <= 1 - _FLOOR, plus its weights' rounding (< 3 ulps); no factors enlarge T
+_X_MAX = 1 - _FLOOR + 8 * 2.0**-52
 
 
 class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z")):
@@ -244,9 +242,8 @@ class XStateEntropies(namedtuple("XStateEntropies", "s1_b s2_b s3_b s_ab m_x m_z
 
 
 def _spectrum_rows(r, t1, t2, t3, out=None):
-    """rho_AB's spectrum, written into the rows of out (4, ...), and the sums T1 -+ T2 and
-    1 +- T3 that its entries take: (up +- hypot(r, minus), down +- hypot(r, plus))/4, one
-    ufunc call per row, then 1/4."""
+    """rho_AB's spectrum, written into the rows of out (4, ...), as its (..., 4) view, and the
+    sums T1 -+ T2, 1 +- T3: (up +- hypot(r, minus), down +- hypot(r, plus))/4, row by row."""
     minus, plus, up, down = t1 - t2, t1 + t2, 1 + t3, 1 - t3
     rad_m, rad_p = np.hypot(r, minus), np.hypot(r, plus)
     out = np.empty((4,) + rad_m.shape) if out is None else out
@@ -254,7 +251,8 @@ def _spectrum_rows(r, t1, t2, t3, out=None):
     np.subtract(up, rad_m, out[1, ...])
     np.add(down, rad_p, out[2, ...])
     np.subtract(down, rad_p, out[3, ...])
-    return np.multiply(out, 0.25, out=out), (minus, plus, up, down)
+    np.multiply(out, 0.25, out=out)
+    return out.transpose(*range(1, out.ndim), 0), (minus, plus, up, down)
 
 
 def _concurrence(r2, minus, plus, up, down):
@@ -266,24 +264,18 @@ def _concurrence(r2, minus, plus, up, down):
 
 
 def _xstate_args(r, t):
-    """X states (r, t) by the real-input rule, as float arrays: t of shape (..., 3), r of a
-    shape that broadcasts against t[..., 0]."""
+    """X states (r, t) by the real-input rule, as float arrays: t (..., 3), r broadcasting
+    against t[..., 0], every entry within _X_MAX of 0, so no later step overflows or sees NaN."""
     r, t = as_real(r, "r"), as_real(t, "T")
     if t.shape[-1:] != (3,):
         raise DomainError(f"T must have shape (..., 3), got shape {t.shape}")
     if r.shape != t.shape[:-1] and not all(  # trailing axes equal, or one of them 1
             a == b or 1 in (a, b) for a, b in zip(r.shape[::-1], t.shape[-2::-1])):
         raise DomainError(f"r of shape {r.shape} does not broadcast against T of shape {t.shape}")
-    return r, t
-
-
-def _check_range(r, t) -> None:
-    """The range rule of the X core's arrays: DomainError naming r or T and its first entry
-    farther than _X_MAX from 0, NaN included. Such an entry fails the binary check and the
-    spectrum check alike, so the rule runs once one of them raises."""
     for name, x in (("r", r), ("T", t)):
         if (bad := _first_outside(x, -_X_MAX, _X_MAX)) is not None:
             raise DomainError(f"{name} entry {bad} outside [-1, 1]")
+    return r, t
 
 
 def _xstate_pass(r, t):
@@ -296,27 +288,21 @@ def _xstate_pass(r, t):
     S(sigma_3|B) = M_z exactly."""
     r, t = _xstate_args(r, t)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
-    with np.errstate(over="ignore", invalid="ignore"):  # an entry that warns fails the rule
-        r2 = np.square(r)
-        u = np.sqrt(r2 + np.maximum(t1 * t1, t2 * t2))
-        p = np.empty((14,) + u.shape)  # rows p (5), 1 - p (5), the spectrum (4); T_j broadcast
-        row = p[0, ...]
-        np.add(1.0, np.minimum(u, 1.0, out=row), out=row)  # 1 + min(u, 1)
-        one_r = 1 + r
-        np.add(one_r, t3, out=p[1, ...])
-        np.subtract(one_r, t3, out=p[2, ...])
-        np.add(1.0, t1, out=p[3, ...])
-        np.add(1.0, t2, out=p[4, ...])
+    r2 = np.square(r)
+    u = np.sqrt(r2 + np.maximum(t1 * t1, t2 * t2))
+    p = np.empty((14,) + u.shape)  # rows p (5), 1 - p (5), the spectrum (4); T_j broadcast
     last = (*range(1, p.ndim), 0)  # the (..., k) view of a (k, ...) block of rows
+    row = p[0, ...]
+    np.add(1.0, np.minimum(u, 1.0, out=row), out=row)  # 1 + min(u, 1)
+    one_r = 1 + r
+    np.add(one_r, t3, out=p[1, ...])
+    np.subtract(one_r, t3, out=p[2, ...])
+    np.add(1.0, t1, out=p[3, ...])
+    np.add(1.0, t2, out=p[4, ...])
     binary = np.multiply(p[:5], 0.5, out=p[:5]).transpose(last)
-    try:
-        _check_binary(binary, out=binary)
-    except DomainError:  # which every entry outside the range rule meets: the rule names it
-        _check_range(r, t)
-        raise
+    _check_binary(binary, out=binary)
     np.subtract(1.0, p[:5], out=p[5:10])
     spectrum, sums = _spectrum_rows(r, t1, t2, t3, out=p[10:])
-    spectrum = spectrum.transpose(last)
     _check_distribution(spectrum, out=spectrum)
     terms = _plogp(p)
     h = np.add(terms[:5], terms[5:10], out=terms[:5])
@@ -347,28 +333,23 @@ def xstate_columns(r, t, pair: ObservablePair) -> np.ndarray:
 
 def xstate_lower_bound_Ub(r, t):
     """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2), over rho_AB's spectrum.
-    At most _FEW entries of T, r of T's leading shape, are read once as Python floats and take
-    one hypot and one log2 call: Python rounds + - * as numpy does, so no bit moves. The
-    rest, and floats that fail the range rule or ``_entropy_floats``' test, go by arrays."""
+    Up to _FEW entries of T, r of T's leading shape, go by Python floats (rounding + - * as numpy
+    does) with one hypot and one log2 call; the rest, and a failed fast test, go by arrays."""
     r, t = _xstate_args(r, t)
-    if t.size <= _FEW and r.shape == t.shape[:-1]:
+    if t.size <= _FEW and r.shape == t.shape[:-1]:  # _spectrum_rows' sums and rows
         rs, ts = r.ravel().tolist(), t.ravel().tolist()
-        if _within(rs + ts, -_X_MAX, _X_MAX):  # then _spectrum_rows' sums and rows
-            t12 = list(zip(ts[0::3], ts[1::3]))
-            rad = np.hypot(rs + rs, [a - b for a, b in t12] + [a + b for a, b in t12]).tolist()
-            p = []
-            for t3, m, q in zip(ts[2::3], rad, rad[len(rs) :]):
-                up, down = 1 + t3, 1 - t3
-                p += (up + m) * 0.25, (up - m) * 0.25, (down + q) * 0.25, (down - q) * 0.25
-            if (h := _entropy_floats(p, 4)) is not None:
-                return h[0] if r.ndim == 0 else np.array(h).reshape(r.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # an entry that warns fails the rule
-        p = _spectrum_rows(r, t[..., 0], t[..., 1], t[..., 2])[0]  # held, sums slow the kernel
-    try:
-        return shannon_entropy(p.transpose(*range(1, p.ndim), 0))
-    except DomainError:  # which every entry outside the range rule meets: the rule names it
-        _check_range(r, t)
-        raise
+        minus, plus = [], []
+        for t1, t2 in zip(ts[0::3], ts[1::3]):
+            minus.append(t1 - t2)
+            plus.append(t1 + t2)
+        rad = np.hypot(rs + rs, minus + plus).tolist()
+        p = []
+        for t3, m, q in zip(ts[2::3], rad, rad[len(rs) :]):
+            up, down = 1 + t3, 1 - t3
+            p += (up + m) * 0.25, (up - m) * 0.25, (down + q) * 0.25, (down - q) * 0.25
+        if (h := _entropy_floats(p, 4)) is not None:
+            return h[0] if r.ndim == 0 else np.array(h).reshape(r.shape)
+    return shannon_entropy(_spectrum_rows(r, t[..., 0], t[..., 1], t[..., 2])[0])
 
 
 # ---- the amplitude-damped entry point on the core --------------------------

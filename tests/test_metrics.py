@@ -845,7 +845,8 @@ class TestXStateRealInput:
         "r, t, name, bad",
         [(0.0, (1e308, 1e308, 0.3), "T", "1e+308"), (1e308, (0.1, 0.2, 0.3), "r", "1e+308"),
          (np.zeros(2), [[0.1, 0.2, -np.inf], [0.1, 0.2, 0.3]], "T", "-inf"),
-         (np.array([0.0, -1.0 - 1e-9]), np.zeros((2, 3)), "r", "-1.000000001")],
+         (np.array([0.0, -1.0 - 1e-9]), np.zeros((2, 3)), "r", "-1.000000001"),
+         (0.0, (1 + 5e-12, 0.0, 0.0), "T", "1.000000000005")],
     )
     @pytest.mark.parametrize("entry", XSTATE_ENTRIES.values(), ids=XSTATE_ENTRIES.keys())
     def test_a_huge_entry_is_refused_before_any_arithmetic(self, entry, r, t, name, bad):
@@ -889,7 +890,7 @@ class TestXStateRealInput:
             assert np.abs(c).max() > 1.0 + 3.9e-12
             r, t = spec.factors(grid)
             t = c * t
-            M._check_range(r, t)  # the rule itself, which the pass meets before its kernels
+            M._xstate_args(r, t)  # the intake alone, which every entry point meets first
             assert np.isfinite(M.xstate_lower_bound_Ub(r, t)).all()
             for one in range(len(grid)):
                 assert np.isfinite(M.xstate_lower_bound_Ub(r[one], t[one]))
@@ -1264,7 +1265,7 @@ def _composed(r, t):
     then xstate_lower_bound_Ub, which checks rho_AB's spectrum, and the concurrence of
     the sums formed here. The range rule, which every public call meets at intake, comes first."""
     t = np.asarray(t, dtype=float)
-    M._check_range(np.asarray(r, dtype=float), t)
+    M._xstate_args(r, t)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     u = np.minimum(np.sqrt(np.square(r) + np.maximum(t1 * t1, t2 * t2)), 1.0)
     args = np.broadcast_arrays(1.0 + u, 1 + r + t3, 1 + r - t3, 1.0 + t1, 1.0 + t2)

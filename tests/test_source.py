@@ -94,14 +94,9 @@ COMPLEX_NAMES = {"complex", "complex128", "cdouble", "complex_", "c16", "<c16", 
 # the steps of a checked entropy, in linalg: each kernel's checks and p log2 p
 PASS_STEPS = ("_check_binary", "_check_distribution", "_plogp")
 # np.errstate hides a floating-point warning: only the ordered sum of
-# linalg.shannon_entropy, which lets an overflow read inf and names it, the sweep grid
-# of SweepConfig, which rejects an overflow, and the X core's binary rows and array
-# spectrum, whose checks an entry outside the range rule fails before the rule names it,
-# may use it
-ERRSTATE_SITES = [
-    "linalg._sum_last", "metrics._xstate_pass", "metrics.xstate_lower_bound_Ub",
-    "scenarios.__post_init__",
-]
+# linalg.shannon_entropy, which lets an overflow read inf and names it, and the
+# sweep grid of SweepConfig, which rejects an overflow, may use it
+ERRSTATE_SITES = ["linalg._sum_last", "scenarios.__post_init__"]
 # the 12-decimal CSV format is written once, in the writer's module-level constant
 # scenarios._CELL; the one-line classify report is the one other place
 FIXED12_SITES = ["cli._cmd_classify", "scenarios.<module>"]
@@ -455,26 +450,24 @@ def test_each_kernel_check_is_written_once():
     # the fast tests, ordered checks and p log2 p live in linalg; each kernel and the
     # X core's pass call them, so the messages and clamps cannot drift apart. One range
     # test, with its Python-float path for tiny arrays and lists, serves the unit test, the
-    # ordered checks' search and the float U_b's range rule and Shannon test, and one row
-    # test the Shannon sums of arrays and of the float U_b's rows
+    # ordered checks' search and the float U_b's Shannon test, and one row test the
+    # Shannon sums of arrays and of the float U_b's rows
     sites = sorted(
         f"{path.stem}.{scope}: {node.func.id}"
         for path in sorted(SRC.glob("*.py"))
         for scope, node in scoped_nodes(parse(path))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id in ("_within", "_in_unit", "_sums_near_one", "_rows_near_one",
-                             *PASS_STEPS)
+        and node.func.id in ("_within", "_in_unit", "_sums_near_one", *PASS_STEPS)
     )
     assert sites == [
         "linalg._check_binary: _in_unit",
         "linalg._check_distribution: _in_unit",
         "linalg._check_distribution: _sums_near_one",
-        "linalg._entropy_floats: _rows_near_one",
+        "linalg._entropy_floats: _sums_near_one",
         "linalg._entropy_floats: _within",
         "linalg._first_outside: _within",
         "linalg._in_unit: _within",
-        "linalg._sums_near_one: _rows_near_one",
         "linalg.binary_entropy: _check_binary",
         "linalg.binary_entropy: _plogp",
         "linalg.binary_entropy: _plogp",
@@ -483,7 +476,6 @@ def test_each_kernel_check_is_written_once():
         "metrics._xstate_pass: _check_binary",
         "metrics._xstate_pass: _check_distribution",
         "metrics._xstate_pass: _plogp",
-        "metrics.xstate_lower_bound_Ub: _within",
     ], sites
 
 
