@@ -18,7 +18,11 @@ from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 
 def pd_equivalent_eta(gamma_t: float) -> float:
-    """Phase-flip probability equivalent to phase damping at Gamma*t."""
+    """Phase-flip probability equivalent to phase damping at Gamma*t, a checked pd strength."""
+    return _pd_eta(ChannelSpec("pd").check(gamma_t))
+
+
+def _pd_eta(gamma_t):  # of strengths that ChannelSpec.check returned
     return (1.0 - np.exp(-gamma_t / 2.0)) / 2.0
 
 
@@ -75,7 +79,7 @@ class ChannelSpec:
         if self.kind == "ad":  # t * -0.5 and t * -1.0 are -t/2 and -t, the same bits
             f = np.exp(t[..., None] * (-0.5, -0.5, -1.0))
             return f[..., 2] - 1.0, f
-        axis, eta = (self.axis, t) if self.kind == "flip" else (3, pd_equivalent_eta(t))
+        axis, eta = (self.axis, t) if self.kind == "flip" else (3, _pd_eta(t))
         f = np.empty(eta.shape + (3,))
         f[...] = (1.0 - 2.0 * eta)[..., None]
         f[..., axis - 1] = 1.0

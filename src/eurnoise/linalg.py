@@ -1,16 +1,16 @@
 """Entropy primitives over arrays, the domain error and the count and real-input rules.
 
 All entropies are in bits and broadcast over leading axes. Each checked kernel settles an
-in-range array with one cheap test; only an array that fails it pays for the ordered checks,
-which name the first bad value. A test reads an array of at most ``_FEW`` entries once as
-Python floats and a larger one by numpy reductions, with the same decision either way; the
-one range test is ``_within``. The tests and checks (``_check_binary``,
-``_check_distribution``) are written once here and shared with the X core's one pass, which
-takes every p log2 p of a sweep in one ``_plogp`` call over a block of contiguous rows;
-Shannon terms fold from +0.0 in order: numpy's sum order for 2 to 7. The tiny-input rule
-covers arithmetic too: ``_entropy_floats`` is ``shannon_entropy`` on Python floats, with one
-log2 call. ``as_real`` is the one place the runtime turns caller input into floats, and
-``_as_scalar`` its form for one number.
+in-range array with a cheap test (``_in_unit``, and Shannon's row sums by numpy); only an
+array that fails it pays for the ordered checks, which name the first bad value. The one
+range test, ``_within``, reads up to ``_FEW`` entries once as Python floats and more by a
+numpy min and max, with the same decision either way. The checks (``_check_binary``,
+``_check_distribution``) are written once here; the X core's one pass decides its block of
+binary and spectrum rows with one ``_in_unit`` call and calls them only if it fails, then
+takes every p log2 p of a sweep in one ``_plogp`` call. Shannon terms fold from +0.0 in
+order. The tiny-input rule covers arithmetic too: ``_entropy_floats`` is ``shannon_entropy``
+on Python floats, with one log2 call. ``as_real`` is the one place the runtime turns caller
+input into floats, and ``_as_scalar`` its form for one number.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ def check_count(n, name: str, least: int, most: float) -> None:
         raise DomainError(f"{name} must be at most {most}: numpy cannot address a larger array")
 
 
-# Arrays of at most _FEW entries are tested in Python floats, larger ones by numpy
+# Arrays of at most _FEW entries are range-tested in Python floats, larger ones by numpy
 # reductions, each about 1 us whatever the size. Measured with numpy 2.4 on a shared
-# 2-CPU x86-64 host, on arrays that pass: the Shannon fast test of an (n, 4) view took
-# 2.2 against 5.9 us at 8 entries, 5.1 against 5.9 at 32 and 6.7 against 6.1 at 48;
-# the range test of an (n, 5) view 1.1 against 2.5 us at 10 entries, equal at 40.
+# 2-CPU x86-64 host, on arrays that pass: the range test of an (n, 5) view took 1.1
+# against 2.5 us at 10 entries, and the same at 40.
 _FEW = 32
 
 
@@ -133,23 +132,9 @@ def binary_entropy(p):
     return float(h) if h.ndim == 0 else h
 
 
-def _sums_near_one(p, k: int = 0) -> bool:
-    """Whether every sum along p's last axis, or of each k floats of a list p, of entries in
-    [0, 1] is within 1e-9 of 1: a list or up to _FEW entries in rows under 8 folded from +0.0 in
-    Python floats (numpy's order there), else by numpy; never ``sum()``, compensated from 3.12."""
-    if isinstance(p, np.ndarray):
-        k = p.shape[-1] if p.ndim else 1  # a 0-d p is one row, as to numpy
-        if p.size > _FEW or k >= 8:
-            return np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9
-        p = p.ravel().tolist()  # a copy of a strided view, but a tiny one
-    total = 0.0
-    for j, v in enumerate(p, 1):
-        total += v
-        if not j % k:  # a row ends
-            if not abs(total - 1.0) <= 1e-9:
-                return False
-            total = 0.0
-    return True
+def _sums_near_one(p: np.ndarray) -> bool:
+    """Whether every sum along p's last axis is within 1e-9 of 1 (a 0-d p is one row)."""
+    return np.maximum.reduce(np.abs(np.add.reduce(p, -1) - 1.0), None) <= 1e-9
 
 
 def _sum_last(p: np.ndarray) -> np.ndarray:
@@ -161,9 +146,9 @@ def _sum_last(p: np.ndarray) -> np.ndarray:
 
 def _check_distribution(p: np.ndarray, out=None) -> np.ndarray:
     """``shannon_entropy``'s checks on the vectors along p's last axis: p if it passes the
-    fast test, else p with negatives set to 0 (into out) if every entry is finite and
-    >= -1e-12 and every sum within 1e-9 of 1, else DomainError naming the first entry or sum.
-    The fast test skips the clamp: on [0, 1] it turns only -0.0 into +0.0, the same bits."""
+    fast test, else p clamped to [0, 1] (into out) if every entry is finite and >= -1e-12
+    and every sum within 1e-9 of 1, else DomainError naming the first entry or sum. The
+    fast test skips the clamp: on [0, 1] it turns only -0.0 into +0.0, the same bits."""
     if _in_unit(p) and _sums_near_one(p):
         return p
     bad = _first_outside(p, -1e-12, FLOAT_MAX)
@@ -173,7 +158,7 @@ def _check_distribution(p: np.ndarray, out=None) -> np.ndarray:
     off = np.abs(total - 1.0) > 1e-9
     if off.any():
         raise DomainError(f"probabilities sum to {total[off].flat[0]}, not 1")
-    return np.maximum(p, 0.0, out=out)
+    return np.minimum(np.maximum(p, 0.0, out=out), 1.0, out=out)
 
 
 def shannon_entropy(p):
@@ -185,9 +170,9 @@ def shannon_entropy(p):
 
 
 def _entropy_floats(flat: list, k: int):
-    """``shannon_entropy`` of rows of k Python floats laid end to end, or None if they fail its
-    fast test: one log2 call, each row's terms folded from 0.0 as np.subtract.reduce does."""
-    if not (flat and _within(flat, 0.0, 1.0) and _sums_near_one(flat, k)):
+    """``shannon_entropy`` of rows of k Python floats laid end to end that sum to 1, or None
+    unless all are in [0, 1]: one log2 call, each row folded from 0.0 as np.subtract.reduce."""
+    if not (flat and _within(flat, 0.0, 1.0)):
         return None
     logs = np.log2([v if v > 5e-324 else 5e-324 for v in flat]).tolist()  # _plogp's max
     out, h = [], 0.0

@@ -1,9 +1,9 @@
 """Information-theoretic quantities for the two-qubit uncertainty game.
 
 Every quantity has a closed form over arrays of X states (``xstate_*``), the runtime route.
-One pass (``_xstate_pass``) takes every entropy of a sweep: the five binary arguments, their
-complements and rho_AB's spectrum are the 14 contiguous rows of one block, checked by the
-kernels' own checks in linalg and taken in one p log2 p call (S(sigma_3|B) is M_z).
+One pass (``_xstate_pass``) takes every entropy of a sweep: the five binary arguments and rho_AB's
+spectrum, then the complements, are the 14 rows of one block; one unit test of the first 9 settles
+it, only a failure meets the kernels' checks, and one p log2 p call takes all (S(sigma_3|B) = M_z).
 ``xstate_columns`` turns one pass into the (..., 5) table of ``COLUMNS``: U for a pair, U_b,
 D, E (the concurrence, from the pass's own sums) and M (``XStateEntropies.m``), each formed
 there once; ``xstate_entropies`` returns the pass's six entropies, and U_b alone keeps one
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, as_real, binary_entropy, is_axis
-from eurnoise.linalg import check_count, shannon_entropy, _as_scalar, _plogp, _FEW
+from eurnoise.linalg import check_count, shannon_entropy, _as_scalar, _in_unit, _plogp, _FEW
 from eurnoise.linalg import _check_binary, _check_distribution, _entropy_floats, _first_outside
 from eurnoise.states import _FLOOR, check_one_bd
 from eurnoise.channels import ChannelSpec
@@ -280,17 +280,17 @@ def _xstate_args(r, t):
 
 def _xstate_pass(r, t):
     """The ``XStateEntropies`` of X states (r, t) and the concurrence's arguments r^2,
-    T1 -+ T2, 1 +- T3. The binary arguments (1 + u)/2, (1 + r +- T3)/2, (1 + T_j)/2, their
-    complements and rho_AB's spectrum are the 14 rows of one block; each group meets its
-    kernel's checks on the (..., k) view the kernel would see, binary first, then one
-    ``_plogp`` call takes every term. max(T1^2, T2^2) covers |c1| < |c2| by S x S. A z
-    outcome on B, each of weight 1/2, leaves A diagonal with weights (1 + r +- T3)/2, so
-    S(sigma_3|B) = M_z exactly."""
+    T1 -+ T2, 1 +- T3. The binary arguments (1 + u)/2, (1 + r +- T3)/2, (1 + T_j)/2 and
+    rho_AB's spectrum are rows 0-8 of one block, the complements rows 9-13. One unit test of
+    rows 0-8 settles it (the intake holds each spectrum sum within 1e-15 of 1); only a block
+    that fails meets the kernels' checks, binary first. One ``_plogp`` call takes every term.
+    max(T1^2, T2^2) covers |c1| < |c2| by S x S. A z outcome on B, of weight 1/2, leaves A
+    diagonal with weights (1 + r +- T3)/2, so S(sigma_3|B) = M_z exactly."""
     r, t = _xstate_args(r, t)
     t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
     r2 = np.square(r)
     u = np.sqrt(r2 + np.maximum(t1 * t1, t2 * t2))
-    p = np.empty((14,) + u.shape)  # rows p (5), 1 - p (5), the spectrum (4); T_j broadcast
+    p = np.empty((14,) + u.shape)  # rows p (5), the spectrum (4), 1 - p (5); T_j broadcast
     last = (*range(1, p.ndim), 0)  # the (..., k) view of a (k, ...) block of rows
     row = p[0, ...]
     np.add(1.0, np.minimum(u, 1.0, out=row), out=row)  # 1 + min(u, 1)
@@ -300,15 +300,16 @@ def _xstate_pass(r, t):
     np.add(1.0, t1, out=p[3, ...])
     np.add(1.0, t2, out=p[4, ...])
     binary = np.multiply(p[:5], 0.5, out=p[:5]).transpose(last)
-    _check_binary(binary, out=binary)
-    np.subtract(1.0, p[:5], out=p[5:10])
-    spectrum, sums = _spectrum_rows(r, t1, t2, t3, out=p[10:])
-    _check_distribution(spectrum, out=spectrum)
+    spectrum, sums = _spectrum_rows(r, t1, t2, t3, out=p[5:9])
+    if not _in_unit(p[:9]):
+        _check_binary(binary, out=binary)
+        _check_distribution(spectrum, out=spectrum)
+    np.subtract(1.0, p[:5], out=p[9:])
     terms = _plogp(p)
-    h = np.add(terms[:5], terms[5:10], out=terms[:5])
+    h = np.add(terms[:5], terms[9:], out=terms[:5])
     m_x, h_up, h_down, s1_b, s2_b = np.subtract(0.0, h, out=h)  # +0.0, never -0.0
     m_z = (h_up + h_down) / 2
-    s_ab = np.subtract.reduce(terms[10:].transpose(last), -1, initial=0.0)
+    s_ab = np.subtract.reduce(terms[5:9].transpose(last), -1, initial=0.0)
     s_ab = float(s_ab) if s_ab.ndim == 0 else s_ab
     return XStateEntropies(s1_b, s2_b, m_z, s_ab, m_x, m_z), (r2, *sums)
 

@@ -126,6 +126,8 @@ def random_bd_states(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample (n, 3) over the tetrahedron by rejection from the cube; each
     round draws only the missing triples, so the stream is one triple a time."""
     check_count(n, "n", 0, MAX_FLOATS // 4)  # is_valid's (4, n) weights
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy.random.Generator, got {rng!r}")
     out, k = np.empty((n, 3)), 0
     while k < n:
         c = rng.uniform(-1.0, 1.0, size=(n - k, 3))

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ class TestPhaseDamping:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             O.make_phase_damping(-0.1)
+
+    @pytest.mark.parametrize("gamma_t", [0.0, 1e4, 2 * np.log(2), 1.3, 800.0, 5e-324])
+    def test_equivalent_eta_is_the_formula_bit_for_bit(self, gamma_t):
+        got, want = C.pd_equivalent_eta(gamma_t), (1.0 - np.exp(-gamma_t / 2.0)) / 2.0
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "gamma_t", [np.nan, "abc", None, [1.0, np.nan], -1e308, -0.1, np.inf], ids=repr
+    )
+    def test_equivalent_eta_takes_the_pd_strength_rule(self, gamma_t):
+        # NaN came back as NaN, text, None and a list raised TypeError, -1e308 warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^pd strength "):
+                C.pd_equivalent_eta(gamma_t)
 
     def test_flip_equivalence_on_states(self, fig_state):
         # phase damping == phase flip with eta3 = (1 - e^{-Gt/2})/2

@@ -878,15 +878,11 @@ class TestXStateRealInput:
 
     @pytest.mark.parametrize("literal", CHANNEL_LITERALS)
     def test_the_range_rule_takes_every_state_check_bd_takes(self, literal):
-        # each Bell vertex pushed out along its own direction as far as check_bd admits:
-        # its entries reach 1 + 4e-12, and no factors enlarge them
+        # each Bell vertex pushed out as far as check_bd admits: its entries reach
+        # 1 + 4e-12, and no factors enlarge them
         spec = parse_channel_literal(literal)
         grid = spec.check([0.0, 0.25, 0.5, 1.0] if spec.kind == "flip" else [0.0, 1.0, 50.0, 800.0])
-        for vertex in BELL_VERTICES:
-            push = 1.0 + 3.99e-12
-            while S.is_valid(vertex * np.nextafter(push, 2.0)):
-                push = np.nextafter(push, 2.0)
-            c = S.check_bd(vertex * push)
+        for c in PUSHED_VERTICES:
             assert np.abs(c).max() > 1.0 + 3.9e-12
             r, t = spec.factors(grid)
             t = c * t
@@ -1106,6 +1102,17 @@ def _stacked_lower_bound_Ub(r, t):
 
 # the pure Bell states (Phi+, Phi-, Psi+, Psi-) as correlations, one per row
 BELL_VERTICES = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+def _pushed_out(vertex):
+    """A Bell vertex pushed out along its own direction to the last float check_bd admits."""
+    push = 1.0 + 3.99e-12
+    while S.is_valid(vertex * np.nextafter(push, 2.0)):
+        push = np.nextafter(push, 2.0)
+    return S.check_bd(vertex * push)
+
+
+PUSHED_VERTICES = np.array([_pushed_out(v) for v in BELL_VERTICES])
 SPECTRUM_SHAPES = [(), (5,), (4, 5), (2, 3, 4), (0,), (0, 5), (4, 0)]
 # e^{-800} underflows to 0, so Gamma*t = 800 gives the r = -1 limit exactly
 GAMMA_T = st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 800.0, 1e6]))
@@ -1346,12 +1353,73 @@ class TestOnePassEqualsThePublicCalls:
             assert [_bits(x) for x in M.xstate_entropies(r, t)] == [_bits(x) for x in _composed(r, t)[0]]
             assert _bits(M.xstate_columns(r, t, PAIR_13)) == _bits(_composed_columns(r, t, PAIR_13))
 
+    def test_a_block_whose_binary_rows_pass_names_the_spectrum_entry(self):
+        assert _message(M.xstate_entropies, 0, (0.9, 0.9, 0.9)) == (
+            "probability -0.42500000000000004 is negative or not finite")
+
     def test_the_binary_message_comes_before_the_shannon_message(self):
         # every entry is within the range rule; (1 + r + T3)/2 is not, nor is the spectrum
         r, t = np.array([0.0, 0.9]), np.array([[0.3, 0.3, 0.3], [0.0, 0.0, 0.9]])
         assert _message(M.xstate_lower_bound_Ub, r, t).startswith("probabilit")
         for f in (M.xstate_entropies, _composed, XSTATE_ENTRIES["xstate_columns"]):
             assert _message(f, r, t) == f"binary entropy argument {(1 + 0.9 + 0.9) / 2} outside [0, 1]"
+
+
+# (r, T1, T2, T3) at the 16 corners of the intake's box, and at +0 and -0
+BOX_EXAMPLES = [*itertools.product((-M._X_MAX, M._X_MAX), repeat=4), (0.0,) * 4, (-0.0,) * 4]
+
+
+class _FloatSpectrum(Exception):
+    """Raised with the float U_b's spectrum rows in place of their entropy."""
+
+
+def _float_spectrum(r, t):
+    """The rows xstate_lower_bound_Ub hands _entropy_floats, as a (..., 4) array."""
+    def seen(p, k):
+        raise _FloatSpectrum(p)
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(_FloatSpectrum) as rows:
+        mp.setattr(M, "_entropy_floats", seen)
+        M.xstate_lower_bound_Ub(r, t)
+    return np.reshape(rows.value.args[0], (-1, 4))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.tuples(*[st.floats(-M._X_MAX, M._X_MAX)] * 4))
+def test_the_intake_holds_every_spectrum_sum_within_1e_15_of_1(rt):
+    # why the pass's one unit test needs no row-sum test beside it: every (r, T) the range
+    # rule admits, a state or not, gives spectrum rows that sum to 1 within 1e-15, far
+    # inside the Shannon window of 1e-9, by the array rows and the float U_b's alike
+    r, t = rt[0], np.array(rt[1:])
+    for rows in (M._spectrum_rows(r, *t)[0], _float_spectrum(r, t)):
+        assert np.abs(np.add.reduce(rows, -1) - 1.0).max() <= 1e-15, rows
+
+
+for _corner in BOX_EXAMPLES:
+    test_the_intake_holds_every_spectrum_sum_within_1e_15_of_1 = example(_corner)(
+        test_the_intake_holds_every_spectrum_sum_within_1e_15_of_1)
+
+
+class TestCheckBdsEdge:
+    """Each Bell vertex pushed out as far as check_bd admits: rho_AB's spectrum holds an
+    entry above 1, which Shannon's ordered path clamps to 1 as binary's does."""
+
+    def test_u_b_is_never_negative(self):
+        assert (M._spectrum_rows(0.0, *PUSHED_VERTICES.T)[0].max(-1) > 1.0).all()
+        for c in PUSHED_VERTICES:  # one state: the float path, which falls back
+            assert M.xstate_lower_bound_Ub(0.0, c) >= 0.0
+            assert classify_longtime_ad(c).u_b_initial >= 0.0
+        many = np.tile(PUSHED_VERTICES, (3, 1))  # 36 entries of T: the array path
+        assert (M.xstate_lower_bound_Ub(np.zeros(len(many)), many) >= 0.0).all()
+        assert (classify_longtime_ad(many).u_b_initial >= 0.0).all()
+
+    @pytest.mark.xfail(strict=True, raises=DomainError,
+                       reason="the binary window is narrower than check_bd's bound (ROADMAP item 6)")
+    def test_a_pd_sweep_of_a_pushed_out_vertex_is_finite_and_non_negative(self):
+        c = S.parse_state_literal("bd:1.000000000004,1.000000000004,-1.000000000004")
+        cfg = SweepConfig(c, ChannelSpec("pd"), PAIR_13, 0.0, 10.0, 11, "linear")
+        table = np.asarray(run_time_sweep(cfg))
+        assert np.isfinite(table).all() and (table[:, [1, 2, 5]] >= 0.0).all()  # U, U_b, M
 
 
 # ---- xstate_columns against each column's definition -----------------------

@@ -439,6 +439,40 @@ class TestEntropyCallCounts:
         assert (floats, entropy_calls) == ([(8, 4)], [("shannon_entropy", (37, 2, 4))])
 
 
+@pytest.fixture
+def kernel_check_calls(monkeypatch):
+    """The name of every call of the kernels' checks and of their row-sum test, in order,
+    wherever a loaded eurnoise module binds them."""
+    calls = []
+    for name in ("_check_binary", "_check_distribution", "_sums_near_one"):
+        kernel = getattr(linalg, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kw):
+            calls.append(_name)
+            return _kernel(*args, **kw)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "eurnoise" and getattr(mod, name, None) is kernel:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestOneUnitTestDecidesTheBlock:
+    """The pass decides its block of binary and spectrum rows with one unit test; the
+    intake bounds every spectrum sum, so no row-sum test runs, and only a block that fails
+    it meets the kernels' checks, binary first."""
+
+    def test_the_figure_sweeps_and_one_state_classify_call_no_check(self, kernel_check_calls):
+        SC.run_time_sweep(fig_config("pd"))  # fig2
+        SC.run_time_sweep(fig_config("ad"))  # fig3
+        SC.classify_longtime_ad(FIG_STATE)
+        assert kernel_check_calls == []
+
+    def test_the_bell_vertex_sweep_calls_each_check_once(self, kernel_check_calls):
+        SC.run_time_sweep(fig_config("ad", initial=(-1.0, 1.0, 1.0)))  # smfig-b
+        assert kernel_check_calls == ["_check_binary", "_check_distribution"]
+
+
 # the two ad-longtime states of the benchmark, on its 101-point log grid to Gamma*t = 800
 LONGTIME_STATES = [(-0.5, 0.4, 0.8), (0.6, -0.3, 0.2)]
 
@@ -953,6 +987,27 @@ class TestUnitalPropertyCheck:
         a = SC.property_check_unital(1, seed=99)
         b = SC.property_check_unital(np.int64(1), seed=99)
         assert a == b
+
+
+# the unital families of the runtime, each with the end of its 201-point grid
+UNITAL_ENDS = {"flip:1": 0.5, "flip:2": 0.5, "flip:3": 0.5, "pd": 20.0}
+UNITAL_STATES = np.concatenate([
+    random_bd_states(2000, np.random.default_rng(8031)),
+    [[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1], [0, 0, 0]],  # the vertices, the origin
+])
+
+
+@pytest.mark.parametrize("literal", UNITAL_ENDS)
+def test_unital_noise_never_lowers_u(literal):
+    # the paper's "unital noises only increase the amount of uncertainty", for U itself:
+    # before a sigma_q measurement a Pauli channel on A is a binary symmetric channel on
+    # the outcome, so S(sigma_q|B) cannot fall; property_check_unital checks U_b only
+    grid = np.linspace(0.0, UNITAL_ENDS[literal], 201)
+    r, t = parse_channel_literal(literal).evolve(UNITAL_STATES[:, None, :], grid)
+    for pair in ((1, 2), (1, 3), (2, 3)):  # U is symmetric in the pair's order
+        u = metrics.xstate_columns(r, t, pauli_pair(*pair))[..., 0]
+        assert u.shape == (len(UNITAL_STATES), 201)
+        assert np.diff(u, axis=-1).min() >= -1e-12, pair
 
 
 class TestEmitCsv:

@@ -450,8 +450,8 @@ def test_each_kernel_check_is_written_once():
     # the fast tests, ordered checks and p log2 p live in linalg; each kernel and the
     # X core's pass call them, so the messages and clamps cannot drift apart. One range
     # test, with its Python-float path for tiny arrays and lists, serves the unit test, the
-    # ordered checks' search and the float U_b's Shannon test, and one row test the
-    # Shannon sums of arrays and of the float U_b's rows
+    # ordered checks' search and the float U_b's one test; the pass decides its block with
+    # one unit test, and only the Shannon kernel's fast test sums rows
     sites = sorted(
         f"{path.stem}.{scope}: {node.func.id}"
         for path in sorted(SRC.glob("*.py"))
@@ -464,7 +464,6 @@ def test_each_kernel_check_is_written_once():
         "linalg._check_binary: _in_unit",
         "linalg._check_distribution: _in_unit",
         "linalg._check_distribution: _sums_near_one",
-        "linalg._entropy_floats: _sums_near_one",
         "linalg._entropy_floats: _within",
         "linalg._first_outside: _within",
         "linalg._in_unit: _within",
@@ -475,6 +474,7 @@ def test_each_kernel_check_is_written_once():
         "linalg.shannon_entropy: _plogp",
         "metrics._xstate_pass: _check_binary",
         "metrics._xstate_pass: _check_distribution",
+        "metrics._xstate_pass: _in_unit",
         "metrics._xstate_pass: _plogp",
     ], sites
 

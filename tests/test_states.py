@@ -310,3 +310,12 @@ def test_random_bd_states_is_one_float_array(n):
 def test_random_bd_states_rejects_bad_counts(n):
     with pytest.raises(DomainError, match="n must be an integer >= 0"):
         S.random_bd_states(n, np.random.default_rng(42))
+
+
+@pytest.mark.parametrize(
+    "rng", [None, 42, np.random.RandomState(0), np.random.PCG64(0), np.random], ids=repr
+)
+def test_random_bd_states_refuses_anything_but_a_generator(rng):
+    # None raised an AttributeError; a legacy RandomState drew another stream
+    with pytest.raises(DomainError, match="rng must be a numpy.random.Generator, got "):
+        S.random_bd_states(2, rng)
