@@ -3,7 +3,7 @@
 Flips and phase damping scale the correlations T; amplitude damping relaxes
 the population of A toward |1> (r = e^{-Gt} - 1). ``ChannelSpec`` names a
 channel family and holds the one rule for a valid kind, axis and strength;
-``factors`` is its one closed-form map (amplitude damping: one exp over a (..., 3) block),
+``factors`` is its one closed-form map (the damping channels: one exp over a (..., 3) block),
 and ``evolve`` is those checks plus it.
 """
 
@@ -19,11 +19,7 @@ from eurnoise.states import BellDiagonalState, check_bd, x_state_density
 
 def pd_equivalent_eta(gamma_t: float) -> float:
     """Phase-flip probability equivalent to phase damping at Gamma*t, a checked pd strength."""
-    return _pd_eta(ChannelSpec("pd").check(gamma_t))
-
-
-def _pd_eta(gamma_t):  # of strengths that ChannelSpec.check returned
-    return (1.0 - np.exp(-gamma_t / 2.0)) / 2.0
+    return (1.0 - np.exp(-ChannelSpec("pd").check(gamma_t) / 2.0)) / 2.0
 
 
 def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
@@ -73,17 +69,17 @@ class ChannelSpec:
 
     def factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(r, f) at strengths t that ``check`` returned: correlations c go to the X
-        state (r, T = c * f). AD: r = e^{-Gt} - 1, f = (e^{-Gt/2}, e^{-Gt/2}, e^{-Gt}).
-        Else r = 0, a flip scales the two other axes by 1 - 2 eta, and pd is the
-        phase flip at pd_equivalent_eta."""
-        if self.kind == "ad":  # t * -0.5 and t * -1.0 are -t/2 and -t, the same bits
-            f = np.exp(t[..., None] * (-0.5, -0.5, -1.0))
-            return f[..., 2] - 1.0, f
-        axis, eta = (self.axis, t) if self.kind == "flip" else (3, _pd_eta(t))
-        f = np.empty(eta.shape + (3,))
-        f[...] = (1.0 - 2.0 * eta)[..., None]
-        f[..., axis - 1] = 1.0
-        return np.zeros_like(t), f
+        state (r, T = c * f). A flip: r = 0, its axis kept, the two others scaled by
+        1 - 2 eta. Damping: f = (e^{-Gt/2}, e^{-Gt/2}, f3) and r = f3 - 1, with
+        f3 = e^{-Gt} for AD and f3 = e^0 = 1 for pd, so pd's r is 0 exactly."""
+        if self.kind == "flip":
+            f = np.empty(t.shape + (3,))
+            f[...] = (1.0 - 2.0 * t)[..., None]
+            f[..., self.axis - 1] = 1.0
+            return np.zeros_like(t), f
+        # t * -0.5 and t * -1.0 are -t/2 and -t, the same bits; t * 0.0 is 0 (t finite)
+        f = np.exp(t[..., None] * (-0.5, -0.5, -1.0 if self.kind == "ad" else 0.0))
+        return f[..., 2] - 1.0, f
 
 
 CHANNEL_LITERALS = ("flip:1", "flip:2", "flip:3", "pd", "ad")

@@ -215,7 +215,7 @@ def witness_discord_from_U(
     if not spmc_holds(c, pair, tol=1e-9):
         raise WitnessNotValidError("initial state does not satisfy the SPMC condition")
     # log2(1/c) = 1 exactly: any two distinct Pauli axes have eigenbasis overlap c = 1/2
-    return 1.0 + binary_entropy((1.0 + dominant) / 2.0) - u
+    return 1.0 + binary_entropy((1.0 + min(dominant, 1.0)) / 2.0) - u  # |c| may reach 1 + 4e-12
 
 
 # ---- closed forms over the X-state family ----------------------------------

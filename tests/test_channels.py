@@ -328,9 +328,9 @@ class TestEvolveChecksState:
 
 
 class TestFlipFactorsThroughEvolve:
-    """ChannelSpec.evolve is the one place that builds the flip and
-    phase-damping factors: the axis coefficient is kept, the other two scale
-    by 1 - 2 eta; pd is the phase flip at pd_equivalent_eta."""
+    """ChannelSpec.evolve is the one place that builds the flip factors: the
+    axis coefficient is kept, the other two scale by 1 - 2 eta. pd is the
+    phase flip at pd_equivalent_eta, bit for bit while 1 - e^{-Gt/2} is exact."""
 
     @pytest.mark.parametrize("axis", [0, 4, 3.0, -1, None, True, False])
     def test_bad_axis_rejected(self, axis, fig_state):
@@ -352,22 +352,30 @@ class TestFlipFactorsThroughEvolve:
         assert C.ChannelSpec("flip", axis).evolve(c, 0.25)[1].shape == (3,)
 
     def test_pd_is_the_phase_flip_at_the_equivalent_eta(self):
+        # for Gt <= 2 ln 2, e^{-Gt/2} >= 1/2: 1 - e^{-Gt/2} is exact (Sterbenz), and the
+        # flip's 1 - 2 eta gives e^{-Gt/2} back bit for bit; beyond, it rounds by under an eps
         c = np.array([-0.5, 0.4, 0.8])
+        pd, flip = C.ChannelSpec("pd"), C.ChannelSpec("flip", 3)
+        exact = np.append(np.linspace(0.0, 2 * np.log(2), 201), 5e-324)
+        r, t = pd.evolve(c, exact)
+        assert t.tobytes() == flip.evolve(c, C.pd_equivalent_eta(exact))[1].tobytes()
+        assert r.tolist() == [0.0] * len(exact)
         gt = np.linspace(0.0, 10.0, 7)
-        r, t = C.ChannelSpec("pd").evolve(c, gt)
-        flip = C.ChannelSpec("flip", 3).evolve(c, C.pd_equivalent_eta(gt))[1]
-        assert t.tobytes() == flip.tobytes() and r.tolist() == [0.0] * 7
+        r, t = pd.evolve(c, gt)
+        assert np.abs(t - flip.evolve(c, C.pd_equivalent_eta(gt))[1]).max() <= np.finfo(float).eps
+        assert r.tolist() == [0.0] * 7
 
 
 def _factors_formula(spec, t):
     """(r, f) of each channel written out: AD r = e^{-Gt} - 1, f = (e^{-Gt/2},
-    e^{-Gt/2}, e^{-Gt}); else r = 0, f = 1 on the kept axis and 1 - 2 eta on the
-    others, with eta = (1 - e^{-Gt/2}) / 2 for pd."""
+    e^{-Gt/2}, e^{-Gt}); pd r = 0, f = (e^{-Gt/2}, e^{-Gt/2}, 1); a flip r = 0,
+    f = 1 on its axis and 1 - 2 eta on the others."""
     if spec.kind == "ad":
         return np.exp(-t) - 1.0, np.stack([np.exp(-t / 2.0)] * 2 + [np.exp(-t)], axis=-1)
-    eta = t if spec.kind == "flip" else (1.0 - np.exp(-t / 2.0)) / 2.0
-    f = np.repeat(np.asarray(1.0 - 2.0 * eta)[..., None], 3, axis=-1)
-    f[..., (spec.axis or 3) - 1] = 1.0
+    if spec.kind == "pd":
+        return np.zeros_like(t), np.stack([np.exp(t * -0.5)] * 2 + [np.ones_like(t)], axis=-1)
+    f = np.repeat(np.asarray(1.0 - 2.0 * t)[..., None], 3, axis=-1)
+    f[..., spec.axis - 1] = 1.0
     return np.zeros_like(t), f
 
 

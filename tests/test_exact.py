@@ -3,7 +3,8 @@
 The exact values start from the exact channel inputs, the float correlations c and
 the float strength, and follow the definitions at 50 digits: the channel's factors,
 H_bin((1 +- T_j)/2) for sigma_1 and sigma_2 given B, and the four-entry sigma_3|B
-distribution H{(1 +- r +- T3)/4} - 1, which the runtime does not use.
+distribution H{(1 +- r +- T3)/4} - 1, which the runtime does not use. Phase damping's
+factors are checked against 50-digit e^{-Gamma t / 2} by themselves.
 """
 
 import itertools
@@ -72,3 +73,20 @@ def test_s3_b_and_axis_3_uncertainties_stay_within_their_budget():
                     worst[f"U{p.q}{p.r}"] = max(worst[f"U{p.q}{p.r}"], float(err))
     assert worst["S(sigma_3|B)"] <= S3_BUDGET, worst
     assert max(worst.values()) <= U_BUDGET, worst
+
+
+# pd's f1 = f2 is e^{-Gt/2} itself, 0.50 eps off at worst; the phase flip's 1 - 2 eta
+# gives 1 - (1 - e^{-Gt/2}), which cancels: 5.6% off at Gt = 70, and 0 from 74.8 on
+PD_GRID = np.concatenate([np.geomspace(0.01, 800.0, 401), np.linspace(0.0, 10.0, 201)])
+
+
+def test_pd_factors_are_e_to_the_minus_half_gamma_t():
+    spec = parse_channel_literal("pd")
+    r, f = spec.factors(spec.check(PD_GRID))
+    assert (r == 0.0).all() and (f[:, 2] == 1.0).all()
+    with mpmath.workdps(50):
+        worst = max(
+            abs(mpmath.mpf(x) / mpmath.exp(-mpmath.mpf(t) / 2) - 1)
+            for t, row in zip(PD_GRID, f) for x in row[:2]
+        )
+    assert worst <= 2 * EPS, float(worst)

@@ -763,6 +763,13 @@ class TestDiscordWitness:
         d = M.witness_discord_from_U(fig_state, PAIR_13, u)
         assert type(d) is float and d == 1.0 + binary_entropy(0.9) - float(u)
 
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
+    def test_a_pushed_out_vertex_gives_its_vertex_discord(self, pair):
+        # check_bd admits |c| up to 1 + 4e-12; unclamped, H_bin's argument exceeds 1
+        for pushed, vertex in zip(PUSHED_VERTICES, BELL_VERTICES):
+            d = M.witness_discord_from_U(pushed, M.pauli_pair(*pair), 0.0)
+            assert d == M.witness_discord_from_U(vertex, M.pauli_pair(*pair), 0.0) == 1.0
+
     def test_rejects_spmc_violation(self):
         s = BellDiagonalState(-0.5, 0.35, 0.8)  # inside the tetrahedron, c2 != -c1*c3
         with pytest.raises(M.WitnessNotValidError):

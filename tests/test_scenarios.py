@@ -1010,6 +1010,29 @@ def test_unital_noise_never_lowers_u(literal):
         assert np.diff(u, axis=-1).min() >= -1e-12, pair
 
 
+def _pauli_channel_weights():
+    """Weights p = (p_I, p_1, p_2, p_3) of Pauli channels: the simplex's vertices (the
+    identity first), its edge midpoints, its centre and 200 seeded Dirichlet draws."""
+    vertices = np.eye(4)
+    midpoints = [(vertices[i] + vertices[j]) / 2 for i in range(4) for j in range(i + 1, 4)]
+    draws = np.random.default_rng(8032).dirichlet(np.ones(4), 200)
+    return np.concatenate([vertices, midpoints, [np.full(4, 0.25)], draws])
+
+
+def test_no_pauli_channel_lowers_u_or_u_b():
+    # the paper's unital claim for every Pauli channel on A, not only the axis flips and
+    # pd: r stays 0 and T_j scales by f_j = 1 - 2 (p_k + p_l); the identity is channel 0
+    p = _pauli_channel_weights()
+    f = 1.0 - 2.0 * np.stack([p[:, 2] + p[:, 3], p[:, 1] + p[:, 3], p[:, 1] + p[:, 2]], axis=-1)
+    assert f[0].tolist() == [1.0, 1.0, 1.0] and f[1].tolist() == [1.0, -1.0, -1.0]
+    assert f[10].tolist() == [0.0, 0.0, 0.0]  # the centre: the fully depolarizing channel
+    t = UNITAL_STATES[:, None, :] * f
+    for pair in ((1, 2), (1, 3), (2, 3)):
+        u = metrics.xstate_columns(0.0, t, pauli_pair(*pair))[..., :2]  # U, U_b
+        assert u.shape == (len(UNITAL_STATES), len(p), 2)
+        assert (u - u[:, :1]).min() >= -1e-12, pair
+
+
 class TestEmitCsv:
     def test_header_subset(self):
         records = SC.run_time_sweep(fig_config("pd", n_points=2))

@@ -53,15 +53,16 @@ MOVED = {
 # metrics.check_pair is the pair rule;
 # the brute force is one real Bloch-form route, not kets and 2x2 eigenvalues;
 # ChannelSpec.factors is the one closed-form channel map; rho_AB's spectrum is
-# built in xstate_lower_bound_Ub alone, and the Bell weights are written out; the AD
-# factors are one exp over a (..., 3) block, so no helper stacks columns
+# built in xstate_lower_bound_Ub alone, and the Bell weights are written out; the damping
+# factors are one exp over a (..., 3) block, so no helper stacks columns, and pd's factors
+# take no detour through a phase-flip eta
 DELETED = (
     "PauliObservable", "pauli_observable", "_EIGENBASES",
     "uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_bd", "discord_bd",
     "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
     "_measurement_kets", "_avg_conditional_entropy",
     "amplitude_damping_factors", "unchecked_map", "_joint_spectrum", "_SIGNS", "_stack_last",
-    "_xstate_columns", "xstate_concurrence", "uncertainty",
+    "_xstate_columns", "xstate_concurrence", "uncertainty", "_pd_eta",
 )
 # the brute-force route for M, in metrics until the benchmark is repointed at the oracles
 BRUTE_FORCE = (
@@ -261,6 +262,17 @@ def test_only_checked_inputs_reach_the_channel_map():
         if CHANNEL_MAP in {getattr(node, "attr", None), getattr(node, "id", None)}
     }
     assert sites == CHANNEL_MAP_SITES, sorted(sites)
+
+
+def test_the_damping_channels_share_one_exp():
+    # pd is amplitude damping's formula with f3 = e^0 = 1, not the phase flip at an eta;
+    # pd_equivalent_eta keeps its own exp for the callers of that eta
+    sites = sorted(
+        scope
+        for scope, node in scoped_nodes(parse(SRC / "channels.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp"
+    )
+    assert sites == ["factors", "pd_equivalent_eta"], sites
 
 
 def test_errstate_only_in_the_ordered_sum_and_the_sweep_grid():
