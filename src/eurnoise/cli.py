@@ -3,8 +3,8 @@
 Subcommands: sweep, classify, surface, check-unital, and the presets fig2, fig3 and
 smfig-b. A preset is a fixed sweep: fig3 is `sweep --state bd:-0.5,0.4,0.8 --channel ad
 --pair 1,3 --t-max 10 --points 201`; fig2 takes --channel pd, smfig-b --state bd:-1,1,1.
-Exit codes: 0 success, 1 domain/parse error or a request too large for memory,
-2 property violation. Every error is reported as one line.
+Exit codes: 0 success, 1 domain, parse or usage error or a request too large for memory,
+2 property violation. Every error is reported as one line; --help exits 0.
 """
 
 from __future__ import annotations
@@ -104,8 +104,15 @@ def _cmd_check_unital(args) -> int:
     return 2 if report.n_violations else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and each of its subparsers, whose usage errors are DomainErrors."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eurnoise",
         description="Entropic uncertainty with quantum memory under local noise",
     )

@@ -25,7 +25,7 @@ import numpy as np
 from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, as_real, binary_entropy, is_axis
 from eurnoise.linalg import check_count, shannon_entropy, _as_scalar, _in_unit, _plogp, _FEW
 from eurnoise.linalg import _check_binary, _check_distribution, _entropy_floats, _first_outside
-from eurnoise.states import _FLOOR, check_one_bd
+from eurnoise.states import _FLOOR, _correlations, check_one_bd
 from eurnoise.channels import ChannelSpec
 
 
@@ -266,9 +266,7 @@ def _concurrence(r2, minus, plus, up, down):
 def _xstate_args(r, t):
     """X states (r, t) by the real-input rule, as float arrays: t (..., 3), r broadcasting
     against t[..., 0], every entry within _X_MAX of 0, so no later step overflows or sees NaN."""
-    r, t = as_real(r, "r"), as_real(t, "T")
-    if t.shape[-1:] != (3,):
-        raise DomainError(f"T must have shape (..., 3), got shape {t.shape}")
+    r, t = as_real(r, "r"), _correlations(t, "T")
     if r.shape != t.shape[:-1] and not all(  # trailing axes equal, or one of them 1
             a == b or 1 in (a, b) for a, b in zip(r.shape[::-1], t.shape[-2::-1])):
         raise DomainError(f"r of shape {r.shape} does not broadcast against T of shape {t.shape}")

@@ -4,9 +4,9 @@ A Bell-diagonal state is fixed by three real correlation coefficients
 (c1, c2, c3), a checked one by a (3,) float array, many states by a (..., 3) array
 of them; validity is membership in the tetrahedron of states with all four
 Bell-basis eigenvalues non-negative, each weight (1 + c1 - c2 + c3 and so on)
-summed left to right as written, once, in ``_weights``. ``check_bd`` settles at most
-``_FEW`` entries in range with one cheap test on Python floats, and builds no array
-of weights unless a state fails it."""
+summed left to right as written, once, in ``_weights``. ``check_bd`` decides by the one range
+test, ``_within``: on Python-float weights for at most ``_FEW`` entries, building no array
+unless a state fails, else on their array. ``_correlations`` is the one (..., 3) rule."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, _FEW, as_real, check_count
+from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, _FEW, _within, as_real, check_count
 
 TETRAHEDRON_TOL = 1e-12
 _FLOOR = -4 * TETRAHEDRON_TOL  # w/4 >= -tol iff w >= -4 tol: scaling by 4 is exact
@@ -37,11 +37,11 @@ def _weights(c1, c2, c3):
     return 1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3
 
 
-def _correlations(c) -> np.ndarray:
-    """c by the real-input rule, as a float array of shape (..., 3)."""
-    c = as_real(c, "correlations")
+def _correlations(c, name: str = "correlations") -> np.ndarray:
+    """c by the real-input rule, as a float array of shape (..., 3); name names it."""
+    c = as_real(c, name)
     if c.shape[-1:] != (3,):
-        raise DomainError(f"correlations must have shape (..., 3), got shape {c.shape}")
+        raise DomainError(f"{name} must have shape (..., 3), got shape {c.shape}")
     return c
 
 
@@ -65,25 +65,16 @@ def is_valid(c):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _few_inside(c: np.ndarray) -> bool:
-    """``check_bd``'s fast test of at most _FEW entries, in Python floats: every weight
-    within [_FLOOR, FLOAT_MAX]. A finite weight met no overflow on the way, so an
-    infinite one is left to the array path, which warns and names the state as ever."""
-    for c1, c2, c3 in c.reshape(-1, 3).tolist():
-        for w in _weights(c1, c2, c3):
-            if not _FLOOR <= w <= FLOAT_MAX:
-                return False
-    return True
-
-
 def check_bd(c) -> np.ndarray:
-    """Correlations c as a float array of shape (..., 3), or a DomainError
-    naming the first state (in C order) outside the tetrahedron."""
+    """Correlations c as a float array of shape (..., 3), or a DomainError naming the first
+    state (in C order) with a weight outside [_FLOOR, FLOAT_MAX]: is_valid's rule, as no state
+    with every weight >= _FLOOR has an infinite one. An infinite float weight overflowed
+    silently, so it goes on to the array path, which warns as numpy does."""
     c = _correlations(c)
-    if c.size <= _FEW and _few_inside(c):
+    if c.size <= _FEW and _within([w for s in c.reshape(-1, 3).tolist() for w in _weights(*s)],
+                                  _FLOOR, FLOAT_MAX):
         return c
-    w = _four_weights(c)
-    if w.size and not np.minimum.reduce(w, None) >= _FLOOR:  # is_valid's rule, every state
+    if not _within(_four_weights(c), _FLOOR, FLOAT_MAX):
         states = c.reshape(-1, 3)
         bad = tuple(states[~is_valid(states)][0].tolist())
         raise DomainError(f"state {bad} lies outside the Bell-diagonal tetrahedron")

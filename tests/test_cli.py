@@ -9,6 +9,7 @@ import pytest
 
 from eurnoise import cli
 from eurnoise.cli import main
+from eurnoise.scenarios import UnitalCheckReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -117,9 +118,8 @@ def test_preset_takes_only_out(preset, capsys):
         main([preset, "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: eurnoise {preset} [-h] [--out OUT]\n\n")
-    with pytest.raises(SystemExit):
-        main([preset, "--points", "5"])
-    assert "unrecognized arguments: --points 5" in capsys.readouterr().err
+    assert main([preset, "--points", "5"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --points 5\n"
 
 
 def test_classify(capsys):
@@ -245,6 +245,38 @@ def test_bad_columns_rejected(columns, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert_one_error_line(code, out, err)
     assert err.startswith("error: output columns")
+
+
+# argparse's own usage errors: a bad type, a bad choice, a missing option, no subcommand,
+# an option a preset does not take; each is one error line and exit 1, not argparse's 2
+USAGE_ERRORS = {  # id: (argv, the start of the error line)
+    "points-abc": (SWEEP[:-1] + ["abc", "--channel", "pd"],
+                   "error: argument --points: invalid int value: 'abc'"),
+    "spacing-foo": (SWEEP + ["--channel", "pd", "--spacing", "foo"],
+                    "error: argument --spacing: invalid choice: "),
+    "no-state": (["sweep", "--channel", "pd", "--pair", "1,3", "--t-max", "1", "--points", "3"],
+                 "error: the following arguments are required: --state"),
+    "no-subcommand": ([], "error: the following arguments are required: command"),
+    "preset-points": (["fig3", "--points", "5"], "error: unrecognized arguments: --points 5"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_a_usage_error_is_one_error_line(argv, message):
+    code, out, err = run_cli(*argv)
+    assert_one_error_line(code, out, err)
+    assert err.startswith(message)
+
+
+def test_check_unital_violations_exit_2(monkeypatch, capsys):
+    # a violation is exit 2, and the report lists the first 10 of them
+    report = UnitalCheckReport(20, 800, 12, tuple(f"v{i}" for i in range(12)), None, None, None)
+    monkeypatch.setattr(cli, "property_check_unital", lambda n_trials, seed: report)
+    assert main(["check-unital", "--trials", "20", "--seed", "5"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "trials=20 checks=800 violations=12"
+    assert [line for line in out if line.startswith("VIOLATION:")] == [
+        f"VIOLATION: v{i}" for i in range(10)]
 
 
 def test_negative_seed_is_one_error_line():

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -634,11 +635,17 @@ class TestTinyPathMatchesNumpyPath:
             few, reductions = _both_paths(S.check_bd, state, action)
             assert few == reductions
         # the Python-float test passes exactly the states is_valid passes, unless a
-        # weight is not finite: those go to the array path, which warns as it did
+        # weight is not finite: those, and more than _FEW entries, go to the array path,
+        # which warns as it did; a state that passes the float test builds no array
         with np.errstate(all="ignore"):
             finite = np.isfinite(S._four_weights(c)).all()
             inside = bool(np.all(S.is_valid(c)))
-        assert S._few_inside(c) == (inside and finite)
+        with mock.patch.object(S, "_four_weights", wraps=S._four_weights) as built:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with contextlib.suppress(L.DomainError):
+                    S.check_bd(c)
+        assert (not built.called) == (c.size <= FEW and inside and finite)
 
     # what check_bd raised before it had a Python-float path: numpy's overflow warnings
     # where a weight of finite correlations overflows, the first as an error when warnings

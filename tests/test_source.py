@@ -55,14 +55,14 @@ MOVED = {
 # ChannelSpec.factors is the one closed-form channel map; rho_AB's spectrum is
 # built in xstate_lower_bound_Ub alone, and the Bell weights are written out; the damping
 # factors are one exp over a (..., 3) block, so no helper stacks columns, and pd's factors
-# take no detour through a phase-flip eta
+# take no detour through a phase-flip eta; check_bd's Python-float test is linalg._within
 DELETED = (
     "PauliObservable", "pauli_observable", "_EIGENBASES",
     "uncertainty_U_bd", "lower_bound_Ub_bd", "minimal_missing_info_bd", "discord_bd",
     "xstate_uncertainty_U", "xstate_minimal_missing_info", "_check_pair",
     "_measurement_kets", "_avg_conditional_entropy",
     "amplitude_damping_factors", "unchecked_map", "_joint_spectrum", "_SIGNS", "_stack_last",
-    "_xstate_columns", "xstate_concurrence", "uncertainty", "_pd_eta",
+    "_xstate_columns", "xstate_concurrence", "uncertainty", "_pd_eta", "_few_inside",
 )
 # the brute-force route for M, in metrics until the benchmark is repointed at the oracles
 BRUTE_FORCE = (
@@ -463,7 +463,8 @@ def test_each_kernel_check_is_written_once():
     # X core's pass call them, so the messages and clamps cannot drift apart. One range
     # test, with its Python-float path for tiny arrays and lists, serves the unit test, the
     # ordered checks' search and the float U_b's one test; the pass decides its block with
-    # one unit test, and only the Shannon kernel's fast test sums rows
+    # one unit test, and only the Shannon kernel's fast test sums rows; check_bd decides
+    # its Python-float weights and its array of weights with the same range test
     sites = sorted(
         f"{path.stem}.{scope}: {node.func.id}"
         for path in sorted(SRC.glob("*.py"))
@@ -488,6 +489,8 @@ def test_each_kernel_check_is_written_once():
         "metrics._xstate_pass: _check_distribution",
         "metrics._xstate_pass: _in_unit",
         "metrics._xstate_pass: _plogp",
+        "states.check_bd: _within",
+        "states.check_bd: _within",
     ], sites
 
 
@@ -557,7 +560,19 @@ def test_the_bell_weights_are_written_once():
         for scope, node in scoped_nodes(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_weights"
     )
-    assert calls == ["_few_inside", "_four_weights"], calls
+    assert calls == ["_four_weights", "check_bd"], calls
+
+
+def test_the_correlation_shape_rule_is_written_once():
+    # (..., 3) belongs to states._correlations: the states and the X core's T take it there,
+    # each under its own name, so the two messages cannot drift apart
+    sites = [
+        f"{path.stem}.{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in scoped_nodes(parse(path))
+        if isinstance(node, ast.Compare) and ast.unparse(node).endswith("shape[-1:] != (3,)")
+    ]
+    assert sites == ["states._correlations"], sites
 
 
 def test_runtime_never_imports_the_oracles():
