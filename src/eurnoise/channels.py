@@ -9,12 +9,12 @@ and ``evolve`` is those checks plus it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from eurnoise.linalg import DomainError, FLOAT_MAX, _first_outside, as_real, is_axis
-from eurnoise.states import BellDiagonalState, check_bd, x_state_density
+from eurnoise.linalg import DomainError, FLOAT_MAX, _as_scalar, _first_outside, as_real, is_axis
+from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, x_state_density
 
 
 def pd_equivalent_eta(gamma_t: float) -> float:
@@ -22,22 +22,23 @@ def pd_equivalent_eta(gamma_t: float) -> float:
     return (1.0 - np.exp(-ChannelSpec("pd").check(gamma_t) / 2.0)) / 2.0
 
 
-def evolve_bd_flip(s: BellDiagonalState, axis: int, eta: float) -> BellDiagonalState:
-    """Closed-form flip-channel action on the correlation triple."""
-    return BellDiagonalState(*ChannelSpec("flip", axis).evolve(s, eta)[1].tolist())
+def evolve_bd_flip(s: np.typing.ArrayLike, axis: int, eta: float) -> BellDiagonalState:
+    """Closed-form flip-channel action on one state (``check_one_bd``) at one eta."""
+    eta = _as_scalar(eta, "flip strength")  # the name ChannelSpec("flip").check uses
+    return BellDiagonalState(*ChannelSpec("flip", axis).evolve(check_one_bd(s), eta)[1].tolist())
 
 
-def evolve_bd_amplitude(s: BellDiagonalState, gamma_t: float) -> np.ndarray:
-    """Closed-form amplitude-damped state as its X-type 4x4 density."""
-    return x_state_density(*ChannelSpec("ad").evolve(s, gamma_t))
+def evolve_bd_amplitude(s: np.typing.ArrayLike, gamma_t: float) -> np.ndarray:
+    """Closed-form amplitude-damped state, one state at one Gamma*t, as its X-type 4x4 density."""
+    gamma_t = _as_scalar(gamma_t, "ad strength")
+    return x_state_density(*ChannelSpec("ad").evolve(check_one_bd(s), gamma_t))
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(NamedTuple):
     """A channel family: a flip on Pauli axis 1, 2 or 3 (``flip``), phase
     damping (``pd``) or amplitude damping (``ad``). The strength is always
     supplied by the caller: eta for the flips, Gamma*t for the damping channels.
-    """
+    Making one checks nothing: ``check`` holds the rule. Equality is tuple equality."""
 
     kind: str  # 'flip', 'pd', or 'ad'
     axis: int | None = None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -354,8 +355,7 @@ def xstate_lower_bound_Ub(r, t):
 # ---- the amplitude-damped entry point on the core --------------------------
 
 
-@dataclass(frozen=True)
-class MinimalInfoAD:
+class MinimalInfoAD(NamedTuple):
     m: float
     m_x: float | None
     m_z: float | None

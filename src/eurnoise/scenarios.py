@@ -52,6 +52,8 @@ class SweepConfig:
     def __post_init__(self):
         c = check_one_bd(as_real(self.initial, "initial state")).copy()  # caller's may change
         check_pair(self.pair)
+        if not isinstance(self.channel, ChannelSpec):  # a plain (kind, axis) tuple included
+            raise DomainError(f"channel must be a ChannelSpec, got {self.channel!r}")
         t0, t1 = self.channel.check((self.t_start, self.t_end)).tolist()
         if not t0 < t1:
             raise DomainError(f"need t_start < t_end, got {self.t_start}, {self.t_end}")
@@ -118,6 +120,8 @@ def run_time_sweep(cfg: SweepConfig) -> Rows:
     channels, eta for the flips) and evaluate every column over the whole
     grid at once, by one ``xstate_columns`` call, as ``SweepRecord`` rows. The config
     checked the state and the grid, so they go straight to ``factors``."""
+    if not isinstance(cfg, SweepConfig):
+        raise DomainError(f"run_time_sweep takes a SweepConfig, got {cfg!r}")
     t = cfg.grid
     r, f = cfg.channel.factors(t)
     table = np.empty((len(t), 6))
@@ -126,8 +130,7 @@ def run_time_sweep(cfg: SweepConfig) -> Rows:
     return Rows(table, SweepRecord)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassificationResult:  # numpy scalars for one state, (N,) arrays for N
+class ClassificationResult(NamedTuple):  # numpy scalars for one state, (N,) arrays for N
     verdict: np.ndarray  # 'Decrease' | 'Increase' | 'Boundary'
     u_b_initial: np.ndarray
     u_b_limit: np.ndarray
@@ -172,8 +175,7 @@ def sample_spmc_surface(pair: ObservablePair, resolution: int) -> Rows:
     return Rows(cells.reshape(-1, 3), BellDiagonalState)
 
 
-@dataclass(frozen=True)
-class UnitalCheckReport:
+class UnitalCheckReport(NamedTuple):
     n_trials: int
     n_checks: int
     n_violations: int
@@ -203,9 +205,9 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
 
     For each sampled Bell-diagonal state, every flip channel is applied at 10 eta values
     and phase damping at 10 Gamma*t values; S and U_b must not drop by more than
-    BOUNDARY_BAND; a violation is (state, spec, strength, U_b before, U_b after).
-    Amplitude damping at Gamma*t = 20 is then scanned for a state whose U_b drops by
-    more than the band. Every move of every state is one core call.
+    BOUNDARY_BAND; a violation is (state, spec, strength, U_b before, U_b after), its state
+    a (3,) tuple. Amplitude damping at Gamma*t = 20 then gives the counterexample, a
+    ``BellDiagonalState`` whose U_b drops by more than the band. One core call moves all.
     """
     # rho_AB's (4, N + 1, 42) spectrum is the largest array; any seed >= 0 seeds numpy
     check_count(n_trials, "n_trials", 1, MAX_FLOATS // (4 * _MOVE_R.size) - 1)
@@ -216,7 +218,7 @@ def property_check_unital(n_trials: int, seed: int) -> UnitalCheckReport:
     # the pre-noise values, over the sampled states only
     ub0, ub1, ub_ad = ub[:, 0], ub[:-1, 1:-1], ub[:, -1]
     violations = [
-        (BellDiagonalState(*c[n].tolist()), *_MOVES[k], float(ub0[n]), float(ub1[n, k]))
+        (tuple(c[n].tolist()), *_MOVES[k], float(ub0[n]), float(ub1[n, k]))
         for n, k in zip(*np.nonzero(ub1 < ub0[:-1, None] - BOUNDARY_BAND))
     ]
 

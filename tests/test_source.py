@@ -112,10 +112,10 @@ TABLE_PATHS = {
 RECORD_BUILDERS = ("tolist", "fromiter", "_make")
 # the one place that builds records: the two readers of scenarios.Rows
 RECORD_MAKERS = {("scenarios", "__getitem__"), ("scenarios", "__iter__")}
-# the runtime modules that may name the state record: its home, the package, and the two
-# that hand records to the benchmark (channels.evolve_bd_flip; a surface's rows and the
-# unital report's states); a state is otherwise a (3,) sequence or array
-RECORD_MODULES = {"__init__", "states", "channels", "scenarios"}
+# the runtime modules that may name the state record: its home, and the two that hand
+# records to the benchmark (channels.evolve_bd_flip; a surface's rows and the unital
+# report's counterexample_state); a state is otherwise a (3,) sequence or array
+RECORD_MODULES = {"states", "channels", "scenarios"}
 # bench/workloads.py binds `ch, me, sc, st = _mods()` to these runtime modules
 BENCH_ALIASES = {"ch": "channels", "me": "metrics", "sc": "scenarios", "st": "states"}
 
@@ -216,8 +216,23 @@ def test_the_sweep_and_surface_paths_build_no_records():
 def test_only_the_record_modules_name_the_state_record():
     runtime = sorted(p for p in SRC.glob("*.py") if p.name != "oracles.py")
     users = {p.stem for p in runtime if "BellDiagonalState" in set(referenced_names(parse(p)))}
-    assert "__init__" in users  # the walk sees the imports
+    assert "channels" in users  # the walk sees the imports
     assert users <= RECORD_MODULES, f"BellDiagonalState named in {sorted(users - RECORD_MODULES)}"
+
+
+def test_a_dataclass_only_where_construction_checks():
+    # a type that checks nothing when it is made is a typing.NamedTuple
+    classes, unchecked = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in set(referenced_names(d)) for d in node.decorator_list
+            ):
+                classes.append(f"{path.stem}.{node.name}")
+                if not any(getattr(n, "name", None) == "__post_init__" for n in node.body):
+                    unchecked.append(classes[-1])
+    assert "scenarios.SweepConfig" in classes  # the walk sees the decorators
+    assert not unchecked, f"dataclasses that check nothing when made: {unchecked}"
 
 
 def test_the_axis_rule_is_written_once():
