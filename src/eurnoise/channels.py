@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from eurnoise.linalg import DomainError, FLOAT_MAX, _as_scalar, _first_outside, as_real, is_axis
-from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, x_state_density
+from eurnoise.states import BellDiagonalState, _one_state, check_bd, x_state_density
 
 
 def pd_equivalent_eta(gamma_t: float) -> float:
@@ -23,15 +23,15 @@ def pd_equivalent_eta(gamma_t: float) -> float:
 
 
 def evolve_bd_flip(s: np.typing.ArrayLike, axis: int, eta: float) -> BellDiagonalState:
-    """Closed-form flip-channel action on one state (``check_one_bd``) at one eta."""
+    """Closed-form flip-channel action on one state (``_one_state``) at one eta."""
     eta = _as_scalar(eta, "flip strength")  # the name ChannelSpec("flip").check uses
-    return BellDiagonalState(*ChannelSpec("flip", axis).evolve(check_one_bd(s), eta)[1].tolist())
+    return BellDiagonalState(*ChannelSpec("flip", axis).evolve(_one_state(s), eta)[1].tolist())
 
 
 def evolve_bd_amplitude(s: np.typing.ArrayLike, gamma_t: float) -> np.ndarray:
     """Closed-form amplitude-damped state, one state at one Gamma*t, as its X-type 4x4 density."""
     gamma_t = _as_scalar(gamma_t, "ad strength")
-    return x_state_density(*ChannelSpec("ad").evolve(check_one_bd(s), gamma_t))
+    return x_state_density(*ChannelSpec("ad").evolve(_one_state(s), gamma_t))
 
 
 class ChannelSpec(NamedTuple):

@@ -26,7 +26,7 @@ import numpy as np
 from eurnoise.linalg import DomainError, FLOAT_MAX, MAX_FLOATS, as_real, binary_entropy, is_axis
 from eurnoise.linalg import check_count, shannon_entropy, _as_scalar, _in_unit, _plogp, _FEW
 from eurnoise.linalg import _check_binary, _check_distribution, _entropy_floats, _first_outside
-from eurnoise.states import _FLOOR, _correlations, check_one_bd
+from eurnoise.states import _FLOOR, _correlations, _one_state, check_one_bd
 from eurnoise.channels import ChannelSpec
 
 
@@ -331,24 +331,28 @@ def xstate_columns(r, t, pair: ObservablePair) -> np.ndarray:
     return rows.transpose(*range(1, rows.ndim), 0)
 
 
+def _ub_floats(rs: list, t: np.ndarray, fs=None):
+    """S(rho_AB) in Python floats (+ - * round as numpy's), one hypot and one log2 call: r in
+    rs, T the rows of t, or t (3,) times each row of fs. None if the spectrum's fast test fails."""
+    ts = t.ravel().tolist()
+    if fs is not None:  # T = c f, which check_bd and the callers' maps bound
+        ts = [c * f for row in fs for c, f in zip(ts, row)]
+    minus, plus, p = [], [], []
+    for t1, t2 in zip(ts[0::3], ts[1::3]):
+        minus.append(t1 - t2)
+        plus.append(t1 + t2)
+    rad = np.hypot(rs + rs, minus + plus).tolist()
+    for t3, m, q in zip(ts[2::3], rad, rad[len(rs) :]):  # (up +- m, down +- q) / 4, row by row
+        p += (1 + t3 + m) * 0.25, (1 + t3 - m) * 0.25, (1 - t3 + q) * 0.25, (1 - t3 - q) * 0.25
+    return _entropy_floats(p, 4)
+
+
 def xstate_lower_bound_Ub(r, t):
-    """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2), over rho_AB's spectrum.
-    Up to _FEW entries of T, r of T's leading shape, go by Python floats (rounding + - * as numpy
-    does) with one hypot and one log2 call; the rest, and a failed fast test, go by arrays."""
+    """log2(1/c) + S(A|B) = S(rho_AB) for every Pauli pair (c = 1/2), over rho_AB's spectrum, by
+    ``_ub_floats`` up to _FEW entries of T (r of T's leading shape), else or on None by arrays."""
     r, t = _xstate_args(r, t)
-    if t.size <= _FEW and r.shape == t.shape[:-1]:  # _spectrum_rows' sums and rows
-        rs, ts = r.ravel().tolist(), t.ravel().tolist()
-        minus, plus = [], []
-        for t1, t2 in zip(ts[0::3], ts[1::3]):
-            minus.append(t1 - t2)
-            plus.append(t1 + t2)
-        rad = np.hypot(rs + rs, minus + plus).tolist()
-        p = []
-        for t3, m, q in zip(ts[2::3], rad, rad[len(rs) :]):
-            up, down = 1 + t3, 1 - t3
-            p += (up + m) * 0.25, (up - m) * 0.25, (down + q) * 0.25, (down - q) * 0.25
-        if (h := _entropy_floats(p, 4)) is not None:
-            return h[0] if r.ndim == 0 else np.array(h).reshape(r.shape)
+    if t.size <= _FEW and r.shape == t.shape[:-1] and (h := _ub_floats(r.ravel().tolist(), t)):
+        return h[0] if r.ndim == 0 else np.array(h).reshape(r.shape)
     return shannon_entropy(_spectrum_rows(r, t[..., 0], t[..., 1], t[..., 2])[0])
 
 
@@ -366,5 +370,5 @@ def minimal_missing_info_ad(s0: np.typing.ArrayLike, gamma_t: float) -> MinimalI
     """Closed-form minimal missing information for an amplitude-damped
     Bell-diagonal state, over the whole tetrahedron."""
     gamma_t = _as_scalar(gamma_t, "ad strength")  # the name ChannelSpec("ad").check uses
-    e = xstate_entropies(*ChannelSpec("ad").evolve(check_one_bd(s0), gamma_t))
+    e = xstate_entropies(*ChannelSpec("ad").evolve(_one_state(s0), gamma_t))
     return MinimalInfoAD(float(e.m), float(e.m_x), float(e.m_z), False)

@@ -19,6 +19,7 @@ from eurnoise.states import BellDiagonalState, check_bd, check_one_bd, random_bd
 from eurnoise.channels import ChannelSpec
 from eurnoise.metrics import COLUMNS as ALL_COLUMNS  # CSV names of SweepRecord[1:], in order
 from eurnoise.metrics import ObservablePair, check_pair, xstate_columns, xstate_lower_bound_Ub
+from eurnoise.metrics import _ub_floats  # one state's U_b at 0 and at the limit
 
 FIG_STATE = (-0.5, 0.4, 0.8)  # the paper's figure state
 
@@ -138,9 +139,9 @@ class ClassificationResult(NamedTuple):  # numpy scalars for one state, (N,) arr
 
 LONGTIME_GAMMA_T = 50.0
 BOUNDARY_BAND = 1e-9  # the band on U_b of both verdicts: classify's and the unital check's
-# the map at Gamma*t = 0 (exactly the identity) and at the limit, computed once
+# the map at Gamma*t = 0 (exactly the identity) and at the limit, computed once, as floats
 _AD = ChannelSpec("ad")
-_LONGTIME_R, _LONGTIME_F = _AD.factors(_AD.check((0.0, LONGTIME_GAMMA_T)))
+_LONGTIME_R, _LONGTIME_F = (a.tolist() for a in _AD.factors(_AD.check((0.0, LONGTIME_GAMMA_T))))
 _VERDICTS = np.array(["Boundary", "Decrease", "Increase"])
 
 
@@ -148,16 +149,16 @@ def classify_longtime_ad(c) -> ClassificationResult:
     """Does the uncertainty lower bound decrease or increase in the
     long-time amplitude-damping limit, for correlations c of shape (3,) or (N, 3)?
 
-    The limit is U_b of the actually-evolved state at Gamma*t = 50, not assumed;
-    one core call of shape (..., 2, 3) gives U_b at 0 and at the limit for every state.
+    The limit is U_b of the actually-evolved state at Gamma*t = 50, not assumed: for one state,
+    one ``_ub_floats`` call at 0 and at the limit, else (or if it fails) one core call (..., 2, 3).
     """
     c = check_bd(c)
     if c.ndim > 2:
         raise DomainError(f"classify takes correlations of shape (3,) or (N, 3), not {c.shape}")
-    u_b0, u_b_limit = xstate_lower_bound_Ub(_LONGTIME_R, c[..., None, :] * _LONGTIME_F).T
-    # an np.intp on the left keeps this on numpy's fast scalar path for one state
-    code = np.intp(2) * (u_b0 < u_b_limit - BOUNDARY_BAND) + (u_b0 > u_b_limit + BOUNDARY_BAND)
-    return ClassificationResult(_VERDICTS[code], u_b0, u_b_limit)
+    h = _ub_floats(_LONGTIME_R, c, _LONGTIME_F) if c.ndim == 1 else None
+    u_b0, u_b_limit = h or xstate_lower_bound_Ub(_LONGTIME_R, c[..., None, :] * _LONGTIME_F).T
+    code = 2 * (u_b0 < u_b_limit - BOUNDARY_BAND) + (u_b0 > u_b_limit + BOUNDARY_BAND)
+    return ClassificationResult(_VERDICTS[code], np.float64(u_b0), np.float64(u_b_limit))
 
 
 def sample_spmc_surface(pair: ObservablePair, resolution: int) -> Rows:

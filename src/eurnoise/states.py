@@ -81,12 +81,17 @@ def check_bd(c) -> np.ndarray:
     return c
 
 
-def check_one_bd(c: np.typing.ArrayLike) -> np.ndarray:
-    """The state rule of the one-state entry points: shape (3,), then ``check_bd``."""
+def _one_state(c) -> np.ndarray:
+    """c by the real-input rule, of shape (3,): the one-state shape rule, before ``check_bd``."""
     c = as_real(c, "correlations")
     if c.shape != (3,):
         raise DomainError(f"one state must have shape (3,), got shape {c.shape}")
-    return check_bd(c)
+    return c
+
+
+def check_one_bd(c: np.typing.ArrayLike) -> np.ndarray:
+    """The state rule of the one-state entry points: ``_one_state``, then ``check_bd``."""
+    return check_bd(_one_state(c))
 
 
 def x_state_density(r: float, t) -> np.ndarray:

@@ -2,9 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from eurnoise import states as S
 from eurnoise.states import BellDiagonalState
 
 FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)
+# the pure Bell states (Phi+, Phi-, Psi+, Psi-) as correlations, one per row
+BELL_VERTICES = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+def _pushed_out(vertex):
+    """A Bell vertex pushed out along its own direction to the last float check_bd admits."""
+    push = 1.0 + 3.99e-12
+    while S.is_valid(vertex * np.nextafter(push, 2.0)):
+        push = np.nextafter(push, 2.0)
+    return S.check_bd(vertex * push)
+
+
+PUSHED_VERTICES = np.array([_pushed_out(v) for v in BELL_VERTICES])
 
 
 @pytest.fixture

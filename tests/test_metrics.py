@@ -20,7 +20,7 @@ from eurnoise.channels import CHANNEL_LITERALS, ChannelSpec, evolve_bd_amplitude
 from eurnoise.channels import parse_channel_literal
 from eurnoise.scenarios import FIG_STATE, SweepConfig, classify_longtime_ad, run_time_sweep
 
-from conftest import LAYOUTS, bd_states, laid_out
+from conftest import BELL_VERTICES, LAYOUTS, PUSHED_VERTICES, bd_states, laid_out
 
 PAIR_13 = M.pauli_pair(1, 3)
 ALL_PAIRS = [M.pauli_pair(1, 2), M.pauli_pair(1, 3), M.pauli_pair(2, 3)]
@@ -1107,19 +1107,6 @@ def _stacked_lower_bound_Ub(r, t):
     return shannon_entropy(np.stack(cols, axis=-1) / 4)
 
 
-# the pure Bell states (Phi+, Phi-, Psi+, Psi-) as correlations, one per row
-BELL_VERTICES = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
-
-
-def _pushed_out(vertex):
-    """A Bell vertex pushed out along its own direction to the last float check_bd admits."""
-    push = 1.0 + 3.99e-12
-    while S.is_valid(vertex * np.nextafter(push, 2.0)):
-        push = np.nextafter(push, 2.0)
-    return S.check_bd(vertex * push)
-
-
-PUSHED_VERTICES = np.array([_pushed_out(v) for v in BELL_VERTICES])
 SPECTRUM_SHAPES = [(), (5,), (4, 5), (2, 3, 4), (0,), (0, 5), (4, 0)]
 # e^{-800} underflows to 0, so Gamma*t = 800 gives the r = -1 limit exactly
 GAMMA_T = st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 800.0, 1e6]))

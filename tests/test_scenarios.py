@@ -28,6 +28,9 @@ from eurnoise.metrics import (
     _concurrence,
 )
 
+from conftest import PUSHED_VERTICES, bd_states
+from test_phase_exact import _near_boundary
+
 PAIR_13 = pauli_pair(1, 3)
 BLOCK = SC.ROWS_BLOCK
 FIG_STATE = BellDiagonalState(-0.5, 0.4, 0.8)
@@ -374,9 +377,25 @@ class TestSweepChecksOnce:
             fig_config(kind, t_start=big, t_end=linalg.FLOAT_MAX, n_points=3, spacing="log")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: channels.evolve_bd_flip(FIG_STATE, 2, 0.1),
+        lambda: channels.evolve_bd_amplitude(FIG_STATE, 0.7),
+        lambda: metrics.minimal_missing_info_ad(FIG_STATE, 0.7),
+    ],
+    ids=["evolve_bd_flip", "evolve_bd_amplitude", "minimal_missing_info_ad"],
+)
+def test_the_one_state_adapters_check_the_state_once(check_calls, call):
+    # the shape rule, then ChannelSpec.evolve's checks: its check_bd is the state's one check
+    call()
+    assert check_calls == ["ChannelSpec.check", "check_bd"]
+
+
 class TestClassifyOneCoreCall:
-    """classify evaluates U_b at Gamma*t = 0 and at the limit in one core
-    call; both values equal the separate evaluations bit for bit."""
+    """classify evaluates U_b at Gamma*t = 0 and at the limit in one call, on Python floats
+    for one state and by one core call otherwise; both values equal the separate
+    evaluations bit for bit."""
 
     def test_matches_separate_evaluations_exactly(self):
         for s in random_bd_states(1000, np.random.default_rng(2024)):
@@ -386,18 +405,73 @@ class TestClassifyOneCoreCall:
             assert res.u_b_limit == float(limit)
 
     def test_one_core_call(self, monkeypatch):
-        shapes = []
-        core = SC.xstate_lower_bound_Ub
+        # one state takes U_b at 0 and at the limit in Python floats, with no core call and
+        # no second intake; a state whose spectrum fails the float fast test falls back to
+        # one core call, as a batch makes one
+        shapes, intakes, floats = [], [], []
+        core, intake, entropy_floats = (
+            SC.xstate_lower_bound_Ub, metrics._xstate_args, metrics._entropy_floats)
 
         def counted(r, t):
             shapes.append(np.shape(t))
             return core(r, t)
 
         monkeypatch.setattr(SC, "xstate_lower_bound_Ub", counted)
+        monkeypatch.setattr(
+            metrics, "_xstate_args", lambda r, t: intakes.append(1) or intake(r, t))
+        monkeypatch.setattr(
+            metrics, "_entropy_floats", lambda p, k: floats.append(len(p)) or entropy_floats(p, k))
         SC.classify_longtime_ad(FIG_STATE)
-        assert shapes == [(2, 3)]
+        assert (shapes, intakes, floats) == ([], [], [8])  # 8 floats: the (2, 4) spectrum
+        for c in PUSHED_VERTICES:
+            shapes.clear()
+            SC.classify_longtime_ad(c)
+            assert shapes == [(2, 3)], c
         SC.classify_longtime_ad(random_bd_states(37, np.random.default_rng(1)))
         assert shapes == [(2, 3), (37, 2, 3)]
+
+
+def _same_classification(one, batch, i):
+    """One-state classify equals row i of a batch's: verdict, bits and types."""
+    fields = [(one.verdict, batch.verdict[i]), (one.u_b_initial, batch.u_b_initial[i]),
+              (one.u_b_limit, batch.u_b_limit[i])]
+    assert [type(a) for a, _ in fields] == [np.str_, np.float64, np.float64]
+    for a, b in fields:
+        assert type(a) is type(b) and a.tobytes() == b.tobytes(), (one, i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bd_states())
+def test_one_state_classify_is_the_batch_row(c):
+    # Python floats for one state, arrays for a batch: one classification, bit for bit
+    batch = SC.classify_longtime_ad(np.array([c, *VERTICES_AND_ORIGIN]))
+    _same_classification(SC.classify_longtime_ad(c), batch, 0)
+
+
+# the vertices, the origin and the figure state; the pushed-out vertices, whose spectrum
+# fails the float fast test, so they take the fallback; and test_phase_exact's six states
+# at S(lambda) = 1 +- 1e-4, +- 1e-6 and +- 1e-11
+NEAR_BAND = [_near_boundary(gap) for gap in (1e-4, -1e-4, 1e-6, -1e-6, 1e-11, -1e-11)]
+for _edge in [*VERTICES_AND_ORIGIN, FIG_STATE, *PUSHED_VERTICES, *NEAR_BAND]:
+    test_one_state_classify_is_the_batch_row = example(tuple(_edge))(
+        test_one_state_classify_is_the_batch_row)
+
+
+def test_every_input_kind_gives_the_float64_tuple_s_bits():
+    read_only = np.array(FIG_STATE)
+    read_only.flags.writeable = False
+    f32 = tuple(np.float32(v) for v in FIG_STATE)
+    kinds = [
+        (BellDiagonalState(*FIG_STATE), tuple(FIG_STATE)),
+        (read_only, tuple(FIG_STATE)),
+        ([0, 0, 1], (0.0, 0.0, 1.0)),
+        ([1, -1, 1], (1.0, -1.0, 1.0)),
+        (f32, tuple(np.float64(v) for v in f32)),
+    ]
+    for state, as_floats in kinds:
+        want = SC.classify_longtime_ad(np.array([as_floats]))
+        _same_classification(SC.classify_longtime_ad(as_floats), want, 0)
+        _same_classification(SC.classify_longtime_ad(state), want, 0)
 
 
 @pytest.fixture

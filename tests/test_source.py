@@ -447,12 +447,13 @@ def test_the_names_the_readme_qualifies_resolve():
 def test_metrics_takes_the_sweep_entropies_in_one_pass():
     # the X core's one pass takes every entropy of a sweep or of xstate_entropies in one
     # p log2 p call, under the kernels' own checks, and calls no kernel; U_b keeps its one
-    # Shannon call for classify and the unital check; the witness's H_bin of the initial
-    # state keeps its own call, and so does the brute-force oracle, which stays in metrics
+    # Shannon call for a batch classify and the unital check, and its Python-float form,
+    # _ub_floats, the one _entropy_floats call; the witness's H_bin of the initial state
+    # keeps its own call, and so does the brute-force oracle, which stays in metrics
     # until the benchmark is repointed
     tree = parse(SRC / "metrics.py")
     called = (*ENTROPY_KERNELS, "xstate_lower_bound_Ub", "_xstate_pass", *PASS_STEPS,
-              "_entropy_floats")
+              "_entropy_floats", "_ub_floats")
     calls = sorted(
         (scope, node.func.id)
         for scope, node in scoped_nodes(tree)
@@ -462,13 +463,14 @@ def test_metrics_takes_the_sweep_entropies_in_one_pass():
     )
     assert calls == [
         ("_conditional_entropy", "binary_entropy"),
+        ("_ub_floats", "_entropy_floats"),
         ("_xstate_pass", "_check_binary"),
         ("_xstate_pass", "_check_distribution"),
         ("_xstate_pass", "_plogp"),
         ("witness_discord_from_U", "binary_entropy"),
         ("xstate_columns", "_xstate_pass"),
         ("xstate_entropies", "_xstate_pass"),
-        ("xstate_lower_bound_Ub", "_entropy_floats"),
+        ("xstate_lower_bound_Ub", "_ub_floats"),
         ("xstate_lower_bound_Ub", "shannon_entropy"),
     ], calls
 
